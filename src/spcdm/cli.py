@@ -204,13 +204,29 @@ def _write_report(report: RunReport, prefix: str) -> None:
             writer.writerow([epoch, repr(val)])
 
 
-def cmd_solve(args) -> int:
-    raw = _load_problem(args)
-    working = prepare_problem(raw, args.app)
-    sigma, D = loss_constants(args.app, working)
+def _setup(args):
+    """Dataset -> (working matrix, bound loss, regularizer) for solve and bench."""
+    working = prepare_problem(_load_problem(args), args.app)
+    _, D = loss_constants(args.app, working)
     mu = _resolve_mu(args, args.app, D)
     reg = _parse_reg(args.reg)
-    loss = make_loss(working, args.app, mu)
+    return working, make_loss(working, args.app, mu), reg
+
+
+def _config(args, tau: int) -> SolverConfig:
+    return SolverConfig(
+        tau=tau,
+        seed=args.seed,
+        beta_formula=_beta_formula(args.beta_formula),
+        max_epochs=args.max_epochs,
+        target_value=args.target,
+        trace_every=args.trace_every,
+        workers=_workers(args),
+    )
+
+
+def cmd_solve(args) -> int:
+    working, loss, reg = _setup(args)
 
     target_requested = args.target is not None or args.eps_prime is not None
     if args.eps_prime is not None and args.target is None and args.app != "adaboost":
@@ -226,24 +242,14 @@ def cmd_solve(args) -> int:
                 target_reached=True,
                 final_x_norm=0.0,
                 final_x_nnz=0,
-                config={"app": args.app, "mu": mu, "note": "eps-prime met at x0"},
+                config={"app": args.app, "mu": loss.mu, "note": "eps-prime met at x0"},
             )
             if args.out:
                 _write_report(report, args.out)
             print("accuracy target met at the starting point; nothing to do")
             return 0
 
-    cfg = SolverConfig(
-        tau=args.tau,
-        seed=args.seed,
-        mu=mu,
-        beta_formula=_beta_formula(args.beta_formula),
-        max_epochs=args.max_epochs,
-        target_value=args.target,
-        trace_every=args.trace_every,
-        workers=_workers(args),
-    )
-    report = run(working, loss, reg, cfg)
+    report = run(working, loss, reg, _config(args, args.tau))
     if args.out:
         _write_report(report, args.out)
     last = report.objective_trace[-1][1]
@@ -332,29 +338,13 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    raw = _load_problem(args)
-    working = prepare_problem(raw, args.app)
-    sigma, D = loss_constants(args.app, working)
-    mu = _resolve_mu(args, args.app, D)
-    reg = _parse_reg(args.reg)
-    loss = make_loss(working, args.app, mu)
+    working, loss, reg = _setup(args)
     taus = _parse_tau_values(args.tau_list, working.n)
-    workers = _workers(args)
 
     rows = []
     all_reached = True
     for tau in taus:
-        cfg = SolverConfig(
-            tau=tau,
-            seed=args.seed,
-            mu=mu,
-            beta_formula=_beta_formula(args.beta_formula),
-            max_epochs=args.max_epochs,
-            target_value=args.target,
-            trace_every=args.trace_every,
-            workers=workers,
-        )
-        report = run(working, loss, reg, cfg)
+        report = run(working, loss, reg, _config(args, tau))
         all_reached &= report.target_reached
         rows.append(
             (

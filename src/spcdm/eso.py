@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData
+from .problem import ProblemData, _segments, row_sq_norms
 from .sampling import hypergeom_pmf
 
 APPS = ("linf", "l1", "adaboost")
@@ -61,14 +61,7 @@ def dual_weights(pd: ProblemData, app: str) -> DualWeights:
         raise ValueError(f"unknown app {app!r}")
     if app in ("linf", "adaboost"):
         return DualWeights(v=np.ones(pd.m), p=1)
-    v = np.zeros(pd.m)
-    for j in range(pd.m):
-        _, vals = pd.row(j)
-        v[j] = np.dot(vals, vals)
-    if np.any(v == 0.0):
-        j = int(np.flatnonzero(v == 0.0)[0])
-        raise ValueError(f"l1 weights undefined: row {j} has no nonzeros")
-    return DualWeights(v=v, p=2)
+    return DualWeights(v=row_sq_norms(pd), p=2)
 
 
 def primal_weights(pd: ProblemData, dw: DualWeights) -> PrimalWeights:
@@ -82,12 +75,10 @@ def primal_weights(pd: ProblemData, dw: DualWeights) -> PrimalWeights:
         raise ValueError(f"p must be 1 or 2, got {dw.p}")
     w = np.zeros(pd.n)
     vinv2 = 1.0 / (dw.v * dw.v)
-    for i in range(pd.n):
-        rows, vals = pd.col(i)
-        if rows.size == 0:
-            continue
-        contrib = vinv2[rows] * vals * vals
-        w[i] = contrib.max() if dw.p == 1 else contrib.sum()
+    contrib = vinv2[pd.col_rows] * pd.col_vals * pd.col_vals
+    for ids, idx in _segments(pd.col_ptr):
+        block = contrib[idx]
+        w[ids] = block.max(axis=1) if dw.p == 1 else block.sum(axis=1)
     return PrimalWeights(w=w)
 
 

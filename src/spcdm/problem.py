@@ -162,6 +162,35 @@ def row_sparsity(pd: ProblemData) -> RowSparsityProfile:
     return RowSparsityProfile(omega=omega, per_row_nnz=hist)
 
 
+def _segments(ptr: np.ndarray):
+    """Group the nonempty segments ptr[s]:ptr[s+1] by their length k.
+
+    Yields (ids, idx) per k: the ascending segment ids and the (ids.size, k)
+    index of their entries in storage order.  A gather through idx is
+    C-contiguous, so a reduction along axis 1 runs in each segment's order.
+    """
+    lens = np.diff(ptr)
+    order = np.argsort(lens, kind="stable")
+    for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
+        k = int(lens[ids[0]]) if ids.size else 0
+        if k:
+            yield ids, ptr[ids, None] + np.arange(k)
+
+
+def row_sq_norms(pd: ProblemData) -> np.ndarray:
+    """v_j = squared Euclidean norm of row j, the l1 row weights; each
+    must be positive, so an empty row raises ValueError naming it."""
+    v = np.zeros(pd.m)
+    for ids, idx in _segments(pd.row_ptr):
+        seg = pd.row_vals[idx]
+        # batched 1-by-k @ k-by-1 products: one dot per row, as np.dot(row, row)
+        v[ids] = (seg[:, None, :] @ seg[:, :, None]).ravel()
+    if np.any(v == 0.0):
+        j = int(np.flatnonzero(v == 0.0)[0])
+        raise ValueError(f"l1 weights undefined: row {j} has no nonzeros")
+    return v
+
+
 def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     """Read a sparse dataset in svmlight/libsvm text format.
 

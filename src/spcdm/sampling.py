@@ -21,11 +21,8 @@ class SamplingSpec:
     n: int
     tau: int
     seed: int
-    kind: str = "tau-nice"
 
     def __post_init__(self):
-        if self.kind != "tau-nice":
-            raise ValueError(f"unknown sampling kind {self.kind!r}")
         if not 1 <= self.tau <= self.n:
             raise ValueError("tau must satisfy 1 <= tau <= n")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData, stack_linf
+from .problem import ProblemData, _segments, row_sq_norms, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -83,13 +83,7 @@ def make_loss(working: ProblemData, app: str, mu: float) -> SmoothedLoss:
         raise ValueError("adaboost fixes mu = 1")
     huber_a = None
     if app == "l1":
-        v = np.zeros(working.m)
-        for j in range(working.m):
-            _, vals = working.row(j)
-            v[j] = np.dot(vals, vals)
-        if np.any(v == 0.0):
-            j = int(np.flatnonzero(v == 0.0)[0])
-            raise ValueError(f"l1 smoothing undefined: row {j} has no nonzeros")
+        v = row_sq_norms(working)
         huber_a = mu * v * v
     return SmoothedLoss(kind=app, pd=working, mu=mu, huber_a=huber_a)
 
@@ -106,20 +100,18 @@ def loss_constants(app: str, working: ProblemData) -> tuple[float, float]:
             raise ValueError("need at least one row")
         return 1.0, float(np.log(working.m))
     if app == "l1":
-        total = 0.0
-        for j in range(working.m):
-            _, vals = working.row(j)
-            vj = float(np.dot(vals, vals))
-            total += vj * vj
-        return 1.0, 0.5 * total
+        v = row_sq_norms(working)
+        # a running sum in row order: cumsum never sums pairwise
+        return 1.0, 0.5 * float(np.cumsum(np.append(0.0, v * v))[-1])
     raise ValueError(f"unknown app {app!r}")
 
 
 def _residual(pd: ProblemData, x: np.ndarray) -> np.ndarray:
-    r = -pd.b.copy()
-    for i in np.flatnonzero(x):
-        rows, vals = pd.col(int(i))
-        r[rows] += vals * x[i]
+    # np.add.at adds in CSC order: each row takes its terms by ascending column
+    r = -pd.b
+    xe = np.repeat(x, pd.col_nnz())
+    hit = xe != 0.0
+    np.add.at(r, pd.col_rows[hit], pd.col_vals[hit] * xe[hit])
     return r
 
 
@@ -191,10 +183,10 @@ class SmoothState:
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives; same normalization path as partial_gradient."""
         pd = self.loss.pd
-        g = np.empty(pd.n)
-        for i in range(pd.n):
-            rows, vals = pd.col(i)
-            g[i] = np.dot(vals, self._col_z(rows)) if rows.size else 0.0
+        g = np.zeros(pd.n)
+        z = self._col_z(pd.col_rows)
+        for ids, idx in _segments(pd.col_ptr):
+            g[ids] = (pd.col_vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
         return g
 
     def apply_update(self, i: int, h: float) -> None:

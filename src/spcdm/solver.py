@@ -116,7 +116,6 @@ class SolverConfig:
     beta_formula: str | float = "auto"
     max_epochs: int = 100
     target_value: float | None = None
-    target_accuracy: float | None = None
     trace_every: int = 1
     workers: int = 1
 
@@ -129,8 +128,6 @@ class SolverConfig:
             raise ValueError("trace_every must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if self.mu is not None and self.target_accuracy is not None:
-            raise ValueError("mu and target_accuracy are mutually exclusive")
 
 
 @dataclass

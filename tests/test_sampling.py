@@ -20,8 +20,6 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SamplingSpec(n=4, tau=5, seed=0)
     with pytest.raises(ValueError):
-        SamplingSpec(n=4, tau=2, seed=0, kind="bernoulli")
-    with pytest.raises(ValueError):
         draw(SamplingSpec(n=4, tau=2, seed=0), -1)
 
 

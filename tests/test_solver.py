@@ -100,8 +100,6 @@ def test_solver_config_validation():
         SolverConfig(tau=1, trace_every=0)
     with pytest.raises(ValueError):
         SolverConfig(tau=1, workers=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tau=1, mu=0.1, target_accuracy=0.01)
 
 
 def _all_active_problem(m, n, omega, seed):
