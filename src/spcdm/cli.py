@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 usage or I/O or runtime error, 2 iteration
 budget exhausted before the requested target, 3 a requested check
-failed.  The SPCDM_THREADS environment variable overrides --workers.
+failed.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 
 import numpy as np
@@ -60,7 +59,6 @@ def _add_run_args(p: _Parser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--max-epochs", type=int, default=100)
     p.add_argument("--trace-every", type=int, default=1)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--beta-formula", default="auto",
                    help="auto, beta1, beta2, beta3, or a numeric override")
     smooth = p.add_mutually_exclusive_group()
@@ -165,19 +163,6 @@ def _parse_tau_values(spec: str, n: int) -> list[int]:
     return taus
 
 
-def _workers(args) -> int:
-    env = os.environ.get("SPCDM_THREADS")
-    if env is not None:
-        try:
-            w = int(env)
-        except ValueError:
-            raise _UsageError(f"bad SPCDM_THREADS value {env!r}") from None
-        if w < 1:
-            raise _UsageError("SPCDM_THREADS must be >= 1")
-        return w
-    return args.workers
-
-
 def _resolve_mu(args, app: str, D: float) -> float:
     """Pick the smoothing level from --mu / --eps-prime / defaults."""
     if app == "adaboost":
@@ -221,7 +206,6 @@ def _config(args, tau: int) -> SolverConfig:
         max_epochs=args.max_epochs,
         target_value=args.target,
         trace_every=args.trace_every,
-        workers=_workers(args),
     )
 
 

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +44,21 @@ class ProblemData:
         """Column indices and values of row j (views, ascending columns)."""
         lo, hi = self.row_ptr[j], self.row_ptr[j + 1]
         return self.row_cols[lo:hi], self.row_vals[lo:hi]
+
+    def columns(self, ids: np.ndarray) -> "ColumnBatch":
+        """The columns ids gathered in one pass; see ColumnBatch."""
+        starts = self.col_ptr[ids]
+        lens = self._col_lens[ids]
+        ends = lens.cumsum()
+        offsets = ends - lens  # where each column starts in the concatenation
+        pos = (starts - offsets).repeat(lens) + np.arange(ends[-1] if ends.size else 0)
+        return ColumnBatch(
+            ids, lens, self.col_rows[pos], self.col_vals[pos], _length_groups(offsets, lens)
+        )
+
+    @functools.cached_property
+    def _col_lens(self) -> np.ndarray:
+        return self.col_nnz()
 
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
@@ -162,19 +180,42 @@ def row_sparsity(pd: ProblemData) -> RowSparsityProfile:
     return RowSparsityProfile(omega=omega, per_row_nnz=hist)
 
 
-def _segments(ptr: np.ndarray):
+def _segments(ptr: np.ndarray) -> list:
     """Group the nonempty segments ptr[s]:ptr[s+1] by their length k.
 
-    Yields (ids, idx) per k: the ascending segment ids and the (ids.size, k)
+    Returns (ids, idx) per k: the ascending segment ids and the (ids.size, k)
     index of their entries in storage order.  A gather through idx is
     C-contiguous, so a reduction along axis 1 runs in each segment's order.
     """
-    lens = np.diff(ptr)
-    order = np.argsort(lens, kind="stable")
-    for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1):
-        k = int(lens[ids[0]]) if ids.size else 0
+    return _length_groups(ptr[:-1], ptr[1:] - ptr[:-1])
+
+
+def _length_groups(starts: np.ndarray, lens: np.ndarray) -> list:
+    """_segments for segments given by their starts and lengths."""
+    order = lens.argsort(kind="stable")
+    srt = lens[order].tolist()
+    groups = []
+    for k in sorted(set(srt)):
         if k:
-            yield ids, ptr[ids, None] + np.arange(k)
+            ids = order[bisect_left(srt, k) : bisect_right(srt, k)]
+            groups.append((ids, starts[ids][:, None] + np.arange(k)))
+    return groups
+
+
+class ColumnBatch(NamedTuple):
+    """Columns ids of a ProblemData, gathered once (ProblemData.columns).
+
+    rows and vals hold the columns' entries concatenated in the order of
+    ids, each column's in storage order; lens holds the column lengths.
+    groups is _segments over that concatenation: (positions in ids,
+    index into rows/vals) per column length.
+    """
+
+    ids: np.ndarray
+    lens: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
+    groups: list
 
 
 def row_sq_norms(pd: ProblemData) -> np.ndarray:

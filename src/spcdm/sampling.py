@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +39,77 @@ def draw(spec: SamplingSpec, round: int) -> np.ndarray:
     if round < 0:
         raise ValueError("round must be nonnegative")
     n, tau = spec.n, spec.tau
-    rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=round << 128))
-    js = rng.integers(np.arange(tau, dtype=np.int64), n)
     swap: dict[int, int] = {}
-    out = np.empty(tau, dtype=np.int64)
-    for k in range(tau):
-        j = int(js[k])
+    out = []
+    for k, j in enumerate(_offsets(spec.seed, round, n, tau)):
         ak = swap.get(k, k)
         aj = swap.get(j, j)
-        out[k] = aj
+        out.append(aj)
         swap[j] = ak
         swap[k] = aj
     out.sort()
-    return out
+    return np.array(out, dtype=np.int64)
+
+
+_M32 = (1 << 32) - 1
+_U64 = (1 << 64) - 1
+_philox = threading.local()
+
+
+def _offsets(seed: int, round: int, n: int, tau: int) -> list[int]:
+    """Generator(Philox(key=seed, counter=round << 128)).integers(
+    np.arange(tau), n): the k-th value is uniform on [k, n)."""
+    gen = _keyed_generator(seed, round)
+    if n <= _M32:
+        # integers draws a bound below 2**32 by Lemire's method from the
+        # 32-bit halves of the 64-bit outputs, low half first.  Doing the
+        # same on one raw block is far cheaper than the call for small tau.
+        halves = []
+        for r in gen.bit_generator.random_raw(tau // 2 + 1).tolist():
+            halves += (r & _M32, r >> 32)
+        try:
+            js, pos = [], 0
+            for k in range(tau):
+                excl = n - k
+                if excl == 1:  # a one-value range consumes nothing
+                    js.append(k)
+                    continue
+                threshold = (_M32 + 1 - excl) % excl
+                m = halves[pos] * excl
+                pos += 1
+                while m & _M32 < threshold:  # rejection: draw again
+                    m = halves[pos] * excl
+                    pos += 1
+                js.append(k + (m >> 32))
+            return js
+        except IndexError:  # rejections used up the block: rare
+            gen = _keyed_generator(seed, round)
+    return gen.integers(np.arange(tau, dtype=np.int64), n).tolist()
+
+
+def _keyed_generator(seed: int, round: int) -> np.random.Generator:
+    """This thread's Generator, reset to Philox(key=seed, counter=round << 128).
+
+    Resetting the key, the counter and the output buffer gives the stream
+    of a freshly built Philox without the cost of building one per round.
+    """
+    seed, round = int(seed), int(round)
+    if not 0 <= seed < 1 << 128:
+        raise ValueError("seed must satisfy 0 <= seed < 2**128")
+    if round >= 1 << 128:
+        raise ValueError("round must be below 2**128")
+    gen = getattr(_philox, "gen", None)
+    if gen is None:
+        gen = _philox.gen = np.random.Generator(np.random.Philox(0))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": [0, 0, round & _U64, round >> 64], "key": [seed & _U64, seed >> 64]},
+        "buffer": [0, 0, 0, 0],
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return gen
 
 
 def hypergeom_pmf(omega: int, n: int, tau: int, l: int) -> float:

@@ -11,8 +11,8 @@ adaboost  log of the mean exponential of label-scaled rows; this loss is
 
 A SmoothState carries x, the residual r = Ax - b of the working system,
 and for the exponential variants a normalization accumulator that lets
-single-coordinate updates run in O(column nnz) without touching the
-other rows.
+a batch of coordinate updates run in O(nnz of their columns) without
+touching the other rows.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData, _segments, row_sq_norms, stack_linf
+from .problem import ColumnBatch, ProblemData, row_sq_norms, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -173,39 +173,70 @@ class SmoothState:
         scale = loss.denom * self.lse_acc
         return np.exp((self.r[rows] - self.fmu) / loss.mu) / scale
 
+    def gradients(self, cols: ColumnBatch) -> np.ndarray:
+        """Derivatives of f_mu along the columns cols.ids, from maintained state."""
+        g = np.zeros(cols.ids.size)
+        z = self._col_z(cols.rows)
+        for sel, idx in cols.groups:
+            # batched 1-by-k @ k-by-1 products: one dot per column, as np.dot(vals, z)
+            g[sel] = (cols.vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
+        return g
+
     def partial_gradient(self, i: int) -> float:
         """Derivative of f_mu along coordinate i, from maintained state."""
-        rows, vals = self.loss.pd.col(i)
-        if rows.size == 0:
-            return 0.0
-        return float(np.dot(vals, self._col_z(rows)))
+        return float(self.gradients(self.loss.pd.columns(np.array([i])))[0])
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives; same normalization path as partial_gradient."""
-        pd = self.loss.pd
-        g = np.zeros(pd.n)
-        z = self._col_z(pd.col_rows)
-        for ids, idx in _segments(pd.col_ptr):
-            g[ids] = (pd.col_vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
-        return g
+        return self.gradients(self.loss.pd.columns(np.arange(self.loss.pd.n)))
+
+    def apply_steps(self, cols: ColumnBatch, h: np.ndarray) -> None:
+        """x[cols.ids] += h in O(nnz of those columns), keeping r and lse_acc
+        in sync.
+
+        cols.ids must be distinct and ascending.  The result is bit for bit
+        that of applying the steps one column at a time in that order: zero
+        steps are dropped and do not count toward staleness, each row takes
+        its terms in ascending column order, and lse_acc takes the columns'
+        changes in turn, each column seeing the rows earlier ones moved.
+        """
+        if np.count_nonzero(h) < h.size:
+            keep = h != 0.0
+            cols, h = self.loss.pd.columns(cols.ids[keep]), h[keep]
+        d = cols.vals * h.repeat(cols.lens)
+        if self.loss.kind != "l1":
+            self.lse_acc = self._lse_acc_after(cols, d)
+        # np.add.at adds in CSC order: each row takes its terms by ascending column
+        np.add.at(self.r, cols.rows, d)
+        np.add.at(self.x, cols.ids, h)
+        self.staleness += cols.ids.size
 
     def apply_update(self, i: int, h: float) -> None:
         """x_i += h in O(nnz of column i), keeping r and lse_acc in sync."""
-        if h == 0.0:
-            return
-        loss = self.loss
-        rows, vals = loss.pd.col(i)
-        self.x[i] += h
+        self.apply_steps(self.loss.pd.columns(np.array([i])), np.array([h], dtype=np.float64))
+
+    def _lse_acc_after(self, cols: ColumnBatch, d: np.ndarray) -> float:
+        """lse_acc once the terms d land on cols.rows, column by column."""
+        loss, rows = self.loss, cols.rows
         old = self.r[rows]
-        new = old + vals * h
-        if loss.kind != "l1":
-            shift = (new - self.fmu) / loss.mu
-            shift_old = (old - self.fmu) / loss.mu
-            # overflow to inf is fine: it trips needs_recompute
-            with np.errstate(over="ignore"):
-                self.lse_acc += float(np.exp(shift).sum() - np.exp(shift_old).sum()) / loss.denom
-        self.r[rows] = new
-        self.staleness += 1
+        # a row several columns share: each sees the terms of the earlier ones
+        order = rows.argsort(kind="stable")
+        srt = rows[order]
+        for k in (srt[1:] == srt[:-1]).nonzero()[0].tolist():
+            old[order[k + 1]] = old[order[k]] + d[order[k]]
+        shift = np.concatenate((old + d, old)).reshape(2, -1)
+        # overflow to inf is fine: it trips needs_recompute
+        with np.errstate(over="ignore"):
+            e = np.exp((shift - self.fmu) / loss.mu)
+        change = np.zeros(cols.ids.size)
+        for sel, idx in cols.groups:
+            # each column's new and old sum along the last axis, in column order
+            new_sum, old_sum = e.take(idx, axis=1).sum(axis=2)
+            change[sel] = new_sum - old_sum
+        acc, denom = self.lse_acc, loss.denom
+        for c in change.tolist():  # in column order, as the columns land
+            acc += c / denom
+        return acc
 
     def needs_recompute(self) -> bool:
         """Staleness policy: refresh every n updates, or as soon as the

@@ -1,10 +1,12 @@
 """Parallel coordinate descent on a smoothed loss plus a separable regularizer.
 
-Each iteration draws a uniform tau-subset of active coordinates, computes
-every selected coordinate's step against a frozen snapshot of the state,
-then applies the steps serially in ascending coordinate order.  Worker
-threads only split the (pure, read-only) step computations, so the trace
-is bit-identical for any worker count and reruns with the same seed.
+Each iteration draws a uniform tau-subset of active coordinates and takes
+one batched step over it: all tau gradients from a frozen snapshot of the
+state (SmoothState.gradients), one vectorised prox (prox_steps), then one
+application of the nonzero steps (SmoothState.apply_steps).  The batch
+reproduces, bit for bit, computing every step from the snapshot and then
+applying the steps one coordinate at a time in ascending order, so reruns
+with the same seed give identical traces.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -86,30 +87,46 @@ class Regularizer:
         return self.delta if self.kind == "ridge" else 0.0
 
 
-def prox_step(grad: float, x: float, beta: float, w: float, reg: Regularizer) -> float:
-    """Exact minimizer h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h).
+def prox_steps(
+    grad: np.ndarray, x: np.ndarray, beta: float, w: np.ndarray, reg: Regularizer
+) -> np.ndarray:
+    """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    beta*w must be positive: the quadratic term is what makes the
-    parallel update safe, so a degenerate weight is a usage error.
+    Every beta*w must be positive (prox_step checks it; run's active
+    weights are).  max and min keep Python's choice on ties, so a zero
+    step has the sign the scalar formula gives it.
     """
     bw = beta * w
-    if bw <= 0:
-        raise ValueError("beta * w must be positive")
     if reg.kind == "none":
         return -grad / bw
     if reg.kind == "l1":
         u = x - grad / bw
-        t = reg.lam / bw
-        return math.copysign(max(abs(u) - t, 0.0), u) - x
+        shrunk = np.abs(u) - reg.lam / bw
+        return np.copysign(np.where(0.0 > shrunk, 0.0, shrunk), u) - x
     if reg.kind == "box":
         u = x - grad / bw
-        return min(max(u, reg.lo), reg.hi) - x
+        u = np.where(reg.lo > u, reg.lo, u)
+        return np.where(reg.hi < u, reg.hi, u) - x
     # ridge: gradient of the quadratic model plus delta*w*(x+h) vanishes
     return -(grad + reg.delta * w * x) / ((beta + reg.delta) * w)
 
 
+def prox_step(grad: float, x: float, beta: float, w: float, reg: Regularizer) -> float:
+    """prox_steps for one coordinate.
+
+    beta*w must be positive: the quadratic term is what makes the
+    parallel update safe, so a degenerate weight is a usage error.
+    """
+    if beta * w <= 0:
+        raise ValueError("beta * w must be positive")
+    return float(prox_steps(np.array([grad]), np.array([x]), beta, np.array([w]), reg)[0])
+
+
 @dataclass(frozen=True)
 class SolverConfig:
+    """Run settings.  workers is validated and echoed in the report but no
+    longer changes execution: every run takes the same batched step."""
+
     tau: int
     seed: int = 0
     mu: float | None = None
@@ -266,42 +283,25 @@ def run(
     epochs_run = 0
     reached = target is not None and trace[0][1] <= target
 
-    def compute_chunk(ids: np.ndarray) -> list[float]:
-        return [
-            prox_step(state.partial_gradient(int(i)), state.x[i], beta, w[i], reg)
-            for i in ids
-        ]
-
-    pool = ThreadPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1 else None
-    try:
-        rnd = 0
-        while not reached and epochs_run < cfg.max_epochs:
-            for _ in range(iters_per_epoch):
-                sel = draw(spec, rnd)
-                rnd += 1
-                ids = sel if all_active else active[sel]
-                if pool is not None:
-                    chunks = [c for c in np.array_split(ids, cfg.workers) if c.size]
-                    hs: list[float] = []
-                    for part in pool.map(compute_chunk, chunks):
-                        hs.extend(part)
-                else:
-                    hs = compute_chunk(ids)
-                for i, h in zip(ids, hs):
-                    state.apply_update(int(i), h)
-                updates += len(ids)
-                if state.needs_recompute():
-                    state.recompute()
-            epochs_run += 1
-            if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
+    rnd = 0
+    while not reached and epochs_run < cfg.max_epochs:
+        for _ in range(iters_per_epoch):
+            sel = draw(spec, rnd)
+            rnd += 1
+            ids = sel if all_active else active[sel]
+            cols = loss.pd.columns(ids)
+            h = prox_steps(state.gradients(cols), state.x[ids], beta, w[ids], reg)
+            state.apply_steps(cols, h)
+            updates += ids.size
+            if state.needs_recompute():
                 state.recompute()
-                val = traced_value()
-                trace.append((epochs_run, val))
-                if target is not None and val <= target:
-                    reached = True
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        epochs_run += 1
+        if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
+            state.recompute()
+            val = traced_value()
+            trace.append((epochs_run, val))
+            if target is not None and val <= target:
+                reached = True
     wall = time.perf_counter() - t0
 
     state.recompute()

@@ -106,22 +106,6 @@ def test_adaboost_mu_is_fixed(tmp_path):
     assert main(base + ["--eps-prime", "0.1"]) == 1
 
 
-def test_threads_env_overrides_workers(tmp_path, monkeypatch):
-    argv = _solve_args(tmp_path, "--workers", "1")
-    monkeypatch.setenv("SPCDM_THREADS", "3")
-    assert main(argv) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["config"]["workers"] == 3
-    monkeypatch.setenv("SPCDM_THREADS", "zero")
-    assert main(argv) == 1
-    monkeypatch.setenv("SPCDM_THREADS", "0")
-    assert main(argv) == 1
-    monkeypatch.delenv("SPCDM_THREADS")
-    assert main(argv) == 0
-    rep = json.loads((tmp_path / "rep.json").read_text())
-    assert rep["config"]["workers"] == 1
-
-
 def test_n_cols_override_flows_through(tmp_path):
     pd = synth_problem(8, 4, 2, seed=3)
     data = tmp_path / "d.txt"
@@ -220,12 +204,10 @@ def test_bench_tau_range_syntax(tmp_path):
     assert [r[0] for r in rows[1:]] == ["1", "3", "5"]
 
 
-def test_solve_deterministic_under_workers(tmp_path, monkeypatch):
-    argv1 = _solve_args(tmp_path, "--workers", "1", "--app", "linf")
-    argv1[argv1.index("--mu") + 1] = "0.3"
-    assert main(argv1) == 0
+def test_solve_rerun_is_deterministic(tmp_path):
+    argv = _solve_args(tmp_path, "--app", "linf")
+    argv[argv.index("--mu") + 1] = "0.3"
+    assert main(argv) == 0
     trace1 = (tmp_path / "rep.csv").read_text()
-    argv4 = list(argv1)
-    argv4[argv4.index("--workers") + 1] = "4"
-    assert main(argv4) == 0
+    assert main(argv) == 0
     assert (tmp_path / "rep.csv").read_text() == trace1

@@ -23,6 +23,46 @@ def test_spec_validation():
         draw(SamplingSpec(n=4, tau=2, seed=0), -1)
 
 
+def _fresh_draw(spec, rnd):
+    """draw as a freshly built Philox Generator per round computes it."""
+    rng = np.random.Generator(np.random.Philox(key=spec.seed, counter=rnd << 128))
+    js = rng.integers(np.arange(spec.tau, dtype=np.int64), spec.n)
+    swap = {}
+    out = np.empty(spec.tau, dtype=np.int64)
+    for k in range(spec.tau):
+        j = int(js[k])
+        ak = swap.get(k, k)
+        aj = swap.get(j, j)
+        out[k] = aj
+        swap[j] = ak
+        swap[k] = aj
+    out.sort()
+    return out
+
+
+ROUNDS = list(range(40)) + [2**40, 2**63 + 5, 2**64, 2**64 + 1, 2**70, 2**128 - 1]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3, 2**128 - 1])
+def test_draw_matches_a_fresh_generator_per_round(seed):
+    # n = 2**31 + 11 rejects about half of its 32-bit draws, so rounds there
+    # exhaust the prepared block; n >= 2**32 takes integers' 64-bit path
+    for n in (1, 2, 9, 5000, 2**31 + 11, 2**32 - 1, 2**32 + 7):
+        for tau in sorted({1, min(8, n), min(n, 40)}):
+            spec = SamplingSpec(n=n, tau=tau, seed=seed)
+            for rnd in ROUNDS:
+                assert np.array_equal(draw(spec, rnd), _fresh_draw(spec, rnd)), (n, tau, rnd)
+
+
+def test_draw_rejects_keys_and_rounds_philox_cannot_take():
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=-1), 0)
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=2**128), 0)
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=0), 2**128)
+
+
 def test_draw_is_valid_subset():
     for n, tau in [(1, 1), (5, 1), (5, 5), (12, 7), (100, 13)]:
         spec = SamplingSpec(n=n, tau=tau, seed=3)
