@@ -58,6 +58,7 @@ class ProblemData:
 
     @functools.cached_property
     def _col_lens(self) -> np.ndarray:
+        """col_nnz, computed once: columns reads it on every solver iteration."""
         return self.col_nnz()
 
     def col_nnz(self) -> np.ndarray:

@@ -71,15 +71,13 @@ def _offsets(seed: int, round: int, n: int, tau: int) -> list[int]:
             js, pos = [], 0
             for k in range(tau):
                 excl = n - k
-                if excl == 1:  # a one-value range consumes nothing
-                    js.append(k)
-                    continue
-                threshold = (_M32 + 1 - excl) % excl
                 m = halves[pos] * excl
                 pos += 1
-                while m & _M32 < threshold:  # rejection: draw again
-                    m = halves[pos] * excl
-                    pos += 1
+                if m & _M32 < excl:  # only then can the draw be rejected
+                    threshold = (_M32 + 1 - excl) % excl
+                    while m & _M32 < threshold:
+                        m = halves[pos] * excl
+                        pos += 1
                 js.append(k + (m >> 32))
             return js
         except IndexError:  # rejections used up the block: rare
