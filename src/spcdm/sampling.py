@@ -41,7 +41,9 @@ def draw(spec: SamplingSpec, round: int) -> np.ndarray:
     n, tau = spec.n, spec.tau
     swap: dict[int, int] = {}
     out = []
-    for k, j in enumerate(_offsets(spec.seed, round, n, tau)):
+    # the k-th offset is uniform on [k, n)
+    offsets = _keyed_generator(spec.seed, round).integers(np.arange(tau, dtype=np.int64), n)
+    for k, j in enumerate(offsets.tolist()):
         ak = swap.get(k, k)
         aj = swap.get(j, j)
         out.append(aj)
@@ -51,38 +53,8 @@ def draw(spec: SamplingSpec, round: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-_M32 = (1 << 32) - 1
 _U64 = (1 << 64) - 1
 _philox = threading.local()
-
-
-def _offsets(seed: int, round: int, n: int, tau: int) -> list[int]:
-    """Generator(Philox(key=seed, counter=round << 128)).integers(
-    np.arange(tau), n): the k-th value is uniform on [k, n)."""
-    gen = _keyed_generator(seed, round)
-    if n <= _M32:
-        # integers draws a bound below 2**32 by Lemire's method from the
-        # 32-bit halves of the 64-bit outputs, low half first.  Doing the
-        # same on one raw block is far cheaper than the call for small tau.
-        halves = []
-        for r in gen.bit_generator.random_raw(tau // 2 + 1).tolist():
-            halves += (r & _M32, r >> 32)
-        try:
-            js, pos = [], 0
-            for k in range(tau):
-                excl = n - k
-                m = halves[pos] * excl
-                pos += 1
-                if m & _M32 < excl:  # only then can the draw be rejected
-                    threshold = (_M32 + 1 - excl) % excl
-                    while m & _M32 < threshold:
-                        m = halves[pos] * excl
-                        pos += 1
-                js.append(k + (m >> 32))
-            return js
-        except IndexError:  # rejections used up the block: rare
-            gen = _keyed_generator(seed, round)
-    return gen.integers(np.arange(tau, dtype=np.int64), n).tolist()
 
 
 def _keyed_generator(seed: int, round: int) -> np.random.Generator:

@@ -45,8 +45,8 @@ ROUNDS = list(range(40)) + [2**40, 2**63 + 5, 2**64, 2**64 + 1, 2**70, 2**128 - 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3, 2**128 - 1])
 def test_draw_matches_a_fresh_generator_per_round(seed):
-    # n = 2**31 + 11 rejects about half of its 32-bit draws, so rounds there
-    # exhaust the prepared block; n >= 2**32 takes integers' 64-bit path
+    # bounds below 2**32 draw from buffered 32-bit halves (n = 2**31 + 11
+    # rejects about half of them); n >= 2**32 takes integers' 64-bit path
     for n in (1, 2, 9, 5000, 2**31 + 11, 2**32 - 1, 2**32 + 7):
         for tau in sorted({1, min(8, n), min(n, 40)}):
             spec = SamplingSpec(n=n, tau=tau, seed=seed)
