@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 import numpy as np
@@ -290,8 +291,8 @@ def cmd_gradcheck(args) -> int:
         mu = 1.0
     else:
         mu = 0.1 if args.mu is None else args.mu
-        if mu <= 0:
-            raise _UsageError("mu must be positive")
+        if not (mu > 0 and math.isfinite(mu)):
+            raise _UsageError("mu must be positive and finite")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_where = ""
@@ -337,14 +338,16 @@ def cmd_bench(args) -> int:
                 report.coordinate_updates,
                 report.wall_time,
                 report.objective_trace[-1][1],
+                report.target_reached,
             )
         )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
-        writer.writerow(["tau", "epochs", "updates", "wall_time", "final_value"])
-        for tau, epochs, updates, wall, val in rows:
-            writer.writerow([tau, epochs, updates, f"{wall:.6f}", repr(val)])
+        # a row that stopped at --max-epochs says so instead of passing for converged
+        writer.writerow(["tau", "epochs", "updates", "wall_time", "final_value", "target_reached"])
+        for tau, epochs, updates, wall, val, reached in rows:
+            writer.writerow([tau, epochs, updates, f"{wall:.6f}", repr(val), reached])
     finally:
         if args.out:
             out.close()

@@ -9,6 +9,7 @@ beta = beta_prime / (sigma * mu) folds in the smoothing parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,8 +158,8 @@ def select_beta_prime(
     """
     if isinstance(formula, (int, float)) and not isinstance(formula, bool):
         val = float(formula)
-        if val <= 0:
-            raise ValueError("beta_prime override must be positive")
+        if not (val > 0 and math.isfinite(val)):
+            raise ValueError(f"beta_prime override must be positive and finite, got {val!r}")
         return val, "override"
     if formula == "auto":
         formula = "beta3" if p == 1 else "beta2"

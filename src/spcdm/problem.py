@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import functools
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -45,16 +44,37 @@ class ProblemData:
         lo, hi = self.row_ptr[j], self.row_ptr[j + 1]
         return self.row_cols[lo:hi], self.row_vals[lo:hi]
 
-    def columns(self, ids: np.ndarray) -> "ColumnBatch":
-        """The columns ids gathered in one pass; see ColumnBatch."""
-        starts = self.col_ptr[ids]
+    def columns(self, ids: np.ndarray) -> "ColumnBatch | Iterator[ColumnBatch]":
+        """The columns ids gathered in one pass; see ColumnBatch.
+
+        ids of shape (tau,) gives their ColumnBatch.  ids of shape
+        (count, tau), one selection per row, gives an iterator over the
+        rows' ColumnBatches, all sliced out of one gather: every row's
+        length groups come from one stable sort keyed on (row, length),
+        and its shared rows from one keyed on (row, matrix row).
+        """
+        ids = np.asarray(ids)
+        if ids.ndim == 1:
+            return next(self._batches(ids[None]))
+        return self._batches(ids)
+
+    def _batches(self, ids: np.ndarray) -> "Iterator[ColumnBatch]":
+        count, tau = ids.shape
         lens = self._col_lens[ids]
-        ends = lens.cumsum()
-        offsets = ends - lens  # where each column starts in the concatenation
-        pos = (starts - offsets).repeat(lens) + np.arange(ends[-1] if ends.size else 0)
-        return ColumnBatch(
-            ids, lens, self.col_rows[pos], self.col_vals[pos], _length_groups(offsets, lens)
-        )
+        flat = lens.ravel()
+        ends = flat.cumsum()
+        offsets = ends - flat  # where each column starts in the concatenation
+        pos = (self.col_ptr[ids.ravel()] - offsets).repeat(flat)
+        pos += np.arange(pos.size)
+        rows, vals = self.col_rows[pos], self.col_vals[pos]
+        ptr = np.zeros(count + 1, dtype=np.int64)  # where each row's entries start
+        np.cumsum(lens.sum(axis=1), out=ptr[1:])
+        it = np.arange(count).repeat(tau)
+        groups = _length_groups(offsets - ptr[it], flat, it, count)
+        shared = _shared_rows(rows, np.arange(count).repeat(np.diff(ptr)), ptr, self.m)
+        ptr = ptr.tolist()
+        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], grp, pairs)
+                for sel, n, a, b, grp, pairs in zip(ids, lens, ptr, ptr[1:], groups, shared))
 
     @functools.cached_property
     def _col_lens(self) -> np.ndarray:
@@ -188,19 +208,54 @@ def _segments(ptr: np.ndarray) -> list:
     index of their entries in storage order.  A gather through idx is
     C-contiguous, so a reduction along axis 1 runs in each segment's order.
     """
-    return _length_groups(ptr[:-1], ptr[1:] - ptr[:-1])
+    lens = ptr[1:] - ptr[:-1]
+    return next(_length_groups(ptr[:-1], lens, np.zeros(lens.size, dtype=np.int64), 1))
 
 
-def _length_groups(starts: np.ndarray, lens: np.ndarray) -> list:
-    """_segments for segments given by their starts and lengths."""
-    order = lens.argsort(kind="stable")
-    srt = lens[order].tolist()
-    groups = []
-    for k in sorted(set(srt)):
-        if k:
-            ids = order[bisect_left(srt, k) : bisect_right(srt, k)]
-            groups.append((ids, starts[ids][:, None] + np.arange(k)))
-    return groups
+def _length_groups(starts: np.ndarray, lens: np.ndarray, it: np.ndarray, count: int):
+    """_segments for segments given by their starts and lengths, split by
+    the nondecreasing labels it: an iterator over labels 0, ..., count - 1
+    giving each one's (positions within the label, index) groups.
+
+    One stable sort keyed on (label, length) orders all segments at once;
+    each group's index is a slice of one (segments of length k, k) array.
+    """
+    width = int(lens.max(initial=0)) + 1
+    order = (it * width + lens).argsort(kind="stable")
+    key = it[order] * width + lens[order]
+    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each run of one key starts
+    run_it, run_k = np.divmod(key[first], width)
+    sel = order - np.searchsorted(it, it[order])  # position within the label
+    idx, rank = {}, np.zeros(key.size, dtype=np.int64)
+    slens = lens[order]
+    for k in sorted(set(run_k.tolist())):
+        at = np.flatnonzero(slens == k)
+        rank[at] = np.arange(at.size)
+        idx[k] = starts[order[at]][:, None] + np.arange(k)
+    runs = list(zip(run_k.tolist(), first.tolist(), np.append(first[1:], key.size).tolist(),
+                    rank[first].tolist()))
+    bounds = np.searchsorted(run_it, np.arange(count + 1)).tolist()
+    return ([(sel[a:b], idx[k][c : c + b - a]) for k, a, b, c in runs[p:q] if k]
+            for p, q in zip(bounds, bounds[1:]))
+
+
+def _shared_rows(rows: np.ndarray, it: np.ndarray, ptr: np.ndarray, m: int):
+    """An iterator over the labels t of the nondecreasing it (entries
+    ptr[t]:ptr[t+1]) giving the entries of rows that several of its
+    columns hold: a (2, pairs) array of (earlier, next) positions within
+    the label, in row then position order.
+
+    One stable sort keyed on (label, row) finds them for every label.
+    """
+    key = it * m + rows
+    order = key.argsort(kind="stable")
+    key = key[order]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    label = it[order[dup]]
+    pairs = np.stack((order[dup], order[dup + 1])) - ptr[label]
+    bounds = np.searchsorted(label, np.arange(ptr.size)).tolist()
+    none = pairs[:, :0]
+    return (pairs[:, a:b] if b > a else none for a, b in zip(bounds, bounds[1:]))
 
 
 class ColumnBatch(NamedTuple):
@@ -209,7 +264,10 @@ class ColumnBatch(NamedTuple):
     rows and vals hold the columns' entries concatenated in the order of
     ids, each column's in storage order; lens holds the column lengths.
     groups is _segments over that concatenation: (positions in ids,
-    index into rows/vals) per column length.
+    index into rows/vals) per column length.  shared holds the entries
+    of rows that several of the columns hold: a (2, pairs) array of
+    (earlier, next) positions in rows, in row order and then column
+    order, with no pairs when no two of the columns share a row.
     """
 
     ids: np.ndarray
@@ -217,6 +275,7 @@ class ColumnBatch(NamedTuple):
     rows: np.ndarray
     vals: np.ndarray
     groups: list
+    shared: np.ndarray
 
 
 def row_sq_norms(pd: ProblemData) -> np.ndarray:

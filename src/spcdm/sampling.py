@@ -28,19 +28,51 @@ class SamplingSpec:
             raise ValueError("tau must satisfy 1 <= tau <= n")
 
 
-def draw(spec: SamplingSpec, round: int) -> np.ndarray:
+def draw(spec: SamplingSpec, round: int, count: int | None = None) -> np.ndarray:
     """Return the round-th subset as a sorted int64 array of size tau.
 
     Counter-based generator: key = seed, counter = round * 2**128, so
     distinct rounds use disjoint counter ranges.  The subset itself
     comes from a partial Fisher-Yates shuffle over a virtual identity
     array with sparse overrides; cost is O(tau), independent of n.
+
+    With count, returns rounds round, ..., round + count - 1 as the rows
+    of a (count, tau) array, each row equal to draw(spec, that round).
     """
     if round < 0:
         raise ValueError("round must be nonnegative")
+    if count is None:
+        return _draw_round(spec, round)
+    round, count = int(round), int(count)
+    if count < 0:
+        raise ValueError("count must be nonnegative")
+    if round + count > 1 << 128:
+        raise ValueError("rounds must be below 2**128")
+    _check_seed(spec.seed)
     n, tau = spec.n, spec.tau
-    swap: dict[int, int] = {}
-    out = []
+    out = np.empty((count, tau), dtype=np.int64)
+    if n >= 1 << 32:  # integers' 64-bit path; every round takes the per-round draw
+        for t in range(count):
+            out[t] = _draw_round(spec, round + t)
+        return out
+    offsets, rejected = _offsets(spec, round, count)
+    # distinct offsets, each at or past tau or equal to its own k: no swap
+    # writes a slot a later one reads, so the subset is the offsets
+    srt = np.sort(offsets, axis=1)
+    plain = ((offsets >= tau) | (offsets == np.arange(tau))).all(axis=1) & ~rejected
+    plain &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+    out[plain] = srt[plain]
+    for t in np.flatnonzero(~plain).tolist():
+        if rejected[t]:
+            out[t] = _draw_round(spec, round + t)
+        else:
+            out[t] = _shuffle(offsets[t].tolist())
+    return out
+
+
+def _draw_round(spec: SamplingSpec, round: int) -> np.ndarray:
+    """draw for one round, through this thread's reset Philox generator."""
+    n, tau = spec.n, spec.tau
     # the k-th offset is uniform on [k, n).  One offset takes integers'
     # scalar path: the same value, without the array-bounds checks that
     # are most of the call's cost at tau = 1.
@@ -49,6 +81,14 @@ def draw(spec: SamplingSpec, round: int) -> np.ndarray:
         offsets = [int(gen.integers(n))]
     else:
         offsets = gen.integers(np.arange(tau, dtype=np.int64), n).tolist()
+    return _shuffle(offsets)
+
+
+def _shuffle(offsets: list) -> np.ndarray:
+    """The sorted picks of a partial Fisher-Yates shuffle that swaps slot k
+    with slot offsets[k], over a virtual identity array."""
+    swap: dict[int, int] = {}
+    out = []
     for k, j in enumerate(offsets):
         ak = swap.get(k, k)
         aj = swap.get(j, j)
@@ -63,6 +103,11 @@ _U64 = (1 << 64) - 1
 _philox = threading.local()
 
 
+def _check_seed(seed: int) -> None:
+    if not 0 <= int(seed) < 1 << 128:
+        raise ValueError("seed must satisfy 0 <= seed < 2**128")
+
+
 def _keyed_generator(seed: int, round: int) -> np.random.Generator:
     """This thread's Generator, reset to Philox(key=seed, counter=round << 128).
 
@@ -70,8 +115,7 @@ def _keyed_generator(seed: int, round: int) -> np.random.Generator:
     of a freshly built Philox without the cost of building one per round.
     """
     seed, round = int(seed), int(round)
-    if not 0 <= seed < 1 << 128:
-        raise ValueError("seed must satisfy 0 <= seed < 2**128")
+    _check_seed(seed)
     if round >= 1 << 128:
         raise ValueError("round must be below 2**128")
     gen = getattr(_philox, "gen", None)
@@ -86,6 +130,63 @@ def _keyed_generator(seed: int, round: int) -> np.random.Generator:
         "uinteger": 0,
     }
     return gen
+
+
+# Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products m * x, the
+    high word summed from the 32-bit halves of both factors."""
+    mh, ml = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    xh, xl = x >> _S32, x & _LO32
+    ll, lh, hl = xl * ml, xl * mh, xh * ml
+    carry = ((ll >> _S32) + (lh & _LO32) + (hl & _LO32)) >> _S32
+    return xh * mh + (lh >> _S32) + (hl >> _S32) + carry, x * np.uint64(m)
+
+
+def _philox_words(seed: int, round: int, count: int, blocks: int) -> np.ndarray:
+    """The first 4 * blocks 64-bit outputs of Philox(key=seed, counter=r << 128)
+    for r = round, ..., round + count - 1, one row per round.
+
+    Such a generator's b-th block is the bijection of counter
+    (b + 1, 0, r mod 2**64, r >> 64), so every round is one pass.
+    """
+    r = np.arange(count, dtype=np.uint64)[:, None]
+    lo = np.uint64(round & _U64) + r  # wraps past 2**64: carry into the high word
+    c = [np.arange(1, blocks + 1, dtype=np.uint64), np.uint64(0), lo,
+         np.uint64(round >> 64) + (lo < r)]
+    k0, k1 = seed & _U64, seed >> 64
+    for i in range(10):
+        if i:
+            k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
+        c = [hi1 ^ c[1] ^ np.uint64(k0), lo1, hi0 ^ c[3] ^ np.uint64(k1), lo0]
+    return np.stack(np.broadcast_arrays(*c), axis=-1).reshape(count, 4 * blocks)
+
+
+def _offsets(spec: SamplingSpec, round: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The offsets integers(np.arange(tau), n) draws in each round, and
+    which rounds rejected a draw (their offsets are not valid).
+
+    numpy draws a bound below 2**32 by Lemire's method (ACM TOMACS 2019)
+    on successive 32-bit halves of the stream, low half first: the
+    offset is k + (u * (n - k) >> 32) unless the low word of that product
+    is below 2**32 mod (n - k), which draws again.  Needs n < 2**32.
+    """
+    n, tau = spec.n, spec.tau
+    words = _philox_words(int(spec.seed), round, count, -(-tau // 8))
+    halves = np.stack((words & _LO32, words >> _S32), axis=-1)
+    u = halves.reshape(count, 2 * words.shape[1])[:, :tau]
+    excl = n - np.arange(tau, dtype=np.uint64)
+    prod = u * excl
+    rejected = ((prod & _LO32) < (np.uint64(1 << 32) % excl)).any(axis=1)
+    return (prod >> _S32).astype(np.int64) + np.arange(tau), rejected
 
 
 def hypergeom_pmf(omega: int, n: int, tau: int, l: int) -> float:

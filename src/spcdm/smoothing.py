@@ -17,6 +17,7 @@ touching the other rows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,14 +72,15 @@ def prepare_problem(pd: ProblemData, app: str) -> ProblemData:
 def make_loss(working: ProblemData, app: str, mu: float) -> SmoothedLoss:
     """Bind a smoothing variant to an already prepared matrix.
 
-    mu must be positive; adaboost only accepts mu = 1 (its objective is
-    by definition the unit smoothing).  For l1 every row must be
-    nonempty, since the thresholds scale with the squared row norms.
+    mu must be positive and finite; adaboost only accepts mu = 1 (its
+    objective is by definition the unit smoothing).  For l1 every row
+    must be nonempty, since the thresholds scale with the squared row
+    norms.
     """
     if app not in KINDS:
         raise ValueError(f"unknown app {app!r}")
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    if not (mu > 0 and math.isfinite(mu)):
+        raise ValueError(f"mu must be positive and finite, got {mu!r}")
     if app == "adaboost" and mu != 1.0:
         raise ValueError("adaboost fixes mu = 1")
     huber_a = None
@@ -196,43 +198,55 @@ class SmoothState:
 
         cols.ids must be distinct and ascending.  The result is bit for bit
         that of applying the steps one column at a time in that order: zero
-        steps are dropped and do not count toward staleness, each row takes
-        its terms in ascending column order, and lse_acc takes the columns'
-        changes in turn, each column seeing the rows earlier ones moved.
+        steps change nothing and do not count toward staleness, each row
+        takes its terms in ascending column order, and lse_acc takes the
+        columns' changes in turn, each column seeing the rows earlier ones
+        moved.
         """
-        if np.count_nonzero(h) < h.size:
-            keep = h != 0.0
-            cols, h = self.loss.pd.columns(cols.ids[keep]), h[keep]
+        kept = int(np.count_nonzero(h))
+        keep = None
         d = cols.vals * h.repeat(cols.lens)
+        if kept < h.size:
+            # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
+            keep = h != 0.0
+            h = np.where(keep, h, -0.0)
+            d = np.where(keep.repeat(cols.lens), d, -0.0)
         if self.loss.kind != "l1":
-            self.lse_acc = self._lse_acc_after(cols, d)
+            self.lse_acc = self._lse_acc_after(cols, d, keep)
         # np.add.at adds in CSC order: each row takes its terms by ascending column
         np.add.at(self.r, cols.rows, d)
         np.add.at(self.x, cols.ids, h)
-        self.staleness += cols.ids.size
+        self.staleness += kept
 
     def apply_update(self, i: int, h: float) -> None:
         """x_i += h in O(nnz of column i), keeping r and lse_acc in sync."""
         self.apply_steps(self.loss.pd.columns(np.array([i])), np.array([h], dtype=np.float64))
 
-    def _lse_acc_after(self, cols: ColumnBatch, d: np.ndarray) -> float:
-        """lse_acc once the terms d land on cols.rows, column by column."""
-        loss, rows = self.loss, cols.rows
-        old = self.r[rows]
+    def _lse_acc_after(self, cols: ColumnBatch, d: np.ndarray, keep: np.ndarray | None) -> float:
+        """lse_acc once the terms d land on cols.rows, column by column,
+        counting only the columns keep marks (all of them if keep is None)."""
+        loss = self.loss
+        old = self.r[cols.rows]
         # a row several columns share: each sees the terms of the earlier ones
-        order = rows.argsort(kind="stable")
-        srt = rows[order]
-        for k in (srt[1:] == srt[:-1]).nonzero()[0].tolist():
-            old[order[k + 1]] = old[order[k]] + d[order[k]]
-        shift = np.concatenate((old + d, old)).reshape(2, -1)
+        if cols.shared.size:
+            for src, dst in zip(*cols.shared.tolist()):
+                old[dst] = old[src] + d[src]
+        # the new and the old exponents, exponentiated in place in one call
+        e = np.empty((2, old.size))
+        np.add(old, d, out=e[0])
+        e[1] = old
+        e -= self.fmu
+        e /= loss.mu
         # overflow to inf is fine: it trips needs_recompute
         with np.errstate(over="ignore"):
-            e = np.exp((shift - self.fmu) / loss.mu)
+            np.exp(e, out=e)
         change = np.zeros(cols.ids.size)
         for sel, idx in cols.groups:
             # each column's new and old sum along the last axis, in column order
-            new_sum, old_sum = e.take(idx, axis=1).sum(axis=2)
-            change[sel] = new_sum - old_sum
+            sums = np.add.reduce(e.take(idx, axis=1), axis=2)
+            change[sel] = sums[0] - sums[1]
+        if keep is not None:
+            change = change[keep]
         acc, denom = self.lse_acc, loss.denom
         for c in change.tolist():  # in column order, as the columns land
             acc += c / denom

@@ -7,6 +7,12 @@ application of the nonzero steps (SmoothState.apply_steps).  The batch
 reproduces, bit for bit, computing every step from the snapshot and then
 applying the steps one coordinate at a time in ascending order, so reruns
 with the same seed give identical traces.
+
+Which coordinates an iteration visits depends on the seed and the round
+alone, so run draws an epoch's subsets in one call (draw with count) and
+gathers their columns in one pass (ProblemData.columns on the block);
+only the gradient, prox and update steps run per iteration.  A refresh
+in mid-epoch changes the state, never the subsets or the columns.
 """
 
 from __future__ import annotations
@@ -92,8 +98,8 @@ def prox_steps(
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    Every beta*w must be positive (prox_step checks it; run's active
-    weights are).  max and min keep Python's choice on ties, so a zero
+    Every beta*w must be positive and finite (prox_step checks it; run's
+    active weights are).  max and min keep Python's choice on ties, so a zero
     step has the sign the scalar formula gives it.
     """
     bw = beta * w
@@ -114,11 +120,11 @@ def prox_steps(
 def prox_step(grad: float, x: float, beta: float, w: float, reg: Regularizer) -> float:
     """prox_steps for one coordinate.
 
-    beta*w must be positive: the quadratic term is what makes the
-    parallel update safe, so a degenerate weight is a usage error.
+    beta*w must be positive and finite: the quadratic term is what makes
+    the parallel update safe, so a degenerate weight is a usage error.
     """
-    if beta * w <= 0:
-        raise ValueError("beta * w must be positive")
+    if not (beta * w > 0 and math.isfinite(beta * w)):
+        raise ValueError(f"beta * w must be positive and finite, got {beta * w!r}")
     return float(prox_steps(np.array([grad]), np.array([x]), beta, np.array([w]), reg)[0])
 
 
@@ -283,18 +289,12 @@ def run(
     epochs_run = 0
     reached = target is not None and trace[0][1] <= target
 
-    rnd = 0
     while not reached and epochs_run < cfg.max_epochs:
-        for _ in range(iters_per_epoch):
-            sel = draw(spec, rnd)
-            rnd += 1
-            ids = sel if all_active else active[sel]
-            cols = loss.pd.columns(ids)
-            h = prox_steps(state.gradients(cols), state.x[ids], beta, w[ids], reg)
-            state.apply_steps(cols, h)
-            updates += ids.size
-            if state.needs_recompute():
-                state.recompute()
+        # an epoch's subsets and columns depend on no state: draw and
+        # gather them all at once, then step through them
+        sel = draw(spec, epochs_run * iters_per_epoch, iters_per_epoch)
+        updates += _run_epoch(state, loss.pd.columns(sel if all_active else active[sel]),
+                              beta, w, reg)
         epochs_run += 1
         if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
             state.recompute()
@@ -316,6 +316,20 @@ def run(
         config=config_echo,
         final_x=state.x.copy(),
     )
+
+
+def _run_epoch(state, batches, beta: float, w: np.ndarray, reg: Regularizer) -> int:
+    """One batched step per ColumnBatch of batches, refreshing the state
+    whenever it asks; returns the coordinate updates taken."""
+    updates = 0
+    for cols in batches:
+        ids = cols.ids
+        h = prox_steps(state.gradients(cols), state.x[ids], beta, w[ids], reg)
+        state.apply_steps(cols, h)
+        updates += ids.size
+        if state.needs_recompute():
+            state.recompute()
+    return updates
 
 
 def _check_convex_case_formula(formula):

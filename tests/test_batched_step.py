@@ -5,7 +5,9 @@ coordinate from the frozen state, one scalar prox each, then the steps
 applied one column at a time in ascending order.  The batched kernel
 (ProblemData.columns, SmoothState.gradients, prox_steps,
 SmoothState.apply_steps) must reproduce it bit for bit, sign of zero
-included: solver traces are pinned exactly.
+included: solver traces are pinned exactly.  The kernel steps through
+a block of rounds drawn and gathered at once, as run does an epoch;
+_ref_columns is the one-selection gather that block replaces.
 """
 
 import math
@@ -13,10 +15,13 @@ import math
 import numpy as np
 import pytest
 
+from spcdm import problem
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
-from spcdm.smoothing import SmoothState, init_state, make_loss, prepare_problem
+from spcdm.smoothing import (
+    LSE_ACC_HI, LSE_ACC_LO, SmoothState, init_state, make_loss, prepare_problem,
+)
 from spcdm.solver import Regularizer, SolverConfig, prox_step, prox_steps, run
 
 
@@ -71,17 +76,28 @@ def _ref_iteration(st, ids, beta, w, reg):
     return hs
 
 
-def _batched_iteration(st, ids, beta, w, reg):
-    cols = st.loss.pd.columns(ids)
-    h = prox_steps(st.gradients(cols), st.x[ids], beta, w[ids], reg)
-    st.apply_steps(cols, h)
-    return h
+def _ref_columns(pd, ids):
+    """One selection's columns, length groups and shared-row pairs, each
+    from its own sorts: what ProblemData.columns computed per iteration
+    before it took a whole block of rounds."""
+    lens = pd.col_nnz()[ids]
+    rows = np.concatenate([pd.col(int(i))[0] for i in ids] + [np.zeros(0, dtype=np.int64)])
+    vals = np.concatenate([pd.col(int(i))[1] for i in ids] + [np.zeros(0)])
+    starts = np.cumsum(lens) - lens
+    groups = []
+    for k in sorted(set(lens.tolist()) - {0}):
+        sel = np.flatnonzero(lens == k)
+        groups.append((sel, starts[sel][:, None] + np.arange(k)))
+    order = rows.argsort(kind="stable")
+    dup = np.flatnonzero(rows[order][1:] == rows[order][:-1])
+    return lens, rows, vals, groups, np.stack((order[dup], order[dup + 1]))
 
 
 def _ref_run(loss, reg, cfg):
     """run's loop before the batched kernel: (trace, final_x, updates)."""
     pd = loss.pd
-    report = run(pd, loss, reg, SolverConfig(tau=cfg.tau, seed=cfg.seed, max_epochs=0))
+    report = run(pd, loss, reg, SolverConfig(tau=cfg.tau, seed=cfg.seed, max_epochs=0,
+                                             beta_formula=cfg.beta_formula))
     beta = report.config["beta"]
     w = primal_weights(pd, dual_weights(pd, loss.kind)).w
     active = np.flatnonzero(w > 0)
@@ -164,23 +180,24 @@ def _first_difference(a, b):
 
 
 def _compare_states(app, mu, reg, tau, iters=60, beta=0.8):
-    """Step two copies of one state, reference and batched; (first
-    difference or None, zero steps, box-clipped steps, iterations with a
-    row shared by two selected columns)."""
+    """Step two copies of one state, reference and batched, through one
+    block of iters rounds drawn and gathered at once; (first difference
+    or None, zero steps, box-clipped steps, iterations with a row shared
+    by two selected columns)."""
     loss, w, active = _setup(app, mu)
     ref, new = init_state(loss), init_state(loss)
     spec = SamplingSpec(n=active.size, tau=tau, seed=11)
     zeros = clipped = shared = 0
-    for rnd in range(iters):
-        ids = active[draw(spec, rnd)]
+    for cols in loss.pd.columns(active[draw(spec, 0, iters)]):
+        ids = cols.ids
         hs = _ref_iteration(ref, ids, beta, w, reg)
-        h = _batched_iteration(new, ids, beta, w, reg)
+        h = prox_steps(new.gradients(cols), new.x[ids], beta, w[ids], reg)
+        new.apply_steps(cols, h)
         if not _same_bits(hs, h):
             return "h", zeros, clipped, shared
         zeros += int(np.count_nonzero(h == 0.0))
         clipped += int(np.count_nonzero((new.x[ids] == reg.lo) | (new.x[ids] == reg.hi)))
-        rows = loss.pd.columns(ids).rows
-        shared += int(np.unique(rows).size < rows.size)
+        shared += int(np.unique(cols.rows).size < cols.rows.size)
         diff = _first_difference(ref, new)
         if diff is not None:
             return diff, zeros, clipped, shared
@@ -218,6 +235,34 @@ def test_run_matches_per_coordinate_loop(app, mu, reg_name, tau):
     assert _same_bits(report.final_x, x)
 
 
+def test_run_matches_the_loop_across_mid_epoch_accumulator_refreshes(monkeypatch):
+    # beta' = 0.01 is far below the safe value: steps this long drive
+    # lse_acc out of [1e-6, 1e6] within an epoch of 5 iterations
+    loss, _, _ = _setup("linf", 0.25)
+    cfg = SolverConfig(tau=3, seed=4, max_epochs=5, beta_formula=0.01)
+    iterations, refreshed_at = [0], []
+    apply_steps, recompute = SmoothState.apply_steps, SmoothState.recompute
+
+    def counted_apply_steps(self, cols, h):
+        iterations[0] += 1
+        apply_steps(self, cols, h)
+
+    def logged_recompute(self):
+        if not LSE_ACC_LO <= self.lse_acc <= LSE_ACC_HI:
+            refreshed_at.append(iterations[0])
+        recompute(self)
+
+    monkeypatch.setattr(SmoothState, "apply_steps", counted_apply_steps)
+    monkeypatch.setattr(SmoothState, "recompute", logged_recompute)
+    report = run(loss.pd, loss, REGS["none"], cfg)
+    monkeypatch.undo()
+    assert any(i % 5 for i in refreshed_at), refreshed_at  # not at an epoch's end
+    trace, x, updates = _ref_run(loss, REGS["none"], cfg)
+    assert report.coordinate_updates == updates
+    assert _same_bits([v for _, v in report.objective_trace], [v for _, v in trace])
+    assert _same_bits(report.final_x, x)
+
+
 def test_one_element_calls_match_the_loop():
     loss, w, active = _setup("adaboost", 1.0)
     ref, new = init_state(loss), init_state(loss)
@@ -239,6 +284,24 @@ def test_prox_steps_keeps_the_scalar_zero_signs():
         for x in (0.0, -0.0, 0.02):
             h = prox_steps(grad, np.full(grad.size, x), 1.3, np.full(grad.size, 2.0), reg)
             assert _same_bits(h, [_ref_prox_step(g, x, 1.3, 2.0, reg) for g in grad])
+
+
+@pytest.mark.parametrize("tau", [1, 4, N_ACTIVE + 1])
+def test_block_gather_matches_one_gather_per_selection(tau):
+    pd = _instance(1)  # column 3 is empty: it has no length group
+    block = draw(SamplingSpec(n=pd.n, tau=tau, seed=2), 0, 40)
+    batches = list(pd.columns(block))
+    assert len(batches) == len(block)
+    shared = 0
+    for ids, cols in zip(block, batches):
+        lens, rows, vals, groups, pairs = _ref_columns(pd, ids)
+        assert np.array_equal(cols.ids, ids) and np.array_equal(cols.lens, lens)
+        assert np.array_equal(cols.rows, rows) and np.array_equal(cols.vals, vals)
+        assert [(s.tolist(), i.tolist()) for s, i in cols.groups] == [
+            (s.tolist(), i.tolist()) for s, i in groups]
+        assert cols.shared.shape == pairs.shape and np.array_equal(cols.shared, pairs)
+        shared += pairs.size > 0
+    assert (shared > 0) == (tau > 1)  # one column shares no row with itself
 
 
 def test_columns_gathers_in_column_order():
@@ -263,7 +326,7 @@ def _bincount_gradients(self, cols):
     return np.bincount(seg, weights=cols.vals * z, minlength=cols.ids.size)
 
 
-def _lse_acc_after_without_fixup(self, cols, d):
+def _lse_acc_after_without_fixup(self, cols, d, keep):
     loss, rows = self.loss, cols.rows
     old = self.r[rows]
     shift = np.empty((2, rows.size))
@@ -275,10 +338,25 @@ def _lse_acc_after_without_fixup(self, cols, d):
     for sel, idx in cols.groups:
         new_sum, old_sum = e.take(idx, axis=1).sum(axis=2)
         change[sel] = new_sum - old_sum
+    if keep is not None:
+        change = change[keep]
     acc = self.lse_acc
     for c in change.tolist():
         acc += c / loss.denom
     return acc
+
+
+def _no_shared_rows(rows, it, ptr, m):
+    """The epoch pass with its shared-row marks lost."""
+    for _ in range(ptr.size - 1):
+        yield np.zeros((2, 0), dtype=np.int64)
+
+
+@pytest.mark.parametrize("app,mu", [("adaboost", 1.0), ("linf", 0.25)])
+def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app, mu):
+    monkeypatch.setattr(problem, "_shared_rows", _no_shared_rows)
+    diff, *_ = _compare_states(app, mu, REGS["none"], N_ACTIVE)
+    assert diff is not None
 
 
 @pytest.mark.parametrize("attr,mutant,app,mu", [

@@ -106,6 +106,22 @@ def test_adaboost_mu_is_fixed(tmp_path):
     assert main(base + ["--eps-prime", "0.1"]) == 1
 
 
+@pytest.mark.parametrize("flag,value,field", [
+    ("--mu", "nan", "mu"),
+    ("--mu", "inf", "mu"),
+    ("--beta-formula", "nan", "beta_prime override"),
+    ("--beta-formula", "inf", "beta_prime override"),
+])
+def test_non_finite_inputs_fail_naming_the_field(tmp_path, capsys, flag, value, field):
+    argv = _solve_args(tmp_path)
+    if flag in argv:
+        argv[argv.index(flag) + 1] = value
+    else:
+        argv += [flag, value]
+    assert main(argv) == 1
+    assert f"error: {field} must be positive and finite" in capsys.readouterr().err
+
+
 def test_n_cols_override_flows_through(tmp_path):
     pd = synth_problem(8, 4, 2, seed=3)
     data = tmp_path / "d.txt"
@@ -180,17 +196,20 @@ def test_bench_table_and_exit_codes(tmp_path):
     assert main(argv) == 0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["tau", "epochs", "updates", "wall_time", "final_value"]
+    assert rows[0] == ["tau", "epochs", "updates", "wall_time", "final_value", "target_reached"]
     assert [r[0] for r in rows[1:]] == ["1", "3"]
     for r in rows[1:]:
         float(r[3]); float(r[4])
+        assert r[5] == "True"
 
     argv_hard = ["bench", "--synth", "40,12,4", "--app", "l1", "--mu", "0.2",
                  "--tau-list", "1,3", "--target", "0.0", "--max-epochs", "2",
                  "--out", str(path)]
     assert main(argv_hard) == 2
     with open(path, newline="") as fh:
-        assert len(list(csv.reader(fh))) == 3  # table still written
+        rows = list(csv.reader(fh))
+    assert len(rows) == 3  # table still written
+    assert [r[5] for r in rows[1:]] == ["False", "False"]  # and the misses flagged
 
 
 def test_bench_tau_range_syntax(tmp_path):

@@ -179,6 +179,9 @@ def test_select_beta_prime():
         select_beta_prime("beta4", p=1, **kw)
     with pytest.raises(ValueError):
         select_beta_prime(0.0, p=1, **kw)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta_prime override must be positive and finite"):
+            select_beta_prime(bad, p=1, **kw)
 
 
 def test_eso_params_beta():

@@ -41,6 +41,9 @@ def _fresh_draw(spec, rnd):
 
 
 ROUNDS = list(range(40)) + [2**40, 2**63 + 5, 2**64, 2**64 + 1, 2**70, 2**128 - 1]
+# (first round, count): from 0; across 2**64, where the counter carries
+# into its high word; up to the last round there is
+BLOCKS = [(0, 12), (2**64 - 5, 10), (2**128 - 4, 4)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**64 + 3, 2**128 - 1])
@@ -48,10 +51,17 @@ def test_draw_matches_a_fresh_generator_per_round(seed):
     # bounds below 2**32 draw from buffered 32-bit halves (n = 2**31 + 11
     # rejects about half of them); n >= 2**32 takes integers' 64-bit path
     for n in (1, 2, 9, 5000, 2**31 + 11, 2**32 - 1, 2**32 + 7):
-        for tau in sorted({1, min(8, n), min(n, 40)}):
+        for tau in sorted({1, min(8, n), min(n, 40)} | ({n} if n <= 5000 else set())):
             spec = SamplingSpec(n=n, tau=tau, seed=seed)
             for rnd in ROUNDS:
                 assert np.array_equal(draw(spec, rnd), _fresh_draw(spec, rnd)), (n, tau, rnd)
+            # a block draw: every row is its round's fresh-generator subset
+            for first, count in BLOCKS:
+                block = draw(spec, first, count)
+                assert block.shape == (count, tau) and block.dtype == np.int64
+                for t in range(count):
+                    fresh = _fresh_draw(spec, first + t)
+                    assert np.array_equal(block[t], fresh), (n, tau, first + t)
 
 
 def test_draw_rejects_keys_and_rounds_philox_cannot_take():
@@ -61,6 +71,15 @@ def test_draw_rejects_keys_and_rounds_philox_cannot_take():
         draw(SamplingSpec(n=4, tau=2, seed=2**128), 0)
     with pytest.raises(ValueError):
         draw(SamplingSpec(n=4, tau=2, seed=0), 2**128)
+    # a block whose last round would be 2**128
+    assert draw(SamplingSpec(n=4, tau=2, seed=0), 2**128 - 2, 2).shape == (2, 2)
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=0), 2**128 - 2, 3)
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=2**128), 0, 3)
+    with pytest.raises(ValueError):
+        draw(SamplingSpec(n=4, tau=2, seed=0), 0, -1)
+    assert draw(SamplingSpec(n=4, tau=2, seed=0), 5, 0).shape == (0, 2)
 
 
 def test_draw_is_valid_subset():

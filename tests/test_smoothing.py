@@ -89,6 +89,11 @@ def test_make_loss_validation():
         make_loss(pd, "l1", 0.0)
     with pytest.raises(ValueError):
         make_loss(pd, "l1", -1.0)
+    # NaN compares False with everything, so mu <= 0 alone would let it in
+    for app in ("l1", "linf"):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="mu must be positive and finite"):
+                make_loss(pd, app, bad)
     with pytest.raises(ValueError):
         make_loss(pd, "adaboost", 0.5)
     with pytest.raises(ValueError):

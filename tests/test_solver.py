@@ -36,6 +36,9 @@ def test_prox_step_hand_values():
         prox_step(1.0, 0.0, 0.0, 1.0, Regularizer.none())
     with pytest.raises(ValueError):
         prox_step(1.0, 0.0, 1.0, -2.0, Regularizer.none())
+    for beta, w in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="beta \\* w must be positive and finite"):
+            prox_step(1.0, 0.0, beta, w, Regularizer.none())
 
 
 def test_prox_step_minimizes_model():
