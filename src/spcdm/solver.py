@@ -54,12 +54,12 @@ class Regularizer:
     def __post_init__(self):
         if self.kind not in ("none", "l1", "box", "ridge"):
             raise ValueError(f"unknown regularizer {self.kind!r}")
-        if self.kind == "l1" and self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if self.kind == "l1" and not (self.lam >= 0 and math.isfinite(self.lam)):
+            raise ValueError(f"lam must be nonnegative and finite, got {self.lam!r}")
         if self.kind == "box" and not self.lo <= self.hi:
             raise ValueError("box needs lo <= hi")
-        if self.kind == "ridge" and self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if self.kind == "ridge" and not (self.delta >= 0 and math.isfinite(self.delta)):
+            raise ValueError(f"delta must be nonnegative and finite, got {self.delta!r}")
 
     @classmethod
     def none(cls) -> "Regularizer":
@@ -149,6 +149,8 @@ class SolverConfig:
             raise ValueError("max_epochs must be >= 0")
         if self.trace_every < 1:
             raise ValueError("trace_every must be >= 1")
+        if self.target_value is not None and math.isnan(self.target_value):
+            raise ValueError("target_value must not be NaN")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -198,8 +200,8 @@ class RunReport:
 
 def choose_mu(eps_prime: float, D: float) -> float:
     """Smoothing level eps' / (2 D) matching a desired accuracy on f."""
-    if eps_prime <= 0:
-        raise ValueError("eps_prime must be positive")
+    if not (eps_prime > 0 and math.isfinite(eps_prime)):
+        raise ValueError(f"eps_prime must be positive and finite, got {eps_prime!r}")
     if D <= 0:
         raise ValueError("D must be positive")
     return eps_prime / (2.0 * D)

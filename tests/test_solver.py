@@ -74,6 +74,13 @@ def test_regularizer_validation_and_values():
         Regularizer.box(2.0, 1.0)
     with pytest.raises(ValueError):
         Regularizer.ridge(-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="lam must be nonnegative and finite"):
+            Regularizer.l1(bad)
+        with pytest.raises(ValueError, match="delta must be nonnegative and finite"):
+            Regularizer.ridge(bad)
+    with pytest.raises(ValueError):
+        Regularizer.box(math.nan, 1.0)
     w = np.array([2.0, 0.5])
     assert Regularizer.none().value(np.ones(2), w) == 0.0
     assert Regularizer.l1(3.0).value(np.array([1.0, -2.0]), w) == pytest.approx(9.0)
@@ -90,6 +97,9 @@ def test_choose_mu():
     assert choose_mu(0.01, math.log(1600)) == pytest.approx(0.01 / (2 * math.log(1600)))
     with pytest.raises(ValueError):
         choose_mu(0.0, 1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="eps_prime must be positive and finite"):
+            choose_mu(bad, 1.0)
     with pytest.raises(ValueError):
         choose_mu(0.1, 0.0)
 
@@ -103,6 +113,8 @@ def test_solver_config_validation():
         SolverConfig(tau=1, trace_every=0)
     with pytest.raises(ValueError):
         SolverConfig(tau=1, workers=0)
+    with pytest.raises(ValueError, match="target_value"):
+        SolverConfig(tau=1, target_value=math.nan)
 
 
 def _all_active_problem(m, n, omega, seed):
