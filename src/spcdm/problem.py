@@ -49,9 +49,10 @@ class ProblemData:
 
         ids of shape (tau,) gives their ColumnBatch.  ids of shape
         (count, tau), one selection per row, gives an iterator over the
-        rows' ColumnBatches, all sliced out of one gather: every row's
-        length groups come from one stable sort keyed on (row, length),
-        and its shared rows from one keyed on (row, matrix row).
+        selections' ColumnBatches, all sliced out of one gather: their
+        length groups come from one stable sort keyed on (selection,
+        column length), their shared rows from one keyed on (selection,
+        matrix row).
         """
         ids = np.asarray(ids)
         if ids.ndim == 1:
@@ -64,17 +65,24 @@ class ProblemData:
         flat = lens.ravel()
         ends = flat.cumsum()
         offsets = ends - flat  # where each column starts in the concatenation
-        pos = (self.col_ptr[ids.ravel()] - offsets).repeat(flat)
-        pos += np.arange(pos.size)
-        rows, vals = self.col_rows[pos], self.col_vals[pos]
-        ptr = np.zeros(count + 1, dtype=np.int64)  # where each row's entries start
+        rows, vals = self._entries(ids.ravel(), flat, offsets)
+        ptr = np.zeros(count + 1, dtype=np.int64)  # where each selection's entries start
         np.cumsum(lens.sum(axis=1), out=ptr[1:])
         it = np.arange(count).repeat(tau)
         groups = _length_groups(offsets - ptr[it], flat, it, count)
-        shared = _shared_rows(rows, np.arange(count).repeat(np.diff(ptr)), ptr, self.m)
+        shared = _shared_rows(rows, ptr, self.m)
         ptr = ptr.tolist()
         return (ColumnBatch(sel, n, rows[a:b], vals[a:b], grp, pairs)
                 for sel, n, a, b, grp, pairs in zip(ids, lens, ptr, ptr[1:], groups, shared))
+
+    def _entries(
+        self, ids: np.ndarray, lens: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and values of the columns ids concatenated, column ids[j]'s
+        lens[j] entries starting at offsets[j]."""
+        pos = (self.col_ptr[ids] - offsets).repeat(lens)
+        pos += np.arange(pos.size)
+        return self.col_rows[pos], self.col_vals[pos]
 
     @functools.cached_property
     def _col_lens(self) -> np.ndarray:
@@ -221,37 +229,43 @@ def _length_groups(starts: np.ndarray, lens: np.ndarray, it: np.ndarray, count: 
     each group's index is a slice of one (segments of length k, k) array.
     """
     width = int(lens.max(initial=0)) + 1
-    order = (it * width + lens).argsort(kind="stable")
-    key = it[order] * width + lens[order]
-    first = np.flatnonzero(np.diff(key, prepend=-1))  # where each run of one key starts
+    key = it * width + lens
+    order = key.argsort(kind="stable")
+    key = key[order]
+    # runs of one (label, length) in the sorted order: start, size, and
+    # where the run starts among the segments of its length
+    new_run = np.ones(key.size, dtype=bool)
+    new_run[1:] = key[1:] != key[:-1]
+    first = np.flatnonzero(new_run)
+    size = np.diff(np.append(first, key.size))
     run_it, run_k = np.divmod(key[first], width)
-    sel = order - np.searchsorted(it, it[order])  # position within the label
-    idx, rank = {}, np.zeros(key.size, dtype=np.int64)
+    sel = order - np.searchsorted(it, np.arange(count))[it[order]]  # position within the label
     slens = lens[order]
+    idx, at = {}, np.zeros(first.size, dtype=np.int64)
     for k in sorted(set(run_k.tolist())):
-        at = np.flatnonzero(slens == k)
-        rank[at] = np.arange(at.size)
-        idx[k] = starts[order[at]][:, None] + np.arange(k)
-    runs = list(zip(run_k.tolist(), first.tolist(), np.append(first[1:], key.size).tolist(),
-                    rank[first].tolist()))
+        of_k = run_k == k
+        at[of_k] = size[of_k].cumsum() - size[of_k]
+        idx[k] = starts[order[slens == k]][:, None] + np.arange(k)
+    runs = list(zip(run_k.tolist(), first.tolist(), (first + size).tolist(), at.tolist()))
     bounds = np.searchsorted(run_it, np.arange(count + 1)).tolist()
     return ([(sel[a:b], idx[k][c : c + b - a]) for k, a, b, c in runs[p:q] if k]
             for p, q in zip(bounds, bounds[1:]))
 
 
-def _shared_rows(rows: np.ndarray, it: np.ndarray, ptr: np.ndarray, m: int):
-    """An iterator over the labels t of the nondecreasing it (entries
-    ptr[t]:ptr[t+1]) giving the entries of rows that several of its
+def _shared_rows(rows: np.ndarray, ptr: np.ndarray, m: int):
+    """An iterator over the selections t (entries ptr[t]:ptr[t+1] of rows,
+    row indices below m) giving the entries of rows that several of its
     columns hold: a (2, pairs) array of (earlier, next) positions within
-    the label, in row then position order.
+    the selection, in row then position order.
 
-    One stable sort keyed on (label, row) finds them for every label.
+    One stable sort keyed on (selection, row) finds them for every one.
     """
-    key = it * m + rows
+    key = (np.arange(ptr.size - 1) * m).repeat(np.diff(ptr))
+    key += rows
     order = key.argsort(kind="stable")
     key = key[order]
     dup = np.flatnonzero(key[1:] == key[:-1])
-    label = it[order[dup]]
+    label = key[dup] // m
     pairs = np.stack((order[dup], order[dup + 1])) - ptr[label]
     bounds = np.searchsorted(label, np.arange(ptr.size)).tolist()
     none = pairs[:, :0]

@@ -346,7 +346,7 @@ def _lse_acc_after_without_fixup(self, cols, d, keep):
     return acc
 
 
-def _no_shared_rows(rows, it, ptr, m):
+def _no_shared_rows(rows, ptr, m):
     """The epoch pass with its shared-row marks lost."""
     for _ in range(ptr.size - 1):
         yield np.zeros((2, 0), dtype=np.int64)
