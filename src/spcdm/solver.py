@@ -99,8 +99,8 @@ def prox_steps(
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
     Every beta*w must be positive and finite (prox_step checks it; run's
-    active weights are).  max and min keep Python's choice on ties, so a zero
-    step has the sign the scalar formula gives it.
+    active weights are).  max and min keep Python's choice on ties, so a
+    zero step has the sign the scalar formula gives it.
     """
     bw = beta * w
     if reg.kind == "none":
