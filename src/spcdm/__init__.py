@@ -6,39 +6,15 @@ coordinates in parallel with steps sized by exact separable
 overapproximation parameters (w*, beta).
 """
 
-from .eso import (
-    DualWeights,
-    EsoParams,
-    PrimalWeights,
-    beta1,
-    beta2,
-    beta3,
-    dual_weights,
-    operator_norm_oracle,
-    primal_weights,
-    select_beta_prime,
-    subspace_lipschitz,
-)
-from .problem import (
-    ProblemData,
-    RowSparsityProfile,
-    load_svmlight,
-    row_sparsity,
-    save_svmlight,
-    stack_linf,
-    synth_problem,
-)
-from .sampling import SamplingSpec, draw, expected_intersection_sq, hypergeom_pmf
+from .eso import beta1, beta2, beta3
+from .problem import ProblemData, load_svmlight, save_svmlight, synth_problem
 from .smoothing import (
-    SmoothedLoss,
-    SmoothState,
     evaluate,
     init_state,
     loss_constants,
     make_loss,
     nonsmooth_value,
     prepare_problem,
-    value_from_residual,
 )
 from .solver import (
     Regularizer,
@@ -48,34 +24,22 @@ from .solver import (
     choose_mu,
     iter_bound_nonsmooth,
     iter_bound_smoothed,
-    prox_step,
     run,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DualWeights",
-    "EsoParams",
-    "PrimalWeights",
     "ProblemData",
     "Regularizer",
-    "RowSparsityProfile",
     "RunReport",
-    "SamplingSpec",
-    "SmoothState",
-    "SmoothedLoss",
     "SolverConfig",
     "SolverDiverged",
     "beta1",
     "beta2",
     "beta3",
     "choose_mu",
-    "draw",
-    "dual_weights",
     "evaluate",
-    "expected_intersection_sq",
-    "hypergeom_pmf",
     "init_state",
     "iter_bound_nonsmooth",
     "iter_bound_smoothed",
@@ -83,16 +47,8 @@ __all__ = [
     "loss_constants",
     "make_loss",
     "nonsmooth_value",
-    "operator_norm_oracle",
     "prepare_problem",
-    "primal_weights",
-    "prox_step",
-    "row_sparsity",
     "run",
     "save_svmlight",
-    "select_beta_prime",
-    "stack_linf",
-    "subspace_lipschitz",
     "synth_problem",
-    "value_from_residual",
 ]

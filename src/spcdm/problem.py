@@ -44,22 +44,14 @@ class ProblemData:
         lo, hi = self.row_ptr[j], self.row_ptr[j + 1]
         return self.row_cols[lo:hi], self.row_vals[lo:hi]
 
-    def columns(self, ids: np.ndarray) -> "ColumnBatch | Iterator[ColumnBatch]":
-        """The columns ids gathered in one pass; see ColumnBatch.
+    def columns(self, ids: np.ndarray) -> "Iterator[ColumnBatch]":
+        """The columns of the (count, tau) block ids, one selection per row,
+        gathered in one pass: an iterator over the selections' ColumnBatches.
 
-        ids of shape (tau,) gives their ColumnBatch.  ids of shape
-        (count, tau), one selection per row, gives an iterator over the
-        selections' ColumnBatches, all sliced out of one gather: their
-        length groups come from one stable sort keyed on (selection,
-        column length), their shared rows from one keyed on (selection,
-        matrix row).
+        All are sliced out of one gather: their length groups come from
+        one stable sort keyed on (selection, column length), their shared
+        rows from one keyed on (selection, matrix row).
         """
-        ids = np.asarray(ids)
-        if ids.ndim == 1:
-            return next(self._batches(ids[None]))
-        return self._batches(ids)
-
-    def _batches(self, ids: np.ndarray) -> "Iterator[ColumnBatch]":
         count, tau = ids.shape
         lens = self._col_lens[ids]
         flat = lens.ravel()
@@ -119,14 +111,14 @@ class ProblemData:
     ) -> "ProblemData":
         """Build both layouts from triplets.
 
-        Explicit zeros are dropped.  Non-finite values, out-of-range
-        indices, duplicate (row, col) pairs and a bad-length b raise
-        ValueError.
+        Explicit zeros are dropped.  Non-finite values, non-integral or
+        out-of-range indices, duplicate (row, col) pairs and a bad-length
+        b raise ValueError.
         """
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        rows = np.asarray(rows, dtype=np.int64).ravel()
-        cols = np.asarray(cols, dtype=np.int64).ravel()
+        rows = _indices(rows, "rows")
+        cols = _indices(cols, "cols")
         vals = np.asarray(vals, dtype=np.float64).ravel()
         b = np.asarray(b, dtype=np.float64).ravel()
         if not (rows.size == cols.size == vals.size):
@@ -186,6 +178,16 @@ class ProblemData:
         )
 
 
+def _indices(a, name: str) -> np.ndarray:
+    """a flattened to int64; float indices must be integral, not truncated."""
+    a = np.asarray(a).ravel()
+    if a.dtype.kind == "f":
+        frac = np.trunc(a) != a
+        if frac.any():
+            raise ValueError(f"{name} must be integral, got {float(a[frac][0])!r}")
+    return a.astype(np.int64, copy=False)
+
+
 @dataclass(frozen=True)
 class RowSparsityProfile:
     """Max row support size and the histogram of row support sizes.
@@ -195,10 +197,6 @@ class RowSparsityProfile:
 
     omega: int
     per_row_nnz: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.per_row_nnz.sum())
 
 
 def row_sparsity(pd: ProblemData) -> RowSparsityProfile:
@@ -316,7 +314,8 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     ``n_cols`` overrides it; the override must not undercut the data.
 
     Raises ValueError with the offending line number on malformed
-    tokens or non-ascending indices, and on an empty dataset.
+    tokens, non-finite labels or values, or non-ascending indices, and
+    on an empty dataset.
     """
     labels: list[float] = []
     rows: list[int] = []
@@ -333,6 +332,8 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
                 label = float(parts[0])
             except ValueError:
                 raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+            if not np.isfinite(label):
+                raise ValueError(f"line {lineno}: non-finite label {parts[0]!r}")
             prev = 0
             for tok in parts[1:]:
                 idx_s, sep, val_s = tok.partition(":")

@@ -1,4 +1,4 @@
-"""Uniform random block subsets (tau-nice sampling) and intersection moments."""
+"""Uniform random block subsets (tau-nice sampling) and their intersection pmf."""
 
 from __future__ import annotations
 
@@ -72,16 +72,9 @@ def draw(spec: SamplingSpec, round: int, count: int | None = None) -> np.ndarray
 
 def _draw_round(spec: SamplingSpec, round: int) -> np.ndarray:
     """draw for one round, through this thread's reset Philox generator."""
-    n, tau = spec.n, spec.tau
-    # the k-th offset is uniform on [k, n).  One offset takes integers'
-    # scalar path: the same value, without the array-bounds checks that
-    # are most of the call's cost at tau = 1.
+    # the k-th offset is uniform on [k, n)
     gen = _keyed_generator(spec.seed, round)
-    if tau == 1:
-        offsets = [int(gen.integers(n))]
-    else:
-        offsets = gen.integers(np.arange(tau, dtype=np.int64), n).tolist()
-    return _shuffle(offsets)
+    return _shuffle(gen.integers(np.arange(spec.tau, dtype=np.int64), spec.n).tolist())
 
 
 def _shuffle(offsets: list) -> np.ndarray:
@@ -205,15 +198,3 @@ def hypergeom_pmf(omega: int, n: int, tau: int, l: int) -> float:
     if l < 0 or l > omega or tau - l < 0 or tau - l > n - omega:
         return 0.0
     return math.comb(omega, l) * math.comb(n - omega, tau - l) / math.comb(n, tau)
-
-
-def expected_intersection_sq(j_size: int, n: int, tau: int) -> float:
-    """E[|J ∩ S|^2] under tau-nice sampling, |J| = j_size.
-
-    Closed form (|J| tau / n) (1 + (|J|-1)(tau-1) / max(1, n-1)).
-    """
-    if not 0 <= j_size <= n:
-        raise ValueError("j_size must satisfy 0 <= j_size <= n")
-    if not 1 <= tau <= n:
-        raise ValueError("tau must satisfy 1 <= tau <= n")
-    return (j_size * tau / n) * (1.0 + (j_size - 1) * (tau - 1) / max(1, n - 1))

@@ -184,13 +184,9 @@ class SmoothState:
             g[sel] = (cols.vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
         return g
 
-    def partial_gradient(self, i: int) -> float:
-        """Derivative of f_mu along coordinate i, from maintained state."""
-        return float(self.gradients(self.loss.pd.columns(np.array([i])))[0])
-
     def full_gradient(self) -> np.ndarray:
-        """All partial derivatives; same normalization path as partial_gradient."""
-        return self.gradients(self.loss.pd.columns(np.arange(self.loss.pd.n)))
+        """All partial derivatives: gradients over every column at once."""
+        return self.gradients(next(self.loss.pd.columns(np.arange(self.loss.pd.n)[None])))
 
     def apply_steps(self, cols: ColumnBatch, h: np.ndarray) -> None:
         """x[cols.ids] += h in O(nnz of those columns), keeping r and lse_acc
@@ -217,10 +213,6 @@ class SmoothState:
         np.add.at(self.r, cols.rows, d)
         np.add.at(self.x, cols.ids, h)
         self.staleness += kept
-
-    def apply_update(self, i: int, h: float) -> None:
-        """x_i += h in O(nnz of column i), keeping r and lse_acc in sync."""
-        self.apply_steps(self.loss.pd.columns(np.array([i])), np.array([h], dtype=np.float64))
 
     def _lse_acc_after(self, cols: ColumnBatch, d: np.ndarray, keep: np.ndarray | None) -> float:
         """lse_acc once the terms d land on cols.rows, column by column,

@@ -98,9 +98,10 @@ def prox_steps(
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    Every beta*w must be positive and finite (prox_step checks it; run's
-    active weights are).  max and min keep Python's choice on ties, so a
-    zero step has the sign the scalar formula gives it.
+    Every beta*w must be positive and finite, as run's active weights
+    make them: the quadratic term is what makes the parallel update safe.
+    max and min keep Python's choice on ties, so a zero step has the sign
+    the scalar formula gives it.
     """
     bw = beta * w
     if reg.kind == "none":
@@ -117,17 +118,6 @@ def prox_steps(
     return -(grad + reg.delta * w * x) / ((beta + reg.delta) * w)
 
 
-def prox_step(grad: float, x: float, beta: float, w: float, reg: Regularizer) -> float:
-    """prox_steps for one coordinate.
-
-    beta*w must be positive and finite: the quadratic term is what makes
-    the parallel update safe, so a degenerate weight is a usage error.
-    """
-    if not (beta * w > 0 and math.isfinite(beta * w)):
-        raise ValueError(f"beta * w must be positive and finite, got {beta * w!r}")
-    return float(prox_steps(np.array([grad]), np.array([x]), beta, np.array([w]), reg)[0])
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """Run settings.  workers is validated and echoed in the report but no
@@ -135,7 +125,6 @@ class SolverConfig:
 
     tau: int
     seed: int = 0
-    mu: float | None = None
     beta_formula: str | float = "auto"
     max_epochs: int = 100
     target_value: float | None = None
@@ -225,8 +214,6 @@ def run(
     """
     if pd is not loss.pd and not pd.same_as(loss.pd):
         raise ValueError("loss is not bound to the given problem data")
-    if cfg.mu is not None and cfg.mu != loss.mu:
-        raise ValueError("cfg.mu disagrees with the loss")
     if reg.kind == "box" and not reg.lo <= 0.0 <= reg.hi:
         raise ValueError("box regularizer must contain the starting point 0")
 
@@ -306,7 +293,6 @@ def run(
                 reached = True
     wall = time.perf_counter() - t0
 
-    state.recompute()
     return RunReport(
         epochs_run=epochs_run,
         coordinate_updates=updates,
@@ -321,16 +307,20 @@ def run(
 
 
 def _run_epoch(state, batches, beta: float, w: np.ndarray, reg: Regularizer) -> int:
-    """One batched step per ColumnBatch of batches, refreshing the state
-    whenever it asks; returns the coordinate updates taken."""
+    """One batched step per ColumnBatch of batches, each from a state
+    refreshed first if it asks; returns the coordinate updates taken.
+
+    The epoch's last step is not followed by a check: the trace refresh
+    or the next epoch's first check sees the same x.
+    """
     updates = 0
     for cols in batches:
+        if state.needs_recompute():
+            state.recompute()
         ids = cols.ids
         h = prox_steps(state.gradients(cols), state.x[ids], beta, w[ids], reg)
         state.apply_steps(cols, h)
         updates += ids.size
-        if state.needs_recompute():
-            state.recompute()
     return updates
 
 

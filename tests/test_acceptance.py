@@ -12,17 +12,15 @@ import pytest
 from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
-from spcdm.eso import (
-    beta1,
-    beta2,
-    beta3,
-    dual_weights,
+from helpers import (
+    expected_intersection_sq,
     operator_norm_oracle,
-    primal_weights,
+    step,
     subspace_lipschitz,
 )
+from spcdm.eso import beta1, beta2, beta3, dual_weights, primal_weights
 from spcdm.problem import ProblemData, row_sparsity, synth_problem
-from spcdm.sampling import expected_intersection_sq, hypergeom_pmf
+from spcdm.sampling import hypergeom_pmf
 from spcdm.smoothing import (
     evaluate,
     init_state,
@@ -348,7 +346,7 @@ def test_08_incremental_state_fidelity():
     rng = np.random.default_rng(99)
     for _ in range(10 * working.n):
         i = int(active[rng.integers(active.size)])
-        st.apply_update(i, float(0.02 * rng.standard_normal()))
+        step(st, i, float(0.02 * rng.standard_normal()))
     assert st.staleness == 10 * working.n
     ref = evaluate(loss, st.x)
     drift = abs(st.value() - ref) / max(1.0, abs(ref))

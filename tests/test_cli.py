@@ -148,7 +148,13 @@ def test_eps_prime_met_at_start_short_circuits(tmp_path, capsys):
     rep = json.loads((tmp_path / "r.json").read_text())
     assert rep["epochs_run"] == 0
     assert rep["target_reached"] is True
-    assert rep["config"]["note"] == "eps-prime met at x0"
+    # the report of a run with no epochs, in the shape of every other run;
+    # a --target turns the short cut off
+    more = ["--target", "-1", "--max-epochs", "1", "--out", str(tmp_path / "s")]
+    assert main(argv[:-2] + more) == 2
+    full = json.loads((tmp_path / "s.json").read_text())
+    assert rep["config"] == {**full["config"], "max_epochs": 0, "target_value": None}
+    assert rep["objective_trace"] == full["objective_trace"][:1]
 
 
 def test_eps_prime_without_target_cannot_certify(tmp_path):

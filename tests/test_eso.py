@@ -3,16 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from helpers import operator_norm_oracle, subspace_lipschitz
 from spcdm.eso import (
     EsoParams,
     beta1,
     beta2,
     beta3,
     dual_weights,
-    operator_norm_oracle,
     primal_weights,
     select_beta_prime,
-    subspace_lipschitz,
 )
 from spcdm.problem import ProblemData, synth_problem
 

@@ -40,6 +40,7 @@ def test_load_drops_explicit_zero_but_counts_column(tmp_path):
         ("1 0:1.0\n", "line 1"),
         ("abc 1:1.0\n", "label"),
         ("1 1:about\n", "bad token"),
+        ("1 1:1.0\nnan 1:1.0\n", "line 2: non-finite label"),
     ],
 )
 def test_load_malformed(tmp_path, text, match):
@@ -100,6 +101,15 @@ def test_from_coo_validation():
         ProblemData.from_coo(2, 2, [0], [5], [1.0], b)
     with pytest.raises(ValueError, match="length"):
         ProblemData.from_coo(2, 2, [0], [0], [1.0], np.zeros(3))
+    # float indices are taken only when integral, never truncated
+    with pytest.raises(ValueError, match="rows must be integral, got 1.7"):
+        ProblemData.from_coo(2, 2, [0.0, 1.7], [0, 1], [1.0, 2.0], b)
+    with pytest.raises(ValueError, match="cols must be integral"):
+        ProblemData.from_coo(2, 2, np.array([0, 1]), np.array([0.5, 1.0]), [1.0, 2.0], b)
+    with pytest.raises(ValueError, match="rows must be integral"):
+        ProblemData.from_coo(2, 2, [np.nan], [0], [1.0], b)
+    floats = ProblemData.from_coo(2, 2, [0.0, 1.0], [1.0, 0.0], [1.0, 2.0], b)
+    assert floats.same_as(ProblemData.from_coo(2, 2, [0, 1], [1, 0], [1.0, 2.0], b))
     # explicit zeros vanish silently
     pd = ProblemData.from_coo(2, 2, [0, 1], [0, 1], [0.0, 3.0], b)
     assert pd.nnz == 1

@@ -1,13 +1,15 @@
-"""Property tests: block draws and the vectorised prox over generated inputs.
+"""Property tests: block draws, the vectorised prox and the svmlight round
+trip over generated inputs.
 
 Every test runs a fixed, derandomized set of examples and keeps no
 example database, so the suite stays deterministic.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spcdm.problem import ProblemData, load_svmlight, save_svmlight
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.solver import Regularizer, prox_steps
 
@@ -79,3 +81,32 @@ def test_prox_steps_meet_the_optimality_conditions(coords, beta, reg):
     else:
         tol += 1e-9 * reg.delta * w * np.abs(u)
         assert np.all(np.abs(slope + reg.delta * w * u) <= tol)
+
+
+@st.composite
+def sparse_problems(draw_from):
+    # rows may be empty and trailing columns unused; values include
+    # subnormals, labels -0.0
+    m = draw_from(st.integers(1, 6))
+    n = draw_from(st.integers(1, 7))
+    cells = draw_from(st.sets(st.tuples(st.integers(0, m - 1), st.integers(0, n - 1))))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from([5e-324, -2.5e-310, 2.2250738585072014e-308]))
+    vals = [draw_from(value) for _ in cells]
+    label = st.one_of(st.just(-0.0), st.floats(allow_nan=False, allow_infinity=False))
+    b = [draw_from(label) for _ in range(m)]
+    rows, cols = zip(*sorted(cells)) if cells else ((), ())
+    return ProblemData.from_coo(m, n, rows, cols, vals, b)
+
+
+@FIXED
+@given(sparse_problems())
+# empty rows 1 and 2, empty columns 2 to 4, a subnormal value, a -0.0 label
+@example(pd=ProblemData.from_coo(3, 5, [0, 0], [0, 1], [5e-324, -1.5], [-0.0, 1.0, 0.0]))
+def test_svmlight_round_trip_is_exact(tmp_path_factory, pd):
+    path = tmp_path_factory.mktemp("svm") / "d.txt"
+    save_svmlight(pd, path)
+    back = load_svmlight(path, n_cols=pd.n)
+    assert back.same_as(pd)
+    assert np.array_equal(np.signbit(back.b), np.signbit(pd.b))  # same_as takes -0.0 == 0.0
+    assert np.array_equal(back.col_ptr, pd.col_ptr)

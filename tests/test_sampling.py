@@ -6,12 +6,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spcdm.sampling import (
-    SamplingSpec,
-    draw,
-    expected_intersection_sq,
-    hypergeom_pmf,
-)
+from helpers import expected_intersection_sq
+from spcdm.sampling import SamplingSpec, draw, hypergeom_pmf
 
 
 def test_spec_validation():

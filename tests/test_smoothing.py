@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from helpers import gradient, step
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.smoothing import (
     LSE_ACC_HI,
@@ -171,7 +172,7 @@ def test_partial_gradient_agrees_with_full():
         st = init_state(loss, rng.standard_normal(6))
         g = st.full_gradient()
         for i in range(6):
-            assert st.partial_gradient(i) == g[i]
+            assert gradient(st, i) == g[i]
 
 
 def test_incremental_value_tracks_evaluate():
@@ -184,10 +185,10 @@ def test_incremental_value_tracks_evaluate():
         st = init_state(loss)
         for _ in range(60):
             i = int(rng.integers(9))
-            st.apply_update(i, float(rng.standard_normal() * 0.3))
+            step(st, i, float(rng.standard_normal() * 0.3))
             ref = evaluate(loss, st.x)
             assert st.value() == pytest.approx(ref, rel=1e-9, abs=1e-12)
-        st.apply_update(0, 0.0)  # no-op leaves staleness alone
+        step(st, 0, 0.0)  # no-op leaves staleness alone
         assert st.value() == pytest.approx(evaluate(loss, st.x), rel=1e-9)
 
 
@@ -197,7 +198,7 @@ def test_recompute_idempotent_and_resets():
     st = init_state(loss)
     rng = np.random.default_rng(0)
     for _ in range(11):
-        st.apply_update(int(rng.integers(7)), float(rng.standard_normal()))
+        step(st, int(rng.integers(7)), float(rng.standard_normal()))
     before = st.value()
     st.recompute()
     assert st.lse_acc == 1.0
@@ -216,10 +217,10 @@ def test_disjoint_updates_commute_bitwise():
     loss = _loss("linf", pd, 0.7)
     a = init_state(loss)
     b = init_state(loss)
-    a.apply_update(0, 0.3)
-    a.apply_update(1, -0.8)
-    b.apply_update(1, -0.8)
-    b.apply_update(0, 0.3)
+    step(a, 0, 0.3)
+    step(a, 1, -0.8)
+    step(b, 1, -0.8)
+    step(b, 0, 0.3)
     assert np.array_equal(a.x, b.x)
     assert np.array_equal(a.r, b.r)
 
@@ -230,12 +231,12 @@ def test_staleness_policy():
     st = init_state(loss)
     assert not st.needs_recompute()
     for k in range(4):
-        st.apply_update(k % 4, 1e-3)
+        step(st, k % 4, 1e-3)
     assert st.staleness == 4
     assert st.needs_recompute()  # staleness hit n
     st.recompute()
     assert not st.needs_recompute()
-    st.apply_update(0, 50.0)  # blows the accumulator out of band
+    step(st, 0, 50.0)  # blows the accumulator out of band
     assert st.lse_acc > LSE_ACC_HI or not math.isfinite(st.lse_acc)
     assert st.needs_recompute()
     st.recompute()
@@ -250,7 +251,7 @@ def test_large_residual_stays_finite():
     assert math.isfinite(st.value())
     # the opposing row is dead at this scale, leaving max - mu*log(2)
     assert st.value() == pytest.approx(1e5 - 1e-3 * math.log(2), rel=1e-12)
-    st.apply_update(0, 1.0)
+    step(st, 0, 1.0)
     st.recompute()
     assert st.value() == pytest.approx(1e5 + 1.0 - 1e-3 * math.log(2), rel=1e-12)
 

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import prox
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import SamplingSpec, draw
-from spcdm.smoothing import make_loss, prepare_problem
+from spcdm.smoothing import SmoothState, make_loss, prepare_problem
 from spcdm.solver import (
     Regularizer,
     RunReport,
@@ -16,7 +17,6 @@ from spcdm.solver import (
     choose_mu,
     iter_bound_nonsmooth,
     iter_bound_smoothed,
-    prox_step,
     run,
 )
 
@@ -26,19 +26,12 @@ def _model(h, grad, x, beta, w, reg):
 
 
 def test_prox_step_hand_values():
-    assert prox_step(2.0, 0.0, 1.0, 2.0, Regularizer.none()) == pytest.approx(-1.0)
-    assert prox_step(-3.0, 0.0, 1.0, 1.0, Regularizer.l1(1.0)) == pytest.approx(2.0)
-    assert prox_step(10.0, 0.5, 1.0, 1.0, Regularizer.box(0.0, 1.0)) == pytest.approx(-0.5)
-    assert prox_step(2.0, 1.0, 2.0, 3.0, Regularizer.ridge(4.0)) == pytest.approx(-7.0 / 9.0)
+    assert prox(2.0, 0.0, 1.0, 2.0, Regularizer.none()) == pytest.approx(-1.0)
+    assert prox(-3.0, 0.0, 1.0, 1.0, Regularizer.l1(1.0)) == pytest.approx(2.0)
+    assert prox(10.0, 0.5, 1.0, 1.0, Regularizer.box(0.0, 1.0)) == pytest.approx(-0.5)
+    assert prox(2.0, 1.0, 2.0, 3.0, Regularizer.ridge(4.0)) == pytest.approx(-7.0 / 9.0)
     # soft threshold kills small gradients entirely
-    assert prox_step(0.5, 0.0, 1.0, 1.0, Regularizer.l1(1.0)) == 0.0
-    with pytest.raises(ValueError):
-        prox_step(1.0, 0.0, 0.0, 1.0, Regularizer.none())
-    with pytest.raises(ValueError):
-        prox_step(1.0, 0.0, 1.0, -2.0, Regularizer.none())
-    for beta, w in ((math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)):
-        with pytest.raises(ValueError, match="beta \\* w must be positive and finite"):
-            prox_step(1.0, 0.0, beta, w, Regularizer.none())
+    assert prox(0.5, 0.0, 1.0, 1.0, Regularizer.l1(1.0)) == 0.0
 
 
 def test_prox_step_minimizes_model():
@@ -57,7 +50,7 @@ def test_prox_step_minimizes_model():
                 x = float(rng.uniform(reg.lo, reg.hi))
             beta = float(rng.uniform(0.1, 5.0))
             w = float(rng.uniform(0.1, 5.0))
-            h = prox_step(grad, x, beta, w, reg)
+            h = prox(grad, x, beta, w, reg)
             best = _model(h, grad, x, beta, w, reg)
             for trial in np.concatenate(
                 [rng.uniform(-4, 4, size=60), h + np.array([-1e-6, 1e-6])]
@@ -128,7 +121,7 @@ def test_serial_run_matches_straight_line_reference():
     pd = _all_active_problem(30, 6, 3, seed=14)
     mu = 0.25
     loss = make_loss(pd, "l1", mu)
-    cfg = SolverConfig(tau=1, seed=9, mu=mu, max_epochs=3, trace_every=1)
+    cfg = SolverConfig(tau=1, seed=9, max_epochs=3, trace_every=1)
     report = run(pd, loss, Regularizer.none(), cfg)
 
     # mirror of the update loop, plain arrays only
@@ -286,14 +279,33 @@ def test_trace_cadence():
     assert [e for e, _ in rep.objective_trace] == [0, 2, 4, 5]
 
 
+@pytest.mark.parametrize("trace_every", [1, 2])
+def test_state_is_refreshed_once_per_epoch_end(monkeypatch, trace_every):
+    # tau=1 over 6 columns: every epoch's 6 nonzero steps make the state
+    # stale at its last step; that refresh and the trace refresh are one,
+    # and the report reads only x
+    pd = _all_active_problem(30, 6, 3, seed=14)
+    loss = make_loss(pd, "l1", 0.25)
+    calls = []
+    recompute = SmoothState.recompute
+
+    def counted(self):
+        calls.append(self.staleness)
+        recompute(self)
+
+    monkeypatch.setattr(SmoothState, "recompute", counted)
+    cfg = SolverConfig(tau=1, seed=3, max_epochs=3, trace_every=trace_every)
+    rep = run(pd, loss, Regularizer.none(), cfg)
+    assert rep.coordinate_updates == 18
+    assert calls == [0] + [6] * rep.epochs_run
+
+
 def test_run_validation_errors():
     pd = _all_active_problem(30, 6, 3, seed=14)
     other = synth_problem(30, 6, 3, seed=15)
     loss = make_loss(pd, "l1", 0.25)
     with pytest.raises(ValueError, match="not bound"):
         run(other, loss, Regularizer.none(), SolverConfig(tau=1))
-    with pytest.raises(ValueError, match="disagrees"):
-        run(pd, loss, Regularizer.none(), SolverConfig(tau=1, mu=0.5))
     with pytest.raises(ValueError, match="starting point"):
         run(pd, loss, Regularizer.box(1.0, 2.0), SolverConfig(tau=1))
     with pytest.raises(ValueError, match="active"):
