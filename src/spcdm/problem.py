@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -114,6 +115,12 @@ class ProblemData:
         Explicit zeros are dropped.  Non-finite values, non-integral or
         out-of-range indices, duplicate (row, col) pairs and a bad-length
         b raise ValueError.
+
+        The row layout comes from one stable argsort of the int64 key
+        rows*n + cols (np.lexsort on (rows, cols) where m*n overflows
+        int64), which is linear on triplets already in row-major order;
+        the column layout from a stable argsort of the sorted columns,
+        a linear radix sort when n <= 2**16.
         """
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -130,7 +137,8 @@ class ProblemData:
         if not np.all(np.isfinite(b)):
             raise ValueError("b values must be finite")
         keep = vals != 0.0
-        rows, cols, vals = rows[keep], cols[keep], vals[keep]
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         if rows.size:
             if rows.min() < 0 or rows.max() >= m:
                 raise ValueError("row index out of range")
@@ -138,8 +146,9 @@ class ProblemData:
                 raise ValueError("column index out of range")
 
         # row-major order; duplicate (row, col) pairs are adjacent after sorting
-        order = np.lexsort((cols, rows))
+        order = _row_major_order(m, n, rows, cols)
         r_sorted, c_sorted, v_sorted = rows[order], cols[order], vals[order]
+        del rows, cols, vals, order
         if r_sorted.size > 1:
             dup = (r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])
             if dup.any():
@@ -150,21 +159,38 @@ class ProblemData:
         row_ptr = np.zeros(m + 1, dtype=np.int64)
         np.cumsum(np.bincount(r_sorted, minlength=m), out=row_ptr[1:])
 
-        order = np.lexsort((rows, cols))
+        # numpy radix-sorts 16-bit keys, in linear time
+        order = (c_sorted.astype(np.uint16) if n <= 1 << 16 else c_sorted).argsort(kind="stable")
         col_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(cols[order], minlength=n), out=col_ptr[1:])
+        np.cumsum(np.bincount(c_sorted, minlength=n), out=col_ptr[1:])
 
         return cls(
             m=int(m),
             n=int(n),
             col_ptr=col_ptr,
-            col_rows=rows[order],
-            col_vals=vals[order],
+            col_rows=r_sorted[order],
+            col_vals=v_sorted[order],
             row_ptr=row_ptr,
             row_cols=c_sorted,
             row_vals=v_sorted,
             b=b.copy(),
         )
+
+    def scale_rows(self, s: np.ndarray, b: np.ndarray) -> "ProblemData":
+        """diag(s) A with right-hand side b, scaled in both layouts with no
+        re-sort.  Products that round to zero are dropped, as from_coo
+        drops zeros; a non-finite one raises ValueError.  The result
+        shares index arrays with self where no product is dropped.
+        """
+        s = np.asarray(s, dtype=np.float64)
+        row_vals = self.row_vals * s.repeat(self.row_nnz())
+        if not np.all(np.isfinite(row_vals)):
+            raise ValueError("matrix values must be finite")
+        row_ptr, row_cols, row_vals = _drop_zeros(self.row_ptr, self.row_cols, row_vals)
+        col_vals = self.col_vals * s[self.col_rows]
+        col_ptr, col_rows, col_vals = _drop_zeros(self.col_ptr, self.col_rows, col_vals)
+        return ProblemData(self.m, self.n, col_ptr, col_rows, col_vals,
+                           row_ptr, row_cols, row_vals, np.asarray(b, dtype=np.float64).copy())
 
     def same_as(self, other: "ProblemData") -> bool:
         """Exact structural and numerical equality."""
@@ -186,6 +212,26 @@ def _indices(a, name: str) -> np.ndarray:
         if frac.any():
             raise ValueError(f"{name} must be integral, got {float(a[frac][0])!r}")
     return a.astype(np.int64, copy=False)
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The stable permutation sorting (rows, cols) in row-major order."""
+    if m * n <= _INT64_MAX:
+        return (rows * n + cols).argsort(kind="stable")
+    return np.lexsort((cols, rows))  # rows*n + cols would overflow int64
+
+
+def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
+    """A compressed layout (ptr, idx, vals) without its zero values."""
+    keep = vals != 0.0
+    if keep.all():
+        return ptr, idx, vals
+    kept = np.zeros(keep.size + 1, dtype=np.int64)
+    np.cumsum(keep, out=kept[1:])
+    return kept[ptr], idx[keep], vals[keep]
 
 
 @dataclass(frozen=True)
@@ -304,6 +350,13 @@ def row_sq_norms(pd: ProblemData) -> np.ndarray:
     return v
 
 
+# Bytes read per block of whole lines: the parse's temporaries (a few
+# Python objects and numpy arrays per byte) live for one block only.
+_CHUNK_BYTES = 1 << 18
+_SPACE = np.zeros(256, dtype=bool)  # what bytes.split() splits on
+_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+
+
 def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     """Read a sparse dataset in svmlight/libsvm text format.
 
@@ -313,53 +366,37 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     count).  The column count is the largest index seen unless
     ``n_cols`` overrides it; the override must not undercut the data.
 
-    Raises ValueError with the offending line number on malformed
-    tokens, non-finite labels or values, or non-ascending indices, and
-    on an empty dataset.
+    The file is read as bytes: lines end at LF, CR or CRLF, ASCII
+    whitespace (space, tab, VT, FF) separates tokens, and labels and
+    values go through float(), indices through int(), on the bytes, so
+    any non-ASCII byte is an error.  It is parsed in blocks of whole
+    lines of about _CHUNK_BYTES bytes, each turned into arrays at once
+    and its Python objects dropped before the next, so the parse holds
+    one block's temporaries besides the arrays it returns.
+
+    Raises ValueError with the offending line number on malformed or
+    non-UTF-8 tokens, non-finite labels or values, indices below 1 or
+    past int64, or non-ascending indices, and on an empty dataset.
     """
-    labels: list[float] = []
-    rows: list[int] = []
-    cols: list[int] = []
-    vals: list[float] = []
-    max_idx = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
+    labels, rows, cols, vals = [], [], [], []
+    m = max_idx = line0 = 0
+    with open(path, "rb") as fh:
+        for block in _line_blocks(fh):
             try:
-                label = float(parts[0])
-            except ValueError:
-                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
-            if not np.isfinite(label):
-                raise ValueError(f"line {lineno}: non-finite label {parts[0]!r}")
-            prev = 0
-            for tok in parts[1:]:
-                idx_s, sep, val_s = tok.partition(":")
-                if not sep:
-                    raise ValueError(f"line {lineno}: bad token {tok!r}")
-                try:
-                    idx = int(idx_s)
-                    val = float(val_s)
-                except ValueError:
-                    raise ValueError(f"line {lineno}: bad token {tok!r}") from None
-                if idx < 1:
-                    raise ValueError(f"line {lineno}: index {idx} must be >= 1")
-                if idx <= prev:
-                    raise ValueError(
-                        f"line {lineno}: indices not strictly ascending at {tok!r}"
-                    )
-                if not np.isfinite(val):
-                    raise ValueError(f"line {lineno}: non-finite value in {tok!r}")
-                prev = idx
-                max_idx = max(max_idx, idx)
-                if val != 0.0:
-                    rows.append(len(labels))
-                    cols.append(idx - 1)
-                    vals.append(val)
-            labels.append(label)
-    if not labels:
+                parsed = _parse_block(block)
+            except (ValueError, OverflowError):  # from int() or float()
+                parsed = None
+            if parsed is None:
+                _raise_first_error(block, line0)
+            b, row, idx, val = parsed
+            max_idx = max(max_idx, int(idx.max(initial=0)))
+            labels.append(b)
+            rows.append(row + m)
+            cols.append(idx - 1)
+            vals.append(val)  # from_coo drops the zeros
+            m += b.size
+            line0 += len(block.splitlines())
+    if not m:
         raise ValueError(f"{path}: no rows")
     n = max_idx
     if n_cols is not None:
@@ -367,13 +404,101 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
             raise ValueError(f"n_cols={n_cols} smaller than max index {max_idx}")
         n = n_cols
     return ProblemData.from_coo(
-        m=len(labels),
-        n=n,
-        rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        vals=np.array(vals, dtype=np.float64),
-        b=np.array(labels, dtype=np.float64),
+        m, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
+        np.concatenate(labels),
     )
+
+
+def _line_blocks(fh) -> Iterator[bytes]:
+    """fh's bytes in blocks that each end at a line end (or the file's)."""
+    tail = b""
+    while data := fh.read(_CHUNK_BYTES):
+        data = tail + data
+        # a CR at the very end may be the first half of a CRLF
+        cut = max(data.rfind(b"\n"), data.rfind(b"\r", 0, len(data) - 1)) + 1
+        if cut:
+            yield data[:cut]
+        tail = data[cut:]
+    if tail:
+        yield tail
+
+
+def _parse_block(block: bytes):
+    """Labels, and row within the block, index and value per feature, of
+    the block's lines, each array filled at once.  None where a check
+    fails; ValueError or OverflowError where int() or float() does.
+    """
+    a = np.frombuffer(block, dtype=np.uint8)
+    # tokens are the runs of non-space bytes, each from its start to its end
+    edges = np.flatnonzero(np.diff(~_SPACE[a], prepend=False, append=False))
+    starts, ends = edges[0::2], edges[1::2]
+    # a token is its line's label when a CR or LF stands between it and
+    # the token before (the CR of a CRLF stands before no token)
+    line = np.searchsorted(np.flatnonzero((a == 10) | (a == 13)), starts)
+    first = np.ones(starts.size, dtype=bool)
+    first[1:] = line[1:] != line[:-1]
+    # a label holds no colon, every other token one with bytes on both sides
+    colon = a == 58
+    at = np.flatnonzero(colon)
+    owner = np.searchsorted(starts, at, "right") - 1
+    if not (np.array_equal(np.bincount(owner, minlength=starts.size), ~first)
+            and np.all(at > starts[owner]) and np.all(at + 1 < ends[owner])):
+        return None
+    # blanking all but the labels and splitting gives the labels; blanking
+    # the labels and colons gives each feature's index and value in turn
+    edge = np.zeros(a.size + 1, dtype=np.int8)
+    edge[starts[first]] = 1
+    edge[ends[first]] = -1
+    in_label = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
+    space = np.uint8(32)
+    b = np.fromiter(map(float, np.where(in_label, a, space).tobytes().split()), np.float64)
+    halves = np.where(in_label | colon, space, a).tobytes().split()
+    idx = np.fromiter(map(int, halves[0::2]), np.int64, len(halves) // 2)
+    val = np.fromiter(map(float, halves[1::2]), np.float64, len(halves) // 2)
+    del halves
+    row = np.cumsum(first)[~first] - 1
+    same = row[1:] == row[:-1]
+    if not (np.isfinite(b).all() and np.isfinite(val).all() and np.all(idx >= 1)
+            and np.all(idx[1:][same] > idx[:-1][same])):
+        return None
+    return b, row, idx, val
+
+
+def _raise_first_error(block: bytes, line0: int):
+    """Raise the ValueError for the first bad line of block, whose first
+    line is line line0 + 1: the checks of load_svmlight one token at a time."""
+    for lineno, raw in enumerate(block.splitlines(), start=line0 + 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise ValueError(f"line {lineno}: not UTF-8 ({err.reason} at byte {err.start})") from None
+        parts = raw.split()
+        if not parts:
+            continue
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ValueError(f"line {lineno}: bad label {parts[0].decode()!r}") from None
+        if not math.isfinite(label):
+            raise ValueError(f"line {lineno}: non-finite label {parts[0].decode()!r}")
+        prev = 0
+        for tok in parts[1:]:
+            tok_s = tok.decode()
+            idx_s, _, val_s = tok.partition(b":")
+            try:
+                idx, val = int(idx_s), float(val_s)  # float(b"") fails when there is no ":"
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad token {tok_s!r}") from None
+            if idx < 1:
+                raise ValueError(f"line {lineno}: index {idx} must be >= 1")
+            if idx > _INT64_MAX:
+                raise ValueError(f"line {lineno}: index {idx} does not fit in int64")
+            if idx <= prev:
+                raise ValueError(f"line {lineno}: indices not strictly ascending at {tok_s!r}")
+            if not math.isfinite(val):
+                raise ValueError(f"line {lineno}: non-finite value in {tok_s!r}")
+            prev = idx
+    raise AssertionError("block failed a check that no line fails")
 
 
 def save_svmlight(pd: ProblemData, path) -> None:

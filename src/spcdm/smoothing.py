@@ -62,10 +62,7 @@ def prepare_problem(pd: ProblemData, app: str) -> ProblemData:
     if app == "l1":
         return pd
     if app == "adaboost":
-        rows, cols, vals = pd.triplets()
-        return ProblemData.from_coo(
-            pd.m, pd.n, rows, cols, vals * pd.b[rows], np.zeros(pd.m)
-        )
+        return pd.scale_rows(pd.b, np.zeros(pd.m))
     raise ValueError(f"unknown app {app!r}")
 
 

@@ -1,11 +1,13 @@
-"""Test-only oracles and one-coordinate helpers.
+"""Test-only oracles, references and one-coordinate helpers.
 
 The oracles check the solver's stepsize factors from outside their
 derivation: an exact intersection moment of tau-nice sampling, the
 largest row overlap of a column set, and a power-iteration operator
 norm.  The helpers drive the batched kernel (ProblemData.columns,
 SmoothState.gradients and apply_steps, prox_steps) one coordinate at
-a time, through a one-column batch.
+a time, through a one-column batch.  load_svmlight_reference is the
+svmlight loader as a loop over lines and tokens of decoded text, the
+reference for the array-at-once load_svmlight.
 """
 
 import numpy as np
@@ -32,6 +34,77 @@ def prox(grad, x, beta, w, reg):
 def step(st, i, h):
     """x_i += h through apply_steps, keeping r and lse_acc in sync."""
     st.apply_steps(column(st.loss.pd, i), np.array([h], dtype=np.float64))
+
+
+def load_svmlight_reference(path, n_cols=None) -> ProblemData:
+    """load_svmlight one token at a time, on the file read as UTF-8 text."""
+    labels, rows, cols, vals = [], [], [], []
+    max_idx = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            try:
+                label = float(parts[0])
+            except ValueError:
+                raise ValueError(f"line {lineno}: bad label {parts[0]!r}") from None
+            if not np.isfinite(label):
+                raise ValueError(f"line {lineno}: non-finite label {parts[0]!r}")
+            prev = 0
+            for tok in parts[1:]:
+                idx_s, sep, val_s = tok.partition(":")
+                if not sep:
+                    raise ValueError(f"line {lineno}: bad token {tok!r}")
+                try:
+                    idx = int(idx_s)
+                    val = float(val_s)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: bad token {tok!r}") from None
+                if idx < 1:
+                    raise ValueError(f"line {lineno}: index {idx} must be >= 1")
+                if idx <= prev:
+                    raise ValueError(
+                        f"line {lineno}: indices not strictly ascending at {tok!r}"
+                    )
+                if not np.isfinite(val):
+                    raise ValueError(f"line {lineno}: non-finite value in {tok!r}")
+                prev = idx
+                max_idx = max(max_idx, idx)
+                if val != 0.0:
+                    rows.append(len(labels))
+                    cols.append(idx - 1)
+                    vals.append(val)
+            labels.append(label)
+    if not labels:
+        raise ValueError(f"{path}: no rows")
+    n = max_idx
+    if n_cols is not None:
+        if n_cols < max_idx:
+            raise ValueError(f"n_cols={n_cols} smaller than max index {max_idx}")
+        n = n_cols
+    return ProblemData.from_coo(
+        m=len(labels),
+        n=n,
+        rows=np.array(rows, dtype=np.int64),
+        cols=np.array(cols, dtype=np.int64),
+        vals=np.array(vals, dtype=np.float64),
+        b=np.array(labels, dtype=np.float64),
+    )
+
+
+LAYOUT = ("col_ptr", "col_rows", "col_vals", "row_ptr", "row_cols", "row_vals", "b")
+
+
+def assert_identical(got: ProblemData, want: ProblemData) -> None:
+    """m, n, the seven arrays (dtype, shape, values) and the sign of every
+    zero in b, bit for bit."""
+    assert (got.m, got.n) == (want.m, want.n)
+    for name in LAYOUT:
+        g, w = getattr(got, name), getattr(want, name)
+        assert g.dtype == w.dtype and g.shape == w.shape, name
+        assert g.tobytes() == w.tobytes(), name
 
 
 def expected_intersection_sq(j_size: int, n: int, tau: int) -> float:

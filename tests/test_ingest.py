@@ -1,0 +1,266 @@
+"""The array-at-once setup paths against their loop references.
+
+load_svmlight parses blocks of lines into arrays; the reference parses
+one token at a time (helpers.load_svmlight_reference).  from_coo sorts
+one row-major key; the reference sorts with np.lexsort.  Adaboost's
+prepare_problem scales both layouts in place of a re-sort; the
+reference rebuilds the matrix from its triplets.
+"""
+
+import numpy as np
+import pytest
+
+from helpers import assert_identical, load_svmlight_reference
+from spcdm import problem
+from spcdm.problem import ProblemData, load_svmlight
+from spcdm.smoothing import prepare_problem
+
+VALID = {
+    "crlf": b"+1 1:2.0 3:1.0\r\n-1 2:5.0\r\n1 4:1e-3\r\n",
+    "lone cr": b"+1 1:2.0 3:1.0\r-1 2:5.0\r\r1 4:1e-3\r",
+    "mixed endings": b"1 1:1\n\r\n-1 2:2\r3 3:3\r\n\n4 4:4",
+    "tabs and blanks": b"\n  \n1\t1:2.5  \t3:-1\n\t\n   \n-1 2:1\x0b4:2\x0c\n \t \n",
+    "zeros, signs, exponents": (
+        b"+1 1:0.0 2:-0 3:1.5e+2\n-0.0 1:-2.5E-3 4:0e5\n+1.0e0 2:1e-320 3:+7\n"
+    ),
+    "empty rows": b"1\n-1 3:1.0\n2\n",
+    "underscores, leading zeros": b"1_0 01:1_5.0 002:3\n",
+    "no final newline": b"1 1:1.0\n-1 2:2.0",
+    "crlf then lone cr at the end": b"1 1:1.0\r\n-1 2:2.0\r",
+}
+
+MALFORMED = {
+    "no colon": b"1 1:2.0\n-1 nonsense\n",
+    "not ascending": b"1 3:1.0 2:1.0\n",
+    "repeated index": b"1 2:1.0 2:1.0\n",
+    "index 0": b"1 0:1.0\n",
+    "negative index": b"1 -3:1.0\n",
+    "bad label": b"abc 1:1.0\n",
+    "label with colon": b"1 1:1\n1:2 3:4\n",
+    "bad value": b"1 1:about\n",
+    "empty index": b"1 :1.0\n",
+    "empty value": b"1 1:\n",
+    "two colons": b"1 1:2:3\n",
+    "colon only": b"1 :\n",
+    "float index": b"1 1.0:1.0\n",
+    "nan label": b"1 1:1.0\nnan 1:1.0\n",
+    "inf value": b"1 1:1.0\n\n2 1:1e999\n",
+    "nan value": b"-1 2:nan\n",
+    "NUL in a value": b"1 1:1.0\x00\n",
+    "first error wins": b"1 1:1\r\n2 2:1 1:1\r\nx 1:1\r\n",
+    "label error before token error": b"1 1:1\r5x 1:y\n",
+    "no rows": b"\n \r\n\t\n",
+}
+
+
+def _write(tmp_path, data: bytes):
+    path = tmp_path / "d.svm"
+    path.write_bytes(data)
+    return path
+
+
+def _message(fn, path, **kwargs) -> str:
+    with pytest.raises(ValueError) as info:
+        fn(path, **kwargs)
+    return str(info.value)
+
+
+@pytest.fixture(params=[1, 3, 16, None], ids=["chunk1", "chunk3", "chunk16", "chunk-default"])
+def chunk(request, monkeypatch):
+    """Blocks of 1, 3 or 16 bytes put block ends everywhere in a small file."""
+    if request.param is not None:
+        monkeypatch.setattr(problem, "_CHUNK_BYTES", request.param)
+    return request.param
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_load_matches_reference(tmp_path, chunk, name):
+    path = _write(tmp_path, VALID[name])
+    want = load_svmlight_reference(path)
+    assert_identical(load_svmlight(path), want)
+    assert_identical(load_svmlight(path, n_cols=want.n + 3), load_svmlight_reference(path, n_cols=want.n + 3))
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_gives_the_reference_message(tmp_path, chunk, name):
+    path = _write(tmp_path, MALFORMED[name])
+    assert _message(load_svmlight, path) == _message(load_svmlight_reference, path)
+
+
+def test_n_cols_below_the_largest_index(tmp_path, chunk):
+    path = _write(tmp_path, b"1 1:1.0\n2 7:0.0\n")
+    assert _message(load_svmlight, path, n_cols=6) == _message(load_svmlight_reference, path, n_cols=6)
+    assert load_svmlight(path, n_cols=7).n == 7
+
+
+def _random_text(rng, rows: int) -> bytes:
+    """svmlight lines with mixed endings, separators, zeros and signs."""
+    ends = [b"\n", b"\r\n", b"\r"]
+    seps = [b" ", b"\t", b"  "]
+    lines = []
+    for _ in range(rows):
+        k = int(rng.integers(0, 12))
+        idx = np.sort(rng.choice(5000, size=k, replace=False)) + 1
+        vals = rng.standard_normal(k) * 10.0 ** rng.integers(-5, 6, size=k)
+        vals[rng.random(k) < 0.1] = 0.0
+        toks = [repr(float(rng.choice([-1.0, 1.0, -0.0, 0.5])))]
+        toks += [f"{i}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
+        sep = seps[int(rng.integers(3))]
+        lines.append(sep.join(t.encode() for t in toks) + ends[int(rng.integers(3))])
+        if rng.random() < 0.05:
+            lines.append(b" \t" + ends[int(rng.integers(3))])
+    return b"".join(lines)
+
+
+def test_load_matches_reference_over_several_chunks(tmp_path):
+    data = _random_text(np.random.default_rng(8), 12000)
+    assert len(data) > 4 * problem._CHUNK_BYTES
+    path = _write(tmp_path, data)
+    assert_identical(load_svmlight(path), load_svmlight_reference(path))
+
+
+def _filled(size: int, end: bytes) -> bytes:
+    """Valid lines ending with end, exactly size bytes in all."""
+    body = b"1 1:1.0" + end
+    text = body * (size // len(body))
+    pad = size - len(text)
+    if pad:  # widen the first value so the lines fill size exactly
+        text = b"1 1:1." + b"0" * (pad + 1) + end + text[len(body):]
+    assert len(text) == size
+    return text
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2])
+@pytest.mark.parametrize("end", [b"\n", b"\r", b"\r\n"], ids=["lf", "cr", "crlf"])
+@pytest.mark.parametrize("bad", [b"1 2:1.0 1:1.0", b"\xff 1:1", b"1 1:1\xc3"],
+                         ids=["ascending", "utf8-label", "utf8-value"])
+def test_bad_line_just_past_a_block_end(tmp_path, end, bad, offset):
+    # the first read ends right after the good lines, inside the last one,
+    # or between the CR and the LF of a CRLF: the bad line keeps its number
+    good = _filled(problem._CHUNK_BYTES + offset, end)
+    path = _write(tmp_path, good + bad + end)
+    msg = _message(load_svmlight, path)
+    assert msg.startswith(f"line {len(good.splitlines()) + 1}: ")
+    if bad.isascii():  # the reference raises a bare UnicodeDecodeError
+        assert msg == _message(load_svmlight_reference, path)
+
+
+@pytest.mark.parametrize("text,match", [
+    (b"1 99999999999999999999:1.0\n", "line 1: index 99999999999999999999 does not fit in int64"),
+    (b"1 1:1.0\n1 9223372036854775808:1.0\n", "line 2: index 9223372036854775808 does not fit"),
+    (b"1 1:1.0\n-1 2:\xff\n", "line 2: not UTF-8"),
+    (b"\xfe\xff1 1:1.0\n", "line 1: not UTF-8"),
+])
+def test_overflow_and_non_utf8_name_the_line(tmp_path, chunk, text, match):
+    with pytest.raises(ValueError, match=match):
+        load_svmlight(_write(tmp_path, text))
+
+
+@pytest.mark.parametrize("text,message", [
+    ("\uff11 1:1.0\n", "line 1: bad label '\uff11'"),  # full-width digit one
+    ("1 1:\uff12.5\n", "line 1: bad token '1:\uff12.5'"),
+    ("1\u00a01:1.0\n", "line 1: bad label '1\\xa01:1.0'"),  # no-break space
+    ("1 1:1.0\x1c2:1.0\n", "line 1: bad token '1:1.0\\x1c2:1.0'"),  # ASCII file separator
+])
+def test_only_ascii_digits_and_whitespace(tmp_path, text, message):
+    # str.split and str-to-number took these; the bytes parse does not
+    path = _write(tmp_path, text.encode())
+    load_svmlight_reference(path)
+    assert _message(load_svmlight, path) == message
+
+
+# from_coo: one stable sort of the row-major key
+
+def _lexsort_layouts(m, n, rows, cols, vals, b) -> ProblemData:
+    """Both layouts by np.lexsort, the reference for from_coo."""
+    rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
+    keep = vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    r = np.lexsort((cols, rows))
+    c = np.lexsort((rows, cols))
+    return ProblemData(
+        m, n, np.searchsorted(cols[c], np.arange(n + 1)), rows[c], vals[c],
+        np.searchsorted(rows[r], np.arange(m + 1)), cols[r], vals[r], np.asarray(b, dtype=np.float64),
+    )
+
+
+def _triplets(seed, m=40, n=30, nnz=500):
+    """Row-major triplets on the first and last 12 columns (all of them
+    when n <= 24), about 20 to a column, some values zero."""
+    rng = np.random.default_rng(seed)
+    pool = np.unique(np.r_[0:min(12, n), max(n - 12, 0):n])
+    cells = rng.choice(m * pool.size, size=nnz, replace=False)
+    rows, slot = np.divmod(np.sort(cells), pool.size)
+    vals = rng.standard_normal(nnz)
+    vals[::17] = 0.0
+    return rows, pool[slot], vals, rng.standard_normal(m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [30, 2**16, 2**16 + 1])  # uint16 radix sort up to 2**16 columns
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, n, order):
+    m = 40
+    rows, cols, vals, b = _triplets(seed, m, n)
+    perm = {
+        "sorted": np.arange(rows.size),
+        "reversed": np.arange(rows.size)[::-1],
+        "shuffled": np.random.default_rng(seed + 100).permutation(rows.size),
+    }[order]
+    got = ProblemData.from_coo(m, n, rows[perm], cols[perm], vals[perm], b)
+    assert_identical(got, _lexsort_layouts(m, n, rows, cols, vals, b))
+
+
+def test_from_coo_names_the_first_duplicate_in_row_major_order():
+    rows = [3, 5, 1, 0, 3, 1, 0]
+    cols = [2, 0, 4, 9, 2, 4, 1]
+    with pytest.raises(ValueError, match=r"^duplicate entry at row 1, column 4$"):
+        ProblemData.from_coo(6, 10, rows, cols, np.ones(7), np.zeros(6))
+    # a duplicate whose copy is zero is no duplicate: zeros go first
+    pd = ProblemData.from_coo(2, 2, [1, 1, 0], [0, 0, 1], [0.0, 2.0, 3.0], np.zeros(2))
+    assert np.array_equal(pd.row_vals, [3.0, 2.0])
+
+
+def test_row_major_order_falls_back_to_lexsort_past_int64():
+    rows, cols, _, _ = _triplets(5)
+    perm = np.random.default_rng(0).permutation(rows.size)
+    rows, cols = rows[perm], cols[perm]
+    big = 2**36  # m*n = 2**72 does not fit in int64
+    want = np.lexsort((cols, rows))
+    assert np.array_equal(problem._row_major_order(big, big, rows * 2**28, cols), want)
+    assert np.array_equal(problem._row_major_order(40, 30, rows, cols), want)
+
+
+# prepare_problem("adaboost"): both layouts scaled by the labels
+
+def _rebuilt(pd: ProblemData) -> ProblemData:
+    """The labels scaled into A through triplets() and from_coo."""
+    rows, cols, vals = pd.triplets()
+    return ProblemData.from_coo(pd.m, pd.n, rows, cols, vals * pd.b[rows], np.zeros(pd.m))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_adaboost_scaling_matches_a_rebuild(seed):
+    rows, cols, vals, _ = _triplets(seed)
+    b = np.where(np.random.default_rng(seed).random(40) < 0.5, -1.0, 2.0)
+    b[7] = 0.0  # row 7 comes out empty
+    b[11] = -0.0
+    vals[(rows == 3) & (cols % 2 == 0)] = 5e-324
+    b[3] = 0.5  # 5e-324 * 0.5 underflows to 0
+    pd = ProblemData.from_coo(40, 30, rows, cols, vals, b)
+    got = prepare_problem(pd, "adaboost")
+    want = _rebuilt(pd)
+    assert_identical(got, want)
+    assert got.row_nnz()[7] == 0 and got.row_nnz()[11] == 0
+    assert got.row_nnz()[3] < pd.row_nnz()[3]
+    assert got.nnz < pd.nnz
+
+
+def test_adaboost_scaling_without_zeros_and_overflow():
+    pd = ProblemData.from_coo(2, 3, [0, 0, 1], [0, 2, 1], [1.5, -2.0, 3.0], [1.0, -1.0])
+    assert_identical(prepare_problem(pd, "adaboost"), _rebuilt(pd))
+    huge = ProblemData.from_coo(1, 1, [0], [0], [1e300], [1e10])
+    with np.errstate(over="ignore"):
+        for build in (_rebuilt, lambda pd: prepare_problem(pd, "adaboost")):
+            with pytest.raises(ValueError, match="matrix values must be finite"):
+                build(huge)

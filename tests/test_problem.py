@@ -41,11 +41,13 @@ def test_load_drops_explicit_zero_but_counts_column(tmp_path):
         ("abc 1:1.0\n", "label"),
         ("1 1:about\n", "bad token"),
         ("1 1:1.0\nnan 1:1.0\n", "line 2: non-finite label"),
+        ("1 1:1.0\n1 99999999999999999999:1.0\n", "line 2: index 99999999999999999999 does not fit"),
+        (b"1 1:1.0\n-1 2:\xe9\n", "line 2: not UTF-8"),
     ],
 )
 def test_load_malformed(tmp_path, text, match):
     path = tmp_path / "d.txt"
-    path.write_text(text)
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     with pytest.raises(ValueError, match=match):
         load_svmlight(path)
 

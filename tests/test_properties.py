@@ -1,5 +1,5 @@
 """Property tests: block draws, the vectorised prox and the svmlight round
-trip over generated inputs.
+trip (against the token-at-a-time reference loader) over generated inputs.
 
 Every test runs a fixed, derandomized set of examples and keeps no
 example database, so the suite stays deterministic.
@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import assert_identical, load_svmlight_reference
 from spcdm.problem import ProblemData, load_svmlight, save_svmlight
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.solver import Regularizer, prox_steps
@@ -110,3 +111,4 @@ def test_svmlight_round_trip_is_exact(tmp_path_factory, pd):
     assert back.same_as(pd)
     assert np.array_equal(np.signbit(back.b), np.signbit(pd.b))  # same_as takes -0.0 == 0.0
     assert np.array_equal(back.col_ptr, pd.col_ptr)
+    assert_identical(back, load_svmlight_reference(path, n_cols=pd.n))
