@@ -350,8 +350,8 @@ def row_sq_norms(pd: ProblemData) -> np.ndarray:
     return v
 
 
-# Bytes read per block of whole lines: the parse's temporaries (a few
-# Python objects and numpy arrays per byte) live for one block only.
+# Bytes read per block of whole lines: a block's temporaries (masks over
+# its bytes, one Python object per token) are dropped before the next.
 _CHUNK_BYTES = 1 << 18
 _SPACE = np.zeros(256, dtype=bool)  # what bytes.split() splits on
 _SPACE[list(b" \t\n\r\x0b\x0c")] = True
