@@ -45,13 +45,17 @@ class ProblemData:
         lo, hi = self.row_ptr[j], self.row_ptr[j + 1]
         return self.row_cols[lo:hi], self.row_vals[lo:hi]
 
-    def columns(self, ids: np.ndarray) -> "Iterator[ColumnBatch]":
+    def columns(
+        self, ids: np.ndarray, row_data: np.ndarray | None = None
+    ) -> "Iterator[ColumnBatch]":
         """The columns of the (count, tau) block ids, one selection per row,
         gathered in one pass: an iterator over the selections' ColumnBatches.
 
         All are sliced out of one gather: their length groups come from
         one stable sort keyed on (selection, column length), their shared
-        rows from one keyed on (selection, matrix row).
+        rows from one keyed on (selection, matrix row).  A per-row array
+        row_data is gathered along: each batch's row_data is
+        row_data[rows] (None without it).
         """
         count, tau = ids.shape
         lens = self._col_lens[ids]
@@ -59,14 +63,18 @@ class ProblemData:
         ends = flat.cumsum()
         offsets = ends - flat  # where each column starts in the concatenation
         rows, vals = self._entries(ids.ravel(), flat, offsets)
+        at_rows = None if row_data is None else row_data[rows]
         ptr = np.zeros(count + 1, dtype=np.int64)  # where each selection's entries start
         np.cumsum(lens.sum(axis=1), out=ptr[1:])
         it = np.arange(count).repeat(tau)
         groups = _length_groups(offsets - ptr[it], flat, it, count)
         shared = _shared_rows(rows, ptr, self.m)
+        width = (lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)).tolist()
         ptr = ptr.tolist()
-        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], grp, pairs)
-                for sel, n, a, b, grp, pairs in zip(ids, lens, ptr, ptr[1:], groups, shared))
+        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], grp, pairs, k,
+                            None if at_rows is None else at_rows[a:b])
+                for sel, n, a, b, grp, pairs, k
+                in zip(ids, lens, ptr, ptr[1:], groups, shared, width))
 
     def _entries(
         self, ids: np.ndarray, lens: np.ndarray, offsets: np.ndarray
@@ -325,7 +333,11 @@ class ColumnBatch(NamedTuple):
     index into rows/vals) per column length.  shared holds the entries
     of rows that several of the columns hold: a (2, pairs) array of
     (earlier, next) positions in rows, in row order and then column
-    order, with no pairs when no two of the columns share a row.
+    order, with no pairs when no two of the columns share a row.  width
+    is k when every one of the columns has the same k > 0 entries, else
+    0: then rows and vals reshape to (columns, k) views, one row per
+    column.  row_data holds a per-row array gathered along with rows, if
+    any.
     """
 
     ids: np.ndarray
@@ -334,6 +346,8 @@ class ColumnBatch(NamedTuple):
     vals: np.ndarray
     groups: list
     shared: np.ndarray
+    width: int
+    row_data: np.ndarray | None = None
 
 
 def row_sq_norms(pd: ProblemData) -> np.ndarray:

@@ -18,7 +18,8 @@ touching the other rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -49,6 +50,11 @@ class SmoothedLoss:
     def denom(self) -> int:
         """Row count normalizing the mean exponential."""
         return self.pd.m
+
+    def columns(self, ids: np.ndarray) -> Iterator[ColumnBatch]:
+        """pd.columns on the (count, tau) block ids, each batch carrying
+        the per-row data gradients reads: huber_a[rows] for l1."""
+        return self.pd.columns(ids, self.huber_a)
 
 
 def prepare_problem(pd: ProblemData, app: str) -> ProblemData:
@@ -143,58 +149,90 @@ def nonsmooth_value(loss: SmoothedLoss, x: np.ndarray) -> float:
     return float(r.max())
 
 
+class Snapshot(NamedTuple):
+    """What one step reads of the state, gathered once by
+    SmoothState.gradients and handed to apply_steps: x[cols.ids],
+    r[cols.rows] and, for the exponential variants, e = exp((r[cols.rows]
+    - fmu) / mu) (None for l1)."""
+
+    x: np.ndarray
+    r: np.ndarray
+    e: np.ndarray | None
+
+
 @dataclass
 class SmoothState:
     """Mutable iterate state: x, residual, and normalization bookkeeping.
 
-    fmu caches f_mu(x) as of the last recompute.  For the exponential
-    variants, lse_acc tracks the mean of exp((r_j - fmu)/mu), which is
-    exactly 1 right after a recompute and drifts multiplicatively as
-    updates land; the current value is fmu + mu*log(lse_acc).
+    fmu caches f_mu(x) as of the last recompute, and mu the loss's mu,
+    both as 0-d arrays, which ufuncs take faster than Python floats.  For
+    the exponential variants, lse_acc tracks the mean of exp((r_j -
+    fmu)/mu), which is exactly 1 right after a recompute and drifts
+    multiplicatively as updates land; the current value is
+    fmu + mu*log(lse_acc).
     """
 
     loss: SmoothedLoss
     x: np.ndarray
     r: np.ndarray
-    fmu: float
+    fmu: np.ndarray
     lse_acc: float
     staleness: int
+    mu: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.mu = np.array(self.loss.mu)
 
     def value(self) -> float:
         if self.loss.kind == "l1":
             return value_from_residual(self.loss, self.r)
-        return self.fmu + self.loss.mu * float(np.log(self.lse_acc))
+        return float(self.fmu + self.loss.mu * float(np.log(self.lse_acc)))
 
-    def _col_z(self, rows: np.ndarray) -> np.ndarray:
+    def gradients(self, cols: ColumnBatch) -> tuple[np.ndarray, Snapshot]:
+        """Derivatives of f_mu along the columns cols.ids, from maintained
+        state, and the Snapshot of that state apply_steps takes.
+
+        cols comes from loss.columns.  An exponential that overflows is
+        inf, which trips needs_recompute; run's epoch holds the errstate
+        that keeps it quiet.
+        """
         loss = self.loss
+        r = self.r[cols.rows]
         if loss.kind == "l1":
-            return np.clip(self.r[rows] / loss.huber_a[rows], -1.0, 1.0)
-        scale = loss.denom * self.lse_acc
-        return np.exp((self.r[rows] - self.fmu) / loss.mu) / scale
-
-    def gradients(self, cols: ColumnBatch) -> np.ndarray:
-        """Derivatives of f_mu along the columns cols.ids, from maintained state."""
-        g = np.zeros(cols.ids.size)
-        z = self._col_z(cols.rows)
-        for sel, idx in cols.groups:
-            # batched 1-by-k @ k-by-1 products: one dot per column, as np.dot(vals, z)
-            g[sel] = (cols.vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
-        return g
+            e = None
+            # np.clip(q, -1, 1), without np.clip's Python-level wrapper
+            z = np.minimum(np.maximum(r / cols.row_data, -1.0), 1.0)
+        else:
+            e = r - self.fmu
+            e /= self.mu
+            np.exp(e, out=e)
+            z = e / (loss.denom * self.lse_acc)
+        # batched 1-by-k @ k-by-1 products: one dot per column, as np.dot(vals, z)
+        k = cols.width
+        if k:
+            g = (cols.vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
+        else:
+            g = np.zeros(cols.ids.size)
+            for sel, idx in cols.groups:
+                g[sel] = (cols.vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
+        return g, Snapshot(self.x[cols.ids], r, e)
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives: gradients over every column at once."""
-        return self.gradients(next(self.loss.pd.columns(np.arange(self.loss.pd.n)[None])))
+        return self.gradients(next(self.loss.columns(np.arange(self.loss.pd.n)[None])))[0]
 
-    def apply_steps(self, cols: ColumnBatch, h: np.ndarray) -> None:
+    def apply_steps(self, cols: ColumnBatch, h: np.ndarray, seen: Snapshot) -> None:
         """x[cols.ids] += h in O(nnz of those columns), keeping r and lse_acc
-        in sync.
+        in sync; seen is the Snapshot gradients took of this state, which
+        the call consumes.
 
         cols.ids must be distinct and ascending.  The result is bit for bit
         that of applying the steps one column at a time in that order: zero
         steps change nothing and do not count toward staleness, each row
         takes its terms in ascending column order, and lse_acc takes the
         columns' changes in turn, each column seeing the rows earlier ones
-        moved.
+        moved.  Only the new residuals are exponentiated, and the old ones
+        at the entries whose row an earlier column moved.
         """
         kept = int(np.count_nonzero(h))
         keep = None
@@ -204,42 +242,47 @@ class SmoothState:
             keep = h != 0.0
             h = np.where(keep, h, -0.0)
             d = np.where(keep.repeat(cols.lens), d, -0.0)
-        if self.loss.kind != "l1":
-            self.lse_acc = self._lse_acc_after(cols, d, keep)
-        # np.add.at adds in CSC order: each row takes its terms by ascending column
-        np.add.at(self.r, cols.rows, d)
-        np.add.at(self.x, cols.ids, h)
+        old, e_old = seen.r, seen.e
+        shared = cols.shared.size > 0
+        if e_old is not None:
+            if shared:
+                # a row several columns share: each sees the terms of the earlier ones
+                for src, dst in zip(*cols.shared.tolist()):
+                    old[dst] = old[src] + d[src]
+                dst = cols.shared[1]
+                e_old[dst] = np.exp((old[dst] - self.fmu) / self.mu)
+            new = old + d
+            # the new exponentials beside the old, each column's two sums in one call
+            e = np.empty((2, new.size))
+            e_new = e[0]
+            np.subtract(new, self.fmu, out=e_new)
+            e_new /= self.mu
+            np.exp(e_new, out=e_new)
+            e[1] = e_old
+            k = cols.width
+            if k:
+                sums = np.add.reduce(e.reshape(2, -1, k), axis=2)
+                change = sums[0] - sums[1]
+            else:
+                change = np.zeros(h.size)
+                for sel, idx in cols.groups:
+                    sums = np.add.reduce(e.take(idx, axis=1), axis=2)
+                    change[sel] = sums[0] - sums[1]
+            if keep is not None:
+                change = change[keep]
+            acc, denom = self.lse_acc, self.loss.denom
+            for c in change.tolist():  # in column order, as the columns land
+                acc += c / denom
+            self.lse_acc = acc
+        elif not shared:
+            new = old + d
+        if shared:
+            # np.add.at adds in CSC order: each row takes its terms by ascending column
+            np.add.at(self.r, cols.rows, d)
+        else:
+            self.r[cols.rows] = new
+        self.x[cols.ids] = seen.x + h
         self.staleness += kept
-
-    def _lse_acc_after(self, cols: ColumnBatch, d: np.ndarray, keep: np.ndarray | None) -> float:
-        """lse_acc once the terms d land on cols.rows, column by column,
-        counting only the columns keep marks (all of them if keep is None)."""
-        loss = self.loss
-        old = self.r[cols.rows]
-        # a row several columns share: each sees the terms of the earlier ones
-        if cols.shared.size:
-            for src, dst in zip(*cols.shared.tolist()):
-                old[dst] = old[src] + d[src]
-        # the new and the old exponents, exponentiated in place in one call
-        e = np.empty((2, old.size))
-        np.add(old, d, out=e[0])
-        e[1] = old
-        e -= self.fmu
-        e /= loss.mu
-        # overflow to inf is fine: it trips needs_recompute
-        with np.errstate(over="ignore"):
-            np.exp(e, out=e)
-        change = np.zeros(cols.ids.size)
-        for sel, idx in cols.groups:
-            # each column's new and old sum along the last axis, in column order
-            sums = np.add.reduce(e.take(idx, axis=1), axis=2)
-            change[sel] = sums[0] - sums[1]
-        if keep is not None:
-            change = change[keep]
-        acc, denom = self.lse_acc, loss.denom
-        for c in change.tolist():  # in column order, as the columns land
-            acc += c / denom
-        return acc
 
     def needs_recompute(self) -> bool:
         """Staleness policy: refresh every n updates, or as soon as the
@@ -253,7 +296,7 @@ class SmoothState:
     def recompute(self) -> None:
         """Rebuild r from x and reset the normalization; idempotent."""
         self.r = _residual(self.loss.pd, self.x)
-        self.fmu = value_from_residual(self.loss, self.r)
+        self.fmu = np.array(value_from_residual(self.loss, self.r))
         self.lse_acc = 1.0
         self.staleness = 0
 
@@ -263,6 +306,6 @@ def init_state(loss: SmoothedLoss, x0: np.ndarray | None = None) -> SmoothState:
     x = np.zeros(loss.pd.n) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     if x.shape != (loss.pd.n,):
         raise ValueError(f"x0 must have shape ({loss.pd.n},)")
-    st = SmoothState(loss=loss, x=x, r=np.empty(0), fmu=0.0, lse_acc=1.0, staleness=0)
+    st = SmoothState(loss=loss, x=x, r=np.empty(0), fmu=np.array(0.0), lse_acc=1.0, staleness=0)
     st.recompute()
     return st

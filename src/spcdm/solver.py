@@ -10,14 +10,28 @@ with the same seed give identical traces.
 
 Which coordinates an iteration visits depends on the seed and the round
 alone, so run draws an epoch's subsets in one call (draw with count) and
-gathers their columns in one pass (ProblemData.columns on the block);
+gathers their columns in one pass (SmoothedLoss.columns on the block);
 only the gradient, prox and update steps run per iteration.  A refresh
 in mid-epoch changes the state, never the subsets or the columns.
+
+A step gathers what it reads of the state once, and exponentiates each
+residual once.  SmoothState.gradients gathers x and r at the selected
+columns, and for the exponential losses exp((r - fmu)/mu), and returns
+them as a Snapshot beside the gradients.  apply_steps takes that
+Snapshot: it exponentiates only the new residuals, plus the old ones at
+entries whose row an earlier selected column moved, and writes r and x
+by assignment; only when two selected columns share a row does it add
+into r with np.add.at.  What depends on no state is done once per
+epoch: the np.errstate that lets an overflow to inf (needs_recompute's
+signal) pass quietly, the weights of the block, l1's Huber thresholds
+at the block's rows, and each selection's common column length, which
+lets a step reshape its entries in place of gathering them.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -132,6 +146,11 @@ class SolverConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("tau", "seed", "max_epochs", "trace_every", "workers"):
+            v = getattr(self, name)
+            # numpy integers are Integral; bool is an int but not a count
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         if self.tau < 1:
             raise ValueError("tau must be >= 1")
         if self.max_epochs < 0:
@@ -282,8 +301,8 @@ def run(
         # an epoch's subsets and columns depend on no state: draw and
         # gather them all at once, then step through them
         sel = draw(spec, epochs_run * iters_per_epoch, iters_per_epoch)
-        updates += _run_epoch(state, loss.pd.columns(sel if all_active else active[sel]),
-                              beta, w, reg)
+        block = sel if all_active else active[sel]
+        updates += _run_epoch(state, loss.columns(block), beta, w[block], reg)
         epochs_run += 1
         if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
             state.recompute()
@@ -306,21 +325,26 @@ def run(
     )
 
 
-def _run_epoch(state, batches, beta: float, w: np.ndarray, reg: Regularizer) -> int:
+def _run_epoch(state, batches, beta: float, wb: np.ndarray, reg: Regularizer) -> int:
     """One batched step per ColumnBatch of batches, each from a state
     refreshed first if it asks; returns the coordinate updates taken.
 
-    The epoch's last step is not followed by a check: the trace refresh
-    or the next epoch's first check sees the same x.
+    wb holds the weights of the epoch's block, one row per batch.  The
+    epoch's last step is not followed by a check: the trace refresh or
+    the next epoch's first check sees the same x.
     """
     updates = 0
-    for cols in batches:
-        if state.needs_recompute():
-            state.recompute()
-        ids = cols.ids
-        h = prox_steps(state.gradients(cols), state.x[ids], beta, w[ids], reg)
-        state.apply_steps(cols, h)
-        updates += ids.size
+    beta = np.array(beta)  # ufuncs take a 0-d array faster than a float
+    # an exponential that overflows to inf, and the NaN of inf - inf,
+    # are needs_recompute's signal, not errors
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cols, w in zip(batches, wb):
+            if state.needs_recompute():
+                state.recompute()
+            g, seen = state.gradients(cols)
+            h = prox_steps(g, seen.x, beta, w, reg)
+            state.apply_steps(cols, h, seen)
+            updates += h.size
     return updates
 
 

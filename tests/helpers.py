@@ -3,11 +3,13 @@
 The oracles check the solver's stepsize factors from outside their
 derivation: an exact intersection moment of tau-nice sampling, the
 largest row overlap of a column set, and a power-iteration operator
-norm.  The helpers drive the batched kernel (ProblemData.columns,
+norm.  The helpers drive the batched kernel (SmoothedLoss.columns,
 SmoothState.gradients and apply_steps, prox_steps) one coordinate at
-a time, through a one-column batch.  load_svmlight_reference is the
-svmlight loader as a loop over lines and tokens of decoded text, the
-reference for the array-at-once load_svmlight.
+a time, through a one-column batch, as run's epoch does: inside its
+errstate, with apply_steps taking the Snapshot that gradients took of
+the same state.  load_svmlight_reference is the svmlight loader as a
+loop over lines and tokens of decoded text, the reference for the
+array-at-once load_svmlight.
 """
 
 import numpy as np
@@ -16,14 +18,19 @@ from spcdm.problem import ProblemData
 from spcdm.solver import prox_steps
 
 
-def column(pd, i):
+# what run's epoch holds: overflow to inf and inf - inf signal a refresh
+KERNEL_ERRSTATE = dict(over="ignore", invalid="ignore")
+
+
+def column(loss, i):
     """Column i alone, as a one-selection ColumnBatch."""
-    return next(pd.columns(np.array([[i]])))
+    return next(loss.columns(np.array([[i]])))
 
 
 def gradient(st, i):
     """Derivative of f_mu along coordinate i, from the maintained state."""
-    return float(st.gradients(column(st.loss.pd, i))[0])
+    with np.errstate(**KERNEL_ERRSTATE):
+        return float(st.gradients(column(st.loss, i))[0][0])
 
 
 def prox(grad, x, beta, w, reg):
@@ -33,7 +40,9 @@ def prox(grad, x, beta, w, reg):
 
 def step(st, i, h):
     """x_i += h through apply_steps, keeping r and lse_acc in sync."""
-    st.apply_steps(column(st.loss.pd, i), np.array([h], dtype=np.float64))
+    cols = column(st.loss, i)
+    with np.errstate(**KERNEL_ERRSTATE):
+        st.apply_steps(cols, np.array([h], dtype=np.float64), st.gradients(cols)[1])
 
 
 def load_svmlight_reference(path, n_cols=None) -> ProblemData:

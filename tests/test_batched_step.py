@@ -3,20 +3,23 @@
 The functions prefixed _ref_ are that loop: one gradient per selected
 coordinate from the frozen state, one scalar prox each, then the steps
 applied one column at a time in ascending order.  The batched kernel
-(ProblemData.columns, SmoothState.gradients, prox_steps,
-SmoothState.apply_steps) must reproduce it bit for bit, sign of zero
-included: solver traces are pinned exactly.  The kernel steps through
-a block of rounds drawn and gathered at once, as run does an epoch;
-_ref_columns is the one-selection gather that block replaces.
+(SmoothedLoss.columns, SmoothState.gradients, prox_steps,
+SmoothState.apply_steps, handed the Snapshot gradients took) must
+reproduce it bit for bit, sign of zero included: solver traces are
+pinned exactly.  The kernel steps through a block of rounds drawn and
+gathered at once, as run does an epoch; _ref_columns is the
+one-selection gather that block replaces.
 """
 
+import inspect
 import math
+import textwrap
 
 import numpy as np
 import pytest
 
-from helpers import gradient, prox, step
-from spcdm import problem
+from helpers import KERNEL_ERRSTATE, gradient, prox, step
+from spcdm import problem, smoothing
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
@@ -189,11 +192,13 @@ def _compare_states(app, mu, reg, tau, iters=60, beta=0.8):
     ref, new = init_state(loss), init_state(loss)
     spec = SamplingSpec(n=active.size, tau=tau, seed=11)
     zeros = clipped = shared = 0
-    for cols in loss.pd.columns(active[draw(spec, 0, iters)]):
+    for cols in loss.columns(active[draw(spec, 0, iters)]):
         ids = cols.ids
         hs = _ref_iteration(ref, ids, beta, w, reg)
-        h = prox_steps(new.gradients(cols), new.x[ids], beta, w[ids], reg)
-        new.apply_steps(cols, h)
+        with np.errstate(**KERNEL_ERRSTATE):
+            g, seen = new.gradients(cols)
+            h = prox_steps(g, seen.x, beta, w[ids], reg)
+            new.apply_steps(cols, h, seen)
         if not _same_bits(hs, h):
             return "h", zeros, clipped, shared
         zeros += int(np.count_nonzero(h == 0.0))
@@ -244,9 +249,9 @@ def test_run_matches_the_loop_across_mid_epoch_accumulator_refreshes(monkeypatch
     iterations, refreshed_at = [0], []
     apply_steps, recompute = SmoothState.apply_steps, SmoothState.recompute
 
-    def counted_apply_steps(self, cols, h):
+    def counted_apply_steps(self, cols, h, seen):
         iterations[0] += 1
-        apply_steps(self, cols, h)
+        apply_steps(self, cols, h, seen)
 
     def logged_recompute(self):
         if not LSE_ACC_LO <= self.lse_acc <= LSE_ACC_HI:
@@ -301,6 +306,8 @@ def test_block_gather_matches_one_gather_per_selection(tau):
         assert [(s.tolist(), i.tolist()) for s, i in cols.groups] == [
             (s.tolist(), i.tolist()) for s, i in groups]
         assert cols.shared.shape == pairs.shape and np.array_equal(cols.shared, pairs)
+        one_length = len(groups) == 1 and groups[0][0].size == ids.size
+        assert cols.width == (groups[0][1].shape[1] if one_length else 0)
         shared += pairs.size > 0
     assert (shared > 0) == (tau > 1)  # one column shares no row with itself
 
@@ -321,30 +328,45 @@ def test_columns_gathers_in_column_order():
     assert next(pd.columns(np.empty((1, 0), dtype=np.int64))).rows.size == 0
 
 
+_gradients = SmoothState.gradients
+
+
 def _bincount_gradients(self, cols):
-    z = self._col_z(cols.rows)
+    g, seen = _gradients(self, cols)
+    loss = self.loss
+    if loss.kind == "l1":
+        z = np.clip(seen.r / cols.row_data, -1.0, 1.0)
+    else:
+        z = seen.e / (loss.denom * self.lse_acc)
     seg = np.repeat(np.arange(cols.ids.size), cols.lens)
-    return np.bincount(seg, weights=cols.vals * z, minlength=cols.ids.size)
+    return np.bincount(seg, weights=cols.vals * z, minlength=cols.ids.size), seen
 
 
-def _lse_acc_after_without_fixup(self, cols, d, keep):
-    loss, rows = self.loss, cols.rows
-    old = self.r[rows]
-    shift = np.empty((2, rows.size))
-    shift[0] = old + d
-    shift[1] = old
-    with np.errstate(over="ignore"):
-        e = np.exp((shift - self.fmu) / loss.mu)
-    change = np.zeros(cols.ids.size)
-    for sel, idx in cols.groups:
-        new_sum, old_sum = e.take(idx, axis=1).sum(axis=2)
-        change[sel] = new_sum - old_sum
-    if keep is not None:
-        change = change[keep]
-    acc = self.lse_acc
-    for c in change.tolist():
-        acc += c / loss.denom
-    return acc
+def _apply_steps_mutant(name, line, replacement):
+    """SmoothState.apply_steps, named name, with the statement line
+    replaced: the mutant follows the kernel as it changes, and fails to
+    build once line is gone from it."""
+    src = textwrap.dedent(inspect.getsource(SmoothState.apply_steps))
+    assert src.count(line) == 1, line
+    src = src.replace(line, replacement).replace("def apply_steps(", f"def {name}(")
+    namespace = dict(vars(smoothing))
+    exec(src, namespace)
+    return namespace[name]
+
+
+# the exponential variants' lse_acc without the replay of a row's
+# earlier terms, then with it but with the gathered old exponential at
+# the replayed entries
+_no_fixup = _apply_steps_mutant("_no_fixup", "old[dst] = old[src] + d[src]", "pass")
+_old_exp_reused = _apply_steps_mutant(
+    "_old_exp_reused", "e_old[dst] = np.exp((old[dst] - self.fmu) / self.mu)", "pass")
+# r written by assignment when rows are shared: l1 replays no terms, so a
+# row keeps only its last column's term.  (linf and adaboost replay them
+# for lse_acc, so old + d at a row's last entry is what np.add.at gives,
+# and numpy assigns a repeated index in order: there the mutant is
+# equivalent.)
+_r_assigned = _apply_steps_mutant(
+    "_r_assigned", "np.add.at(self.r, cols.rows, d)", "self.r[cols.rows] = old + d")
 
 
 def _no_shared_rows(rows, ptr, m):
@@ -362,8 +384,11 @@ def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app,
 
 @pytest.mark.parametrize("attr,mutant,app,mu", [
     ("gradients", _bincount_gradients, "l1", 0.3),
-    ("_lse_acc_after", _lse_acc_after_without_fixup, "adaboost", 1.0),
-    ("_lse_acc_after", _lse_acc_after_without_fixup, "linf", 0.25),
+    ("apply_steps", _no_fixup, "adaboost", 1.0),
+    ("apply_steps", _no_fixup, "linf", 0.25),
+    ("apply_steps", _old_exp_reused, "adaboost", 1.0),
+    ("apply_steps", _old_exp_reused, "linf", 0.25),
+    ("apply_steps", _r_assigned, "l1", 0.3),
 ])
 def test_comparison_catches_mutants(monkeypatch, attr, mutant, app, mu):
     monkeypatch.setattr(SmoothState, attr, mutant)

@@ -62,11 +62,15 @@ def _ref_residual(pd, x):
 
 
 def _ref_full_gradient(st):
-    pd = st.loss.pd
-    g = np.empty(pd.n)
-    for i in range(pd.n):
-        rows, vals = pd.col(i)
-        g[i] = np.dot(vals, st._col_z(rows)) if rows.size else 0.0
+    loss = st.loss
+    g = np.empty(loss.pd.n)
+    for i in range(loss.pd.n):
+        rows, vals = loss.pd.col(i)
+        if loss.kind == "l1":
+            z = np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0)
+        else:
+            z = np.exp((st.r[rows] - st.fmu) / loss.mu) / (loss.denom * st.lse_acc)
+        g[i] = np.dot(vals, z) if rows.size else 0.0
     return g
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,13 @@ def test_solver_config_validation():
         SolverConfig(tau=1, workers=0)
     with pytest.raises(ValueError, match="target_value"):
         SolverConfig(tau=1, target_value=math.nan)
+    for name in ("tau", "seed", "max_epochs", "trace_every", "workers"):
+        for bad in (2.5, 2.0, True, np.True_, "2", None):
+            with pytest.raises(ValueError, match=name):
+                SolverConfig(**{"tau": 1, name: bad})
+    cfg = SolverConfig(tau=np.int64(2), seed=np.int32(1), max_epochs=np.uint8(3),
+                       trace_every=np.int16(1), workers=np.int64(1))
+    assert cfg.tau == 2 and cfg.max_epochs == 3
 
 
 def _all_active_problem(m, n, omega, seed):
@@ -333,6 +341,27 @@ def test_divergence_raises():
     loss = make_loss(pd, "l1", 1.0)
     with pytest.raises(SolverDiverged):
         run(pd, loss, Regularizer.none(), SolverConfig(tau=1, max_epochs=1))
+
+
+@pytest.mark.parametrize("app,mu", [("linf", 1e-3), ("adaboost", 1.0)])
+def test_overflowing_steps_warn_nothing(monkeypatch, app, mu):
+    # beta' = 1e-6 makes steps so long that exponentials overflow and
+    # inf - inf gives NaN: lse_acc stops being finite, which is only the
+    # signal for a refresh
+    pd = prepare_problem(synth_problem(40, 30, 3, seed=0), app)
+    loss = make_loss(pd, app, mu)
+    non_finite, recompute = [], SmoothState.recompute
+
+    def logged_recompute(self):
+        non_finite.append(not math.isfinite(self.lse_acc))
+        recompute(self)
+
+    monkeypatch.setattr(SmoothState, "recompute", logged_recompute)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        report = run(pd, loss, Regularizer.none(),
+                     SolverConfig(tau=30, beta_formula=1e-6, max_epochs=3))
+    assert report.epochs_run == 3 and any(non_finite)
 
 
 def test_ridge_and_box_runs_descend():
