@@ -120,6 +120,8 @@ def build_parser() -> _Parser:
 def _load_problem(args) -> ProblemData:
     if args.dataset is not None:
         return load_svmlight(args.dataset, n_cols=args.n_cols)
+    if args.n_cols is not None:
+        raise _UsageError("--n-cols applies to --dataset only; --synth sets the column count")
     try:
         m, n, omega = (int(t) for t in args.synth.split(","))
     except ValueError:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -51,10 +52,14 @@ class ProblemData:
         """The columns of the (count, tau) block ids, one selection per row,
         gathered in one pass: an iterator over the selections' ColumnBatches.
 
-        All are sliced out of one gather: their length groups come from
-        one stable sort keyed on (selection, column length), their shared
-        rows from one keyed on (selection, matrix row).  A per-row array
-        row_data is gathered along: each batch's row_data is
+        All are sliced out of one gather, and each builds only what the
+        step kernel reads.  Length groups are built only for the
+        selections without a width (columns of differing lengths), from
+        one stable sort keyed on (selection, column length); when every
+        selection has a width, as at tau = 1 or on a column-regular
+        matrix, there is no such sort.  Shared rows come from one sort
+        of unique (selection, matrix row, position) keys.  A per-row
+        array row_data is gathered along: each batch's row_data is
         row_data[rows] (None without it).
         """
         count, tau = ids.shape
@@ -66,15 +71,20 @@ class ProblemData:
         at_rows = None if row_data is None else row_data[rows]
         ptr = np.zeros(count + 1, dtype=np.int64)  # where each selection's entries start
         np.cumsum(lens.sum(axis=1), out=ptr[1:])
-        it = np.arange(count).repeat(tau)
-        groups = _length_groups(offsets - ptr[it], flat, it, count)
-        shared = _shared_rows(rows, ptr, self.m)
-        width = (lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)).tolist()
+        width = lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)
+        ragged = np.flatnonzero(width == 0)
+        groups = iter(())  # the ragged selections' groups, in selection order
+        if ragged.size:
+            it = np.arange(ragged.size).repeat(tau)
+            starts = offsets.reshape(count, tau)[ragged] - ptr[ragged, None]
+            groups = _length_groups(starts.ravel(), lens[ragged].ravel(), it, ragged.size)
+        # at tau = 1 no two columns can share a row
+        shared = _shared_rows(rows, ptr, self.m) if tau > 1 else repeat(_NO_PAIRS)
         ptr = ptr.tolist()
-        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], grp, pairs, k,
+        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], [] if k else next(groups), pairs, k,
                             None if at_rows is None else at_rows[a:b])
-                for sel, n, a, b, grp, pairs, k
-                in zip(ids, lens, ptr, ptr[1:], groups, shared, width))
+                for sel, n, a, b, pairs, k
+                in zip(ids, lens, ptr, ptr[1:], shared, width.tolist()))
 
     def _entries(
         self, ids: np.ndarray, lens: np.ndarray, offsets: np.ndarray
@@ -223,6 +233,8 @@ def _indices(a, name: str) -> np.ndarray:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_NO_PAIRS = np.zeros((2, 0), dtype=np.int64)  # shared by every batch: read-only
+_NO_PAIRS.flags.writeable = False
 
 
 def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
@@ -310,18 +322,34 @@ def _shared_rows(rows: np.ndarray, ptr: np.ndarray, m: int):
     columns hold: a (2, pairs) array of (earlier, next) positions within
     the selection, in row then position order.
 
-    One stable sort keyed on (selection, row) finds them for every one.
+    One in-place sort of the int64 keys ((selection*m + row) << b) |
+    position, b the bit width of the entry count, finds them for every
+    one: the keys are unique, so any sort gives the stable order.  They
+    ascend by selection already, so when the selections hold equally
+    many entries, each selection's are sorted alone.  Where such a key
+    would overflow int64, a stable argsort of (selection*m + row) gives
+    the same.
     """
-    key = (np.arange(ptr.size - 1) * m).repeat(np.diff(ptr))
+    count = ptr.size - 1
+    sizes = np.diff(ptr)
+    key = (np.arange(count) * m).repeat(sizes)
     key += rows
-    order = key.argsort(kind="stable")
-    key = key[order]
+    b = rows.size.bit_length()
+    if (count * m) << b <= _INT64_MAX:
+        key <<= b
+        key |= np.arange(rows.size)
+        size = rows.size // max(count, 1)
+        (key.reshape(count, size) if np.all(sizes == size) else key).sort()
+        pos = key & ((1 << b) - 1)
+        key >>= b
+    else:
+        pos = key.argsort(kind="stable")
+        key = key[pos]
     dup = np.flatnonzero(key[1:] == key[:-1])
     label = key[dup] // m
-    pairs = np.stack((order[dup], order[dup + 1])) - ptr[label]
+    pairs = np.stack((pos[dup], pos[dup + 1])) - ptr[label]
     bounds = np.searchsorted(label, np.arange(ptr.size)).tolist()
-    none = pairs[:, :0]
-    return (pairs[:, a:b] if b > a else none for a, b in zip(bounds, bounds[1:]))
+    return (pairs[:, a:b] if b > a else _NO_PAIRS for a, b in zip(bounds, bounds[1:]))
 
 
 class ColumnBatch(NamedTuple):
@@ -329,15 +357,15 @@ class ColumnBatch(NamedTuple):
 
     rows and vals hold the columns' entries concatenated in the order of
     ids, each column's in storage order; lens holds the column lengths.
-    groups is _segments over that concatenation: (positions in ids,
-    index into rows/vals) per column length.  shared holds the entries
-    of rows that several of the columns hold: a (2, pairs) array of
-    (earlier, next) positions in rows, in row order and then column
-    order, with no pairs when no two of the columns share a row.  width
-    is k when every one of the columns has the same k > 0 entries, else
-    0: then rows and vals reshape to (columns, k) views, one row per
-    column.  row_data holds a per-row array gathered along with rows, if
-    any.
+    width is k when every one of the columns has the same k > 0 entries,
+    else 0: then rows and vals reshape to (columns, k) views, one row per
+    column.  groups is read only without a width: it is then _segments
+    over the concatenation, (positions in ids, index into rows/vals) per
+    column length, and empty where width is set.  shared holds the
+    entries of rows that several of the columns hold: a (2, pairs) array
+    of (earlier, next) positions in rows, in row order and then column
+    order, with no pairs when no two of the columns share a row.
+    row_data holds a per-row array gathered along with rows, if any.
     """
 
     ids: np.ndarray

@@ -318,7 +318,8 @@ def run(
         objective_trace=trace,
         wall_time=wall,
         target_reached=reached,
-        final_x_norm=float(np.linalg.norm(state.x)),
+        # a ufunc reduction: np.linalg.norm's BLAS dot may split over threads
+        final_x_norm=math.sqrt(float((state.x * state.x).sum())),
         final_x_nnz=int(np.count_nonzero(state.x)),
         config=config_echo,
         final_x=state.x.copy(),

@@ -131,6 +131,7 @@ def _same_bits(a, b):
 # column 0 has 1 nonzero, column 1 has 2, column 2 has 45 (numpy sums more
 # than 8 terms pairwise), column 3 is empty and so inactive
 EMPTY_COL = 3
+N_ACTIVE = 13
 
 
 def _instance(seed, m=60, n=14):
@@ -154,6 +155,20 @@ def _instance(seed, m=60, n=14):
     return pd
 
 
+def _regular_instance(seed, m=24, n=N_ACTIVE, k=6):
+    """Every column holds k entries (so every selection has a width),
+    every row 3 or 4 (so selections share rows, some across 3 columns),
+    and no b is zero (so adaboost's row scaling keeps every entry)."""
+    rng = np.random.default_rng(seed)
+    rows = rng.permutation(m)[(np.arange(n)[:, None] * k + np.arange(k)) % m].ravel()
+    cols = np.arange(n).repeat(k)
+    vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-1, 1, rows.size)
+    b = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
+    pd = ProblemData.from_coo(m, n, rows, cols, vals, b)
+    assert np.all(pd.col_nnz() == k) and set(pd.row_nnz().tolist()) == {3, 4}
+    return pd
+
+
 APPS = [("l1", 0.3), ("linf", 0.25), ("adaboost", 1.0)]
 REGS = {
     "none": Regularizer.none(),
@@ -161,15 +176,15 @@ REGS = {
     "box": Regularizer.box(-0.005, 0.01),
     "ridge": Regularizer.ridge(0.7),
 }
-N_ACTIVE = 13
 
 
-def _setup(app, mu, seed=0):
-    working = prepare_problem(_instance(seed), app)
+def _setup(app, mu, raw=None):
+    working = prepare_problem(_instance(0) if raw is None else raw, app)
     loss = make_loss(working, app, mu)
     w = primal_weights(working, dual_weights(working, app)).w
     active = np.flatnonzero(w > 0)
-    assert active.size == N_ACTIVE and EMPTY_COL not in active
+    # the active columns are the nonempty ones: not _instance's EMPTY_COL
+    assert active.size == N_ACTIVE and np.array_equal(active, np.flatnonzero(working.col_nnz()))
     return loss, w, active
 
 
@@ -183,15 +198,15 @@ def _first_difference(a, b):
     return None
 
 
-def _compare_states(app, mu, reg, tau, iters=60, beta=0.8):
-    """Step two copies of one state, reference and batched, through one
-    block of iters rounds drawn and gathered at once; (first difference
-    or None, zero steps, box-clipped steps, iterations with a row shared
-    by two selected columns)."""
-    loss, w, active = _setup(app, mu)
+def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
+    """Step two copies of one state (from _setup), reference and batched,
+    through one block of iters rounds drawn and gathered at once; (first
+    difference or None, zero steps, box-clipped steps, iterations with a
+    row shared by two selected columns, iterations with a row shared by
+    three or more)."""
     ref, new = init_state(loss), init_state(loss)
     spec = SamplingSpec(n=active.size, tau=tau, seed=11)
-    zeros = clipped = shared = 0
+    zeros = clipped = shared = chained = 0
     for cols in loss.columns(active[draw(spec, 0, iters)]):
         ids = cols.ids
         hs = _ref_iteration(ref, ids, beta, w, reg)
@@ -200,17 +215,18 @@ def _compare_states(app, mu, reg, tau, iters=60, beta=0.8):
             h = prox_steps(g, seen.x, beta, w[ids], reg)
             new.apply_steps(cols, h, seen)
         if not _same_bits(hs, h):
-            return "h", zeros, clipped, shared
+            return "h", zeros, clipped, shared, chained
         zeros += int(np.count_nonzero(h == 0.0))
         clipped += int(np.count_nonzero((new.x[ids] == reg.lo) | (new.x[ids] == reg.hi)))
         shared += int(np.unique(cols.rows).size < cols.rows.size)
+        chained += int(np.bincount(cols.rows).max(initial=0) >= 3)
         diff = _first_difference(ref, new)
         if diff is not None:
-            return diff, zeros, clipped, shared
+            return diff, zeros, clipped, shared, chained
         if ref.needs_recompute():
             ref.recompute()
             new.recompute()
-    return None, zeros, clipped, shared
+    return None, zeros, clipped, shared, chained
 
 
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
@@ -218,14 +234,31 @@ def _compare_states(app, mu, reg, tau, iters=60, beta=0.8):
 @pytest.mark.parametrize("app,mu", APPS)
 def test_batched_step_matches_per_coordinate_loop(app, mu, reg_name, tau):
     reg = REGS[reg_name]
-    diff, zeros, clipped, shared = _compare_states(app, mu, reg, tau)
+    diff, zeros, clipped, shared, chained = _compare_states(*_setup(app, mu), reg, tau)
     assert diff is None, f"{diff} differs"
     if reg_name == "l1":
         assert zeros > 0  # the soft threshold produced zero steps
     if reg_name == "box":
         assert clipped > 0
     if tau == N_ACTIVE:
-        assert shared > 0
+        assert shared > 0 and chained > 0
+
+
+def _no_length_groups(*args):
+    raise AssertionError("_length_groups called for selections with a width")
+
+
+@pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
+@pytest.mark.parametrize("reg_name", sorted(REGS))
+@pytest.mark.parametrize("app,mu", APPS)
+def test_column_regular_steps_match_the_loop_without_length_groups(monkeypatch, app, mu,
+                                                                   reg_name, tau):
+    setup = _setup(app, mu, _regular_instance(5))
+    monkeypatch.setattr(problem, "_length_groups", _no_length_groups)
+    diff, zeros, clipped, shared, chained = _compare_states(*setup, REGS[reg_name], tau)
+    assert diff is None, f"{diff} differs"
+    if tau == N_ACTIVE:
+        assert shared > 0 and chained > 0
 
 
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
@@ -303,13 +336,48 @@ def test_block_gather_matches_one_gather_per_selection(tau):
         lens, rows, vals, groups, pairs = _ref_columns(pd, ids)
         assert np.array_equal(cols.ids, ids) and np.array_equal(cols.lens, lens)
         assert np.array_equal(cols.rows, rows) and np.array_equal(cols.vals, vals)
-        assert [(s.tolist(), i.tolist()) for s, i in cols.groups] == [
-            (s.tolist(), i.tolist()) for s, i in groups]
+        if cols.width:  # the kernel reshapes; no groups are built
+            assert cols.groups == []
+        else:
+            assert [(s.tolist(), i.tolist()) for s, i in cols.groups] == [
+                (s.tolist(), i.tolist()) for s, i in groups]
         assert cols.shared.shape == pairs.shape and np.array_equal(cols.shared, pairs)
         one_length = len(groups) == 1 and groups[0][0].size == ids.size
         assert cols.width == (groups[0][1].shape[1] if one_length else 0)
         shared += pairs.size > 0
     assert (shared > 0) == (tau > 1)  # one column shares no row with itself
+
+
+def test_rows_shared_by_three_columns_chain_their_pairs():
+    # rows of columns 0..4: {0, 2}, {0, 1}, {0, 2, 3}, {1}, {3}
+    rows = [0, 2, 0, 1, 0, 2, 3, 1, 3]
+    cols = [0, 0, 1, 1, 2, 2, 2, 3, 4]
+    pd = ProblemData.from_coo(4, 5, rows, cols, np.arange(1.0, 10.0), np.zeros(4))
+    first, second = pd.columns(np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
+    # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at 0, 2, 3; column 3 at 1.
+    # Row 0's three entries chain: (0, 2), then (2, 4)
+    assert first.shared.tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]]
+    assert first.width == 0 and [s.tolist() for s, _ in first.groups] == [[3], [0, 1], [2]]
+    # entries 0..6: column 1 at rows 0, 1; column 2 at 0, 2, 3; column 3 at 1; column 4 at 3
+    assert second.shared.tolist() == [[0, 1, 4], [2, 5, 6]]
+
+
+@pytest.mark.parametrize("instance", [_instance, _regular_instance])
+def test_shared_rows_fall_back_to_a_stable_argsort_past_int64(instance):
+    # _instance's selections hold differing numbers of entries, and are
+    # sorted at once; _regular_instance's hold equally many, sorted each alone
+    pd = instance(1)
+    batches = list(pd.columns(draw(SamplingSpec(n=pd.n, tau=pd.n - 1, seed=2), 0, 40)))
+    rows = np.concatenate([cols.rows for cols in batches])
+    ptr = np.cumsum([0] + [cols.rows.size for cols in batches])
+    count, b = len(batches), rows.size.bit_length()
+    huge = (1 << 62) // count
+    # the packed keys fit at pd.m; at huge only (selection, row) does
+    assert (count * pd.m) << b < 1 << 63 and count * huge < 1 << 63 < (count * huge) << b
+    got = list(problem._shared_rows(rows, ptr, huge))
+    assert len(got) == count and sum(pairs.shape[1] for pairs in got) > 0
+    for pairs, cols in zip(got, batches):
+        assert pairs.shape == cols.shared.shape and np.array_equal(pairs, cols.shared)
 
 
 def test_columns_gathers_in_column_order():
@@ -342,16 +410,22 @@ def _bincount_gradients(self, cols):
     return np.bincount(seg, weights=cols.vals * z, minlength=cols.ids.size), seen
 
 
-def _apply_steps_mutant(name, line, replacement):
-    """SmoothState.apply_steps, named name, with the statement line
-    replaced: the mutant follows the kernel as it changes, and fails to
-    build once line is gone from it."""
-    src = textwrap.dedent(inspect.getsource(SmoothState.apply_steps))
-    assert src.count(line) == 1, line
-    src = src.replace(line, replacement).replace("def apply_steps(", f"def {name}(")
-    namespace = dict(vars(smoothing))
+def _mutant(func, name, *edits):
+    """func, named name, with each (line, replacement) of edits made: the
+    mutant follows the code as it changes, and fails to build once a
+    line is gone from it."""
+    src = textwrap.dedent(inspect.getsource(func))
+    for line, replacement in edits:
+        assert src.count(line) == 1, line
+        src = src.replace(line, replacement)
+    src = src.replace(f"def {func.__name__}(", f"def {name}(")
+    namespace = dict(vars(inspect.getmodule(func)))
     exec(src, namespace)
     return namespace[name]
+
+
+def _apply_steps_mutant(name, line, replacement):
+    return _mutant(SmoothState.apply_steps, name, (line, replacement))
 
 
 # the exponential variants' lse_acc without the replay of a row's
@@ -375,10 +449,27 @@ def _no_shared_rows(rows, ptr, m):
         yield np.zeros((2, 0), dtype=np.int64)
 
 
+# the shared rows from (selection, row) keys without the position, sorted
+# by an unstable argsort: a row's entries may come out in any order, so a
+# pair may run from a later column to an earlier one (l1 reads only
+# whether there are pairs)
+_unstable_shared_rows = _mutant(
+    problem._shared_rows, "_unstable_shared_rows",
+    ("if (count * m) << b <= _INT64_MAX:", "if False:"),
+    ('key.argsort(kind="stable")', 'key.argsort(kind="quicksort")'))
+
+
 @pytest.mark.parametrize("app,mu", [("adaboost", 1.0), ("linf", 0.25)])
 def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app, mu):
     monkeypatch.setattr(problem, "_shared_rows", _no_shared_rows)
-    diff, *_ = _compare_states(app, mu, REGS["none"], N_ACTIVE)
+    diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
+    assert diff is not None
+
+
+@pytest.mark.parametrize("app,mu", [("adaboost", 1.0), ("linf", 0.25)])
+def test_comparison_catches_shared_rows_from_an_unstable_sort(monkeypatch, app, mu):
+    monkeypatch.setattr(problem, "_shared_rows", _unstable_shared_rows)
+    diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
     assert diff is not None
 
 
@@ -392,5 +483,5 @@ def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app,
 ])
 def test_comparison_catches_mutants(monkeypatch, attr, mutant, app, mu):
     monkeypatch.setattr(SmoothState, attr, mutant)
-    diff, *_ = _compare_states(app, mu, REGS["none"], N_ACTIVE)
+    diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
     assert diff is not None

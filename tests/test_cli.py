@@ -79,6 +79,8 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
         [],
         ["solve", "--dataset", str(tmp_path / "missing.txt"), "--app", "l1",
          "--mu", "0.1", "--tau", "1"],
+        ["solve", "--synth", "20,10,3", "--n-cols", "50", "--app", "l1",
+         "--mu", "0.1", "--tau", "1"],  # --synth fixes n
     ]
     for argv in bad:
         assert main(argv) == 1, argv

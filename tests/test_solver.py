@@ -254,6 +254,15 @@ def test_run_report_json_round_trip():
         RunReport.from_dict({"schema": 99})
 
 
+def test_final_x_norm_matches_linalg_norm():
+    pd = synth_problem(300, 2000, 4, seed=9)
+    loss = make_loss(pd, "l1", 0.3)
+    rep = run(pd, loss, Regularizer.none(), SolverConfig(tau=16, seed=2, max_epochs=3))
+    want = np.linalg.norm(rep.final_x)
+    assert want > 0 and rep.final_x_nnz > 500
+    assert abs(rep.final_x_norm - want) <= 1e-15 * want
+
+
 def test_early_stop_on_target():
     pd = _all_active_problem(30, 6, 3, seed=14)
     loss = make_loss(pd, "l1", 0.25)
