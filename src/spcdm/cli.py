@@ -51,7 +51,8 @@ def _add_dataset_args(p: _Parser) -> None:
     src.add_argument("--synth", metavar="M,N,OMEGA",
                      help="synthetic instance: rows, columns, nonzeros per row")
     p.add_argument("--n-cols", type=int, default=None,
-                   help="declared column count when the data understates it")
+                   help="declared column count when the data understates it "
+                        "(--dataset only)")
     p.add_argument("--synth-seed", type=int, default=0,
                    help="seed for --synth generation")
 

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from helpers import KERNEL_ERRSTATE, gradient, prox, step
-from spcdm import problem, smoothing
+from spcdm import problem
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
@@ -354,8 +354,8 @@ def test_rows_shared_by_three_columns_chain_their_pairs():
     cols = [0, 0, 1, 1, 2, 2, 2, 3, 4]
     pd = ProblemData.from_coo(4, 5, rows, cols, np.arange(1.0, 10.0), np.zeros(4))
     first, second = pd.columns(np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
-    # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at 0, 2, 3; column 3 at 1.
-    # Row 0's three entries chain: (0, 2), then (2, 4)
+    # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at
+    # 0, 2, 3; column 3 at 1.  Row 0's three entries chain: (0, 2), (2, 4)
     assert first.shared.tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]]
     assert first.width == 0 and [s.tolist() for s, _ in first.groups] == [[3], [0, 1], [2]]
     # entries 0..6: column 1 at rows 0, 1; column 2 at 0, 2, 3; column 3 at 1; column 4 at 3
