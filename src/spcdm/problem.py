@@ -58,9 +58,9 @@ class ProblemData:
         one stable sort keyed on (selection, column length); when every
         selection has a width, as at tau = 1 or on a column-regular
         matrix, there is no such sort.  Shared rows come from one sort
-        of unique (selection, matrix row, position) keys.  A per-row
-        array row_data is gathered along: each batch's row_data is
-        row_data[rows] (None without it).
+        of unique (selection, matrix row, position) keys, and are not
+        looked for at tau = 1.  A per-row array row_data is gathered
+        along: each batch's row_data is row_data[rows] (None without it).
         """
         count, tau = ids.shape
         lens = self._col_lens[ids]
