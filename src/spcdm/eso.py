@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemData, _segments, row_sq_norms
+from .problem import ProblemData, _segments
 from .sampling import hypergeom_pmf
 
 APPS = ("linf", "l1", "adaboost")
@@ -62,7 +62,7 @@ def dual_weights(pd: ProblemData, app: str) -> DualWeights:
         raise ValueError(f"unknown app {app!r}")
     if app in ("linf", "adaboost"):
         return DualWeights(v=np.ones(pd.m), p=1)
-    return DualWeights(v=row_sq_norms(pd), p=2)
+    return DualWeights(v=pd.row_sq_norms, p=2)
 
 
 def primal_weights(pd: ProblemData, dw: DualWeights) -> PrimalWeights:

@@ -1,4 +1,4 @@
-"""Sparse problem storage with dual row/column layouts, plus loaders and generators."""
+"""Sparse problem storage, column-major, plus loaders and generators."""
 
 from __future__ import annotations
 
@@ -13,13 +13,12 @@ import numpy as np
 
 @dataclass(frozen=True, eq=False)
 class ProblemData:
-    """An m-by-n sparse matrix A and right-hand side b, stored twice.
+    """An m-by-n sparse matrix A, column-compressed, and right-hand side b.
 
-    Column-compressed arrays drive coordinate updates (residual
-    maintenance touches one column at a time); row-compressed arrays
-    drive structural statistics such as row overlap counts.  Both
-    layouts hold the same entries: finite, nonzero, no duplicates,
-    indices ascending within each column / row.
+    The methods read A one column at a time, so A is stored once, by
+    columns: finite, nonzero entries, no duplicates, rows ascending
+    within each column.  Row order, which only setup statistics and the
+    writers need, is derived on request (_row_layout) and not kept.
     """
 
     m: int
@@ -27,9 +26,6 @@ class ProblemData:
     col_ptr: np.ndarray
     col_rows: np.ndarray
     col_vals: np.ndarray
-    row_ptr: np.ndarray
-    row_cols: np.ndarray
-    row_vals: np.ndarray
     b: np.ndarray
 
     @property
@@ -40,11 +36,6 @@ class ProblemData:
         """Row indices and values of column i (views, ascending rows)."""
         lo, hi = self.col_ptr[i], self.col_ptr[i + 1]
         return self.col_rows[lo:hi], self.col_vals[lo:hi]
-
-    def row(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of row j (views, ascending columns)."""
-        lo, hi = self.row_ptr[j], self.row_ptr[j + 1]
-        return self.row_cols[lo:hi], self.row_vals[lo:hi]
 
     def columns(
         self, ids: np.ndarray, row_data: np.ndarray | None = None
@@ -100,22 +91,46 @@ class ProblemData:
         """col_nnz, computed once: columns reads it on every solver iteration."""
         return self.col_nnz()
 
+    @functools.cached_property
+    def row_sq_norms(self) -> np.ndarray:
+        """v_j = squared Euclidean norm of row j, the l1 row weights:
+        read-only, computed once, as the l1 loss, its constants and its
+        weights all read it.  Each must be positive, so an empty row
+        raises ValueError naming it."""
+        ptr, _, vals = self._row_layout()
+        v = np.zeros(self.m)
+        for ids, idx in _segments(ptr):
+            seg = vals[idx]
+            # batched 1-by-k @ k-by-1 products: one dot per row, as np.dot(row, row)
+            v[ids] = (seg[:, None, :] @ seg[:, :, None]).ravel()
+        if np.any(v == 0.0):
+            j = int(np.flatnonzero(v == 0.0)[0])
+            raise ValueError(f"l1 weights undefined: row {j} has no nonzeros")
+        v.flags.writeable = False
+        return v
+
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
 
-    def row_nnz(self) -> np.ndarray:
-        return np.diff(self.row_ptr)
+    def _row_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A row-compressed copy of A: (ptr, cols, vals), row j's columns
+        ascending in cols[ptr[j]:ptr[j + 1]], from one stable sort of
+        col_rows.  It is derived on every call and not kept."""
+        order = _stable_order(self.col_rows, self.m)
+        ptr = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.col_rows, minlength=self.m), out=ptr[1:])
+        cols = np.arange(self.n, dtype=np.int64).repeat(self._col_lens)
+        return ptr, cols[order], self.col_vals[order]
 
     def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All stored entries as (rows, cols, vals) in row-major order."""
-        rows = np.repeat(np.arange(self.m, dtype=np.int64), self.row_nnz())
-        return rows, self.row_cols.copy(), self.row_vals.copy()
+        ptr, cols, vals = self._row_layout()
+        return np.arange(self.m, dtype=np.int64).repeat(np.diff(ptr)), cols, vals
 
     def dense(self) -> np.ndarray:
         """Dense copy of A; small instances only."""
         a = np.zeros((self.m, self.n))
-        rows, cols, vals = self.triplets()
-        a[rows, cols] = vals
+        a[self.col_rows, np.arange(self.n).repeat(self._col_lens)] = self.col_vals
         return a
 
     @classmethod
@@ -128,17 +143,19 @@ class ProblemData:
         vals: np.ndarray,
         b: np.ndarray,
     ) -> "ProblemData":
-        """Build both layouts from triplets.
+        """Build the column layout from triplets.
 
         Explicit zeros are dropped.  Non-finite values, non-integral or
         out-of-range indices, duplicate (row, col) pairs and a bad-length
         b raise ValueError.
 
-        The row layout comes from one stable argsort of the int64 key
-        rows*n + cols (np.lexsort on (rows, cols) where m*n overflows
-        int64), which is linear on triplets already in row-major order;
-        the column layout from a stable argsort of the sorted columns,
-        a linear radix sort when n <= 2**16.
+        The triplets are first put in row-major order, where duplicates
+        are neighbours and the first one named is the first in that
+        order: one stable argsort of the int64 key rows*n + cols
+        (np.lexsort on (rows, cols) where m*n overflows int64), which is
+        linear on triplets already in row-major order, as the loaders
+        give them.  The column layout comes from a stable argsort of the
+        sorted columns, a linear radix sort when n <= 2**16.
         """
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -174,50 +191,36 @@ class ProblemData:
                 raise ValueError(
                     f"duplicate entry at row {r_sorted[k]}, column {c_sorted[k]}"
                 )
-        row_ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r_sorted, minlength=m), out=row_ptr[1:])
-
-        # numpy radix-sorts 16-bit keys, in linear time
-        order = (c_sorted.astype(np.uint16) if n <= 1 << 16 else c_sorted).argsort(kind="stable")
         col_ptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(c_sorted, minlength=n), out=col_ptr[1:])
-
-        return cls(
-            m=int(m),
-            n=int(n),
-            col_ptr=col_ptr,
-            col_rows=r_sorted[order],
-            col_vals=v_sorted[order],
-            row_ptr=row_ptr,
-            row_cols=c_sorted,
-            row_vals=v_sorted,
-            b=b.copy(),
-        )
+        order = _stable_order(c_sorted, n)
+        return cls(int(m), int(n), col_ptr, r_sorted[order], v_sorted[order], b.copy())
 
     def scale_rows(self, s: np.ndarray, b: np.ndarray) -> "ProblemData":
-        """diag(s) A with right-hand side b, scaled in both layouts with no
-        re-sort.  Products that round to zero are dropped, as from_coo
-        drops zeros; a non-finite one raises ValueError.  The result
-        shares index arrays with self where no product is dropped.
+        """diag(s) A with right-hand side b, scaled with no re-sort; s and b
+        must have length m.  Products that round to zero are dropped, as
+        from_coo drops zeros; a non-finite one raises ValueError.  The
+        result shares index arrays with self where no product is dropped.
         """
-        s = np.asarray(s, dtype=np.float64)
-        row_vals = self.row_vals * s.repeat(self.row_nnz())
-        if not np.all(np.isfinite(row_vals)):
-            raise ValueError("matrix values must be finite")
-        row_ptr, row_cols, row_vals = _drop_zeros(self.row_ptr, self.row_cols, row_vals)
+        s = np.asarray(s, dtype=np.float64).ravel()
+        b = np.asarray(b, dtype=np.float64).ravel()
+        for name, a in (("s", s), ("b", b)):
+            if a.size != self.m:
+                raise ValueError(f"{name} has length {a.size}, expected {self.m}")
         col_vals = self.col_vals * s[self.col_rows]
+        if not np.all(np.isfinite(col_vals)):
+            raise ValueError("matrix values must be finite")
         col_ptr, col_rows, col_vals = _drop_zeros(self.col_ptr, self.col_rows, col_vals)
-        return ProblemData(self.m, self.n, col_ptr, col_rows, col_vals,
-                           row_ptr, row_cols, row_vals, np.asarray(b, dtype=np.float64).copy())
+        return ProblemData(self.m, self.n, col_ptr, col_rows, col_vals, b.copy())
 
     def same_as(self, other: "ProblemData") -> bool:
         """Exact structural and numerical equality."""
         return (
             self.m == other.m
             and self.n == other.n
-            and np.array_equal(self.row_ptr, other.row_ptr)
-            and np.array_equal(self.row_cols, other.row_cols)
-            and np.array_equal(self.row_vals, other.row_vals)
+            and np.array_equal(self.col_ptr, other.col_ptr)
+            and np.array_equal(self.col_rows, other.col_rows)
+            and np.array_equal(self.col_vals, other.col_vals)
             and np.array_equal(self.b, other.b)
         )
 
@@ -244,6 +247,12 @@ def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> np.n
     return np.lexsort((cols, rows))  # rows*n + cols would overflow int64
 
 
+def _stable_order(idx: np.ndarray, size: int) -> np.ndarray:
+    """The stable permutation sorting idx, whose entries are below size;
+    numpy radix-sorts 16-bit keys, in linear time."""
+    return (idx.astype(np.uint16) if size <= 1 << 16 else idx).argsort(kind="stable")
+
+
 def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
     """A compressed layout (ptr, idx, vals) without its zero values."""
     keep = vals != 0.0
@@ -254,23 +263,9 @@ def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
     return kept[ptr], idx[keep], vals[keep]
 
 
-@dataclass(frozen=True)
-class RowSparsityProfile:
-    """Max row support size and the histogram of row support sizes.
-
-    per_row_nnz[k] counts rows holding exactly k nonzeros.
-    """
-
-    omega: int
-    per_row_nnz: np.ndarray
-
-
-def row_sparsity(pd: ProblemData) -> RowSparsityProfile:
-    """Profile row supports; omega is the largest row nonzero count."""
-    counts = pd.row_nnz()
-    omega = int(counts.max()) if counts.size else 0
-    hist = np.bincount(counts, minlength=omega + 1)
-    return RowSparsityProfile(omega=omega, per_row_nnz=hist)
+def row_sparsity(pd: ProblemData) -> int:
+    """omega, the largest number of nonzeros in a row."""
+    return int(np.bincount(pd.col_rows).max(initial=0))
 
 
 def _segments(ptr: np.ndarray) -> list:
@@ -376,20 +371,6 @@ class ColumnBatch(NamedTuple):
     shared: np.ndarray
     width: int
     row_data: np.ndarray | None = None
-
-
-def row_sq_norms(pd: ProblemData) -> np.ndarray:
-    """v_j = squared Euclidean norm of row j, the l1 row weights; each
-    must be positive, so an empty row raises ValueError naming it."""
-    v = np.zeros(pd.m)
-    for ids, idx in _segments(pd.row_ptr):
-        seg = pd.row_vals[idx]
-        # batched 1-by-k @ k-by-1 products: one dot per row, as np.dot(row, row)
-        v[ids] = (seg[:, None, :] @ seg[:, :, None]).ravel()
-    if np.any(v == 0.0):
-        j = int(np.flatnonzero(v == 0.0)[0])
-        raise ValueError(f"l1 weights undefined: row {j} has no nonzeros")
-    return v
 
 
 # Bytes read per block of whole lines: a block's temporaries (masks over
@@ -545,11 +526,12 @@ def _raise_first_error(block: bytes, line0: int):
 
 def save_svmlight(pd: ProblemData, path) -> None:
     """Write svmlight/libsvm text that load_svmlight reads back exactly."""
+    ptr, cols, vals = pd._row_layout()
     with open(path, "w", encoding="utf-8") as fh:
         for j in range(pd.m):
-            cols, vals = pd.row(j)
+            lo, hi = ptr[j], ptr[j + 1]
             toks = [f"{pd.b[j]:.17g}"]
-            toks.extend(f"{c + 1}:{v:.17g}" for c, v in zip(cols, vals))
+            toks.extend(f"{c + 1}:{v:.17g}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
             fh.write(" ".join(toks) + "\n")
 
 
@@ -580,13 +562,15 @@ def stack_linf(pd: ProblemData) -> ProblemData:
 
     Max-of-rows smoothing of the L-infinity residual norm operates on
     this doubled system; row supports (and hence omega) are unchanged.
+    It is built column by column with no sort: each column holds its
+    entries, then the same rows + m with negated values.
     """
-    rows, cols, vals = pd.triplets()
-    return ProblemData.from_coo(
-        m=2 * pd.m,
-        n=pd.n,
-        rows=np.concatenate([rows, rows + pd.m]),
-        cols=np.concatenate([cols, cols]),
-        vals=np.concatenate([vals, -vals]),
-        b=np.concatenate([pd.b, -pd.b]),
-    )
+    k = pd._col_lens
+    # entry p of column i moves to p + col_ptr[i], its negation k[i] further
+    top = np.arange(pd.nnz) + pd.col_ptr[:-1].repeat(k)
+    bottom = top + k.repeat(k)
+    rows = np.empty(2 * pd.nnz, dtype=np.int64)
+    vals = np.empty(2 * pd.nnz)
+    rows[top], rows[bottom] = pd.col_rows, pd.col_rows + pd.m
+    vals[top], vals[bottom] = pd.col_vals, -pd.col_vals
+    return ProblemData(2 * pd.m, pd.n, 2 * pd.col_ptr, rows, vals, np.concatenate([pd.b, -pd.b]))

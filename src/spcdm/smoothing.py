@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .problem import ColumnBatch, ProblemData, row_sq_norms, stack_linf
+from .problem import ColumnBatch, ProblemData, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -88,7 +88,7 @@ def make_loss(working: ProblemData, app: str, mu: float) -> SmoothedLoss:
         raise ValueError("adaboost fixes mu = 1")
     huber_a = None
     if app == "l1":
-        v = row_sq_norms(working)
+        v = working.row_sq_norms
         huber_a = mu * v * v
     return SmoothedLoss(kind=app, pd=working, mu=mu, huber_a=huber_a)
 
@@ -105,7 +105,7 @@ def loss_constants(app: str, working: ProblemData) -> tuple[float, float]:
             raise ValueError("need at least one row")
         return 1.0, float(np.log(working.m))
     if app == "l1":
-        v = row_sq_norms(working)
+        v = working.row_sq_norms
         # a running sum in row order: cumsum never sums pairwise
         return 1.0, 0.5 * float(np.cumsum(np.append(0.0, v * v))[-1])
     raise ValueError(f"unknown app {app!r}")

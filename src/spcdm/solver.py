@@ -245,7 +245,7 @@ def run(
         raise ValueError(f"tau={cfg.tau} exceeds {active.size} active columns")
     all_active = active.size == pd.n
 
-    omega = row_sparsity(pd).omega
+    omega = row_sparsity(pd)
     sigma, _ = loss_constants(loss.kind, pd)
     beta_prime, formula = select_beta_prime(
         cfg.beta_formula,

@@ -9,8 +9,11 @@ a time, through a one-column batch, as run's epoch does: inside its
 errstate, with apply_steps taking the Snapshot that gradients took of
 the same state.  load_svmlight_reference is the svmlight loader as a
 loop over lines and tokens of decoded text, the reference for the
-array-at-once load_svmlight.
+array-at-once load_svmlight.  row_slices and row_lens read A by rows,
+through the row layout ProblemData derives on request.
 """
+
+import dataclasses
 
 import numpy as np
 
@@ -103,17 +106,30 @@ def load_svmlight_reference(path, n_cols=None) -> ProblemData:
     )
 
 
-LAYOUT = ("col_ptr", "col_rows", "col_vals", "row_ptr", "row_cols", "row_vals", "b")
+LAYOUT = tuple(f.name for f in dataclasses.fields(ProblemData))
 
 
 def assert_identical(got: ProblemData, want: ProblemData) -> None:
-    """m, n, the seven arrays (dtype, shape, values) and the sign of every
-    zero in b, bit for bit."""
-    assert (got.m, got.n) == (want.m, want.n)
+    """Every field of ProblemData bit for bit: m and n, and each array's
+    dtype, shape and bytes, so also the sign of every zero in b."""
     for name in LAYOUT:
         g, w = getattr(got, name), getattr(want, name)
-        assert g.dtype == w.dtype and g.shape == w.shape, name
-        assert g.tobytes() == w.tobytes(), name
+        if isinstance(w, np.ndarray):
+            assert g.dtype == w.dtype and g.shape == w.shape, name
+            assert g.tobytes() == w.tobytes(), name
+        else:
+            assert type(g) is type(w) and g == w, name
+
+
+def row_slices(pd: ProblemData) -> list:
+    """Each row's (column indices, values), columns ascending."""
+    ptr, cols, vals = pd._row_layout()
+    return [(cols[a:b], vals[a:b]) for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
+
+
+def row_lens(pd: ProblemData) -> np.ndarray:
+    """Each row's number of nonzeros."""
+    return np.diff(pd._row_layout()[0])
 
 
 def expected_intersection_sq(j_size: int, n: int, tau: int) -> float:
@@ -142,9 +158,10 @@ def subspace_lipschitz(pd: ProblemData, S) -> int:
         raise ValueError("column index out of range")
     mask = np.zeros(pd.n, dtype=bool)
     mask[S] = True
-    hits = mask[pd.row_cols].astype(np.int64)
+    ptr, cols, _ = pd._row_layout()
+    hits = mask[cols].astype(np.int64)
     csum = np.concatenate([[0], np.cumsum(hits)])
-    per_row = csum[pd.row_ptr[1:]] - csum[pd.row_ptr[:-1]]
+    per_row = csum[ptr[1:]] - csum[ptr[:-1]]
     return int(per_row.max()) if per_row.size else 0
 
 

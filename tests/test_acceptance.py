@@ -135,7 +135,7 @@ def test_04_expected_separable_overapproximation():
             loss = make_loss(working, app, mu)
             dw = dual_weights(working, app)
             w = primal_weights(working, dw).w
-            omega = row_sparsity(working).omega
+            omega = row_sparsity(working)
             A = working.dense()
             if app == "l1":
                 v = (A * A).sum(axis=1)

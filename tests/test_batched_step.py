@@ -18,7 +18,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from helpers import KERNEL_ERRSTATE, gradient, prox, step
+from helpers import KERNEL_ERRSTATE, gradient, prox, row_lens, step
 from spcdm import problem
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData
@@ -165,7 +165,7 @@ def _regular_instance(seed, m=24, n=N_ACTIVE, k=6):
     vals = rng.choice([-1.0, 1.0], rows.size) * 10.0 ** rng.uniform(-1, 1, rows.size)
     b = rng.choice([-1.0, 1.0], m) * rng.uniform(0.5, 2.0, m)
     pd = ProblemData.from_coo(m, n, rows, cols, vals, b)
-    assert np.all(pd.col_nnz() == k) and set(pd.row_nnz().tolist()) == {3, 4}
+    assert np.all(pd.col_nnz() == k) and set(row_lens(pd).tolist()) == {3, 4}
     return pd
 
 

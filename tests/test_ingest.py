@@ -2,17 +2,19 @@
 
 load_svmlight parses blocks of lines into arrays; the reference parses
 one token at a time (helpers.load_svmlight_reference).  from_coo sorts
-one row-major key; the reference sorts with np.lexsort.  Adaboost's
-prepare_problem scales both layouts in place of a re-sort; the
-reference rebuilds the matrix from its triplets.
+one row-major key, and ProblemData derives its row layout from one sort
+of the column layout's rows; the reference sorts both with np.lexsort.
+Adaboost's prepare_problem scales the columns in place of a re-sort, and
+linf's stacks [A; -A] column by column; the references rebuild the
+matrix from its triplets.
 """
 
 import numpy as np
 import pytest
 
-from helpers import assert_identical, load_svmlight_reference
+from helpers import assert_identical, load_svmlight_reference, row_lens
 from spcdm import problem
-from spcdm.problem import ProblemData, load_svmlight
+from spcdm.problem import ProblemData, load_svmlight, stack_linf
 from spcdm.smoothing import prepare_problem
 
 VALID = {
@@ -169,19 +171,28 @@ def test_only_ascii_digits_and_whitespace(tmp_path, text, message):
     assert _message(load_svmlight, path) == message
 
 
-# from_coo: one stable sort of the row-major key
+# from_coo: one stable sort of the row-major key; the derived row layout
 
-def _lexsort_layouts(m, n, rows, cols, vals, b) -> ProblemData:
-    """Both layouts by np.lexsort, the reference for from_coo."""
+def _lexsort_layouts(m, n, rows, cols, vals, b):
+    """The column layout as a ProblemData, the reference for from_coo, and
+    the row layout (ptr, cols, vals), the reference for _row_layout,
+    both by np.lexsort."""
     rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
     keep = vals != 0.0
     rows, cols, vals = rows[keep], cols[keep], vals[keep]
     r = np.lexsort((cols, rows))
     c = np.lexsort((rows, cols))
-    return ProblemData(
+    by_cols = ProblemData(
         m, n, np.searchsorted(cols[c], np.arange(n + 1)), rows[c], vals[c],
-        np.searchsorted(rows[r], np.arange(m + 1)), cols[r], vals[r], np.asarray(b, dtype=np.float64),
+        np.asarray(b, dtype=np.float64),
     )
+    return by_cols, (np.searchsorted(rows[r], np.arange(m + 1)), cols[r], vals[r])
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
 
 
 def _triplets(seed, m=40, n=30, nnz=500):
@@ -197,10 +208,10 @@ def _triplets(seed, m=40, n=30, nnz=500):
 
 
 @pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("n", [30, 2**16, 2**16 + 1])  # uint16 radix sort up to 2**16 columns
+# uint16 radix sorts up to 2**16 columns (from_coo) and rows (_row_layout)
+@pytest.mark.parametrize("m, n", [(40, 30), (40, 2**16), (40, 2**16 + 1), (2**16, 30), (2**16 + 1, 30)])
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
-def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, n, order):
-    m = 40
+def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, m, n, order):
     rows, cols, vals, b = _triplets(seed, m, n)
     perm = {
         "sorted": np.arange(rows.size),
@@ -208,7 +219,11 @@ def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, n, order):
         "shuffled": np.random.default_rng(seed + 100).permutation(rows.size),
     }[order]
     got = ProblemData.from_coo(m, n, rows[perm], cols[perm], vals[perm], b)
-    assert_identical(got, _lexsort_layouts(m, n, rows, cols, vals, b))
+    by_cols, by_rows = _lexsort_layouts(m, n, rows, cols, vals, b)
+    assert_identical(got, by_cols)
+    _assert_same_arrays(got._row_layout(), by_rows)
+    ptr, want_cols, want_vals = by_rows
+    _assert_same_arrays(got.triplets(), (np.arange(m).repeat(np.diff(ptr)), want_cols, want_vals))
 
 
 def test_from_coo_names_the_first_duplicate_in_row_major_order():
@@ -218,7 +233,7 @@ def test_from_coo_names_the_first_duplicate_in_row_major_order():
         ProblemData.from_coo(6, 10, rows, cols, np.ones(7), np.zeros(6))
     # a duplicate whose copy is zero is no duplicate: zeros go first
     pd = ProblemData.from_coo(2, 2, [1, 1, 0], [0, 0, 1], [0.0, 2.0, 3.0], np.zeros(2))
-    assert np.array_equal(pd.row_vals, [3.0, 2.0])
+    assert np.array_equal(pd.triplets()[2], [3.0, 2.0])
 
 
 def test_row_major_order_falls_back_to_lexsort_past_int64():
@@ -231,7 +246,7 @@ def test_row_major_order_falls_back_to_lexsort_past_int64():
     assert np.array_equal(problem._row_major_order(40, 30, rows, cols), want)
 
 
-# prepare_problem("adaboost"): both layouts scaled by the labels
+# prepare_problem("adaboost"): the columns scaled by the labels
 
 def _rebuilt(pd: ProblemData) -> ProblemData:
     """The labels scaled into A through triplets() and from_coo."""
@@ -251,8 +266,8 @@ def test_adaboost_scaling_matches_a_rebuild(seed):
     got = prepare_problem(pd, "adaboost")
     want = _rebuilt(pd)
     assert_identical(got, want)
-    assert got.row_nnz()[7] == 0 and got.row_nnz()[11] == 0
-    assert got.row_nnz()[3] < pd.row_nnz()[3]
+    assert row_lens(got)[7] == 0 and row_lens(got)[11] == 0
+    assert row_lens(got)[3] < row_lens(pd)[3]
     assert got.nnz < pd.nnz
 
 
@@ -264,3 +279,35 @@ def test_adaboost_scaling_without_zeros_and_overflow():
         for build in (_rebuilt, lambda pd: prepare_problem(pd, "adaboost")):
             with pytest.raises(ValueError, match="matrix values must be finite"):
                 build(huge)
+
+
+def test_scale_rows_needs_a_factor_and_a_label_per_row():
+    pd = ProblemData.from_coo(3, 2, [0, 1, 2], [0, 1, 0], [1.0, 2.0, 3.0], np.zeros(3))
+    for s, b, name, size in ((np.ones(3), np.zeros(5), "b", 5),
+                             (np.ones(2), np.zeros(3), "s", 2),
+                             (np.ones(4), np.zeros(3), "s", 4)):
+        with pytest.raises(ValueError, match=rf"^{name} has length {size}, expected 3$"):
+            pd.scale_rows(s, b)
+
+
+# prepare_problem("linf"): [A; -A] built column by column
+
+def _stacked(pd: ProblemData) -> ProblemData:
+    """[A; -A] and (b; -b) through triplets() and from_coo."""
+    rows, cols, vals = pd.triplets()
+    return ProblemData.from_coo(
+        2 * pd.m, pd.n, np.r_[rows, rows + pd.m], np.r_[cols, cols], np.r_[vals, -vals],
+        np.r_[pd.b, -pd.b],
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stack_linf_matches_a_rebuild(seed):
+    rows, cols, vals, b = _triplets(seed)  # columns 12 to 17 are empty
+    b[5] = -0.0
+    keep = rows != 9  # row 9 comes out empty
+    pd = ProblemData.from_coo(40, 30, rows[keep], cols[keep], vals[keep], b)
+    assert pd.col_nnz()[15] == 0 and row_lens(pd)[9] == 0
+    got = stack_linf(pd)
+    assert_identical(got, _stacked(pd))
+    assert_identical(prepare_problem(pd, "linf"), got)

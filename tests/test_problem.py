@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from helpers import row_lens, row_slices
 from spcdm.problem import (
     ProblemData,
     load_svmlight,
@@ -17,10 +18,10 @@ def test_load_basic(tmp_path):
     pd = load_svmlight(path)
     assert (pd.m, pd.n, pd.nnz) == (2, 3, 3)
     assert np.array_equal(pd.b, [1.0, -1.0])
-    assert row_sparsity(pd).omega == 2
+    assert row_sparsity(pd) == 2
     rows, vals = pd.col(0)
     assert np.array_equal(rows, [0]) and np.array_equal(vals, [2.0])
-    cols, vals = pd.row(1)
+    cols, vals = row_slices(pd)[1]
     assert np.array_equal(cols, [1]) and np.array_equal(vals, [5.0])
 
 
@@ -29,7 +30,7 @@ def test_load_drops_explicit_zero_but_counts_column(tmp_path):
     path.write_text("1 2:0.0\n")
     pd = load_svmlight(path)
     assert (pd.m, pd.n, pd.nnz) == (1, 2, 0)
-    assert row_sparsity(pd).omega == 0
+    assert row_sparsity(pd) == 0
 
 
 @pytest.mark.parametrize(
@@ -77,11 +78,10 @@ def test_roundtrip_save_load(tmp_path):
 
 
 def test_layouts_agree():
-    # both compressed forms must describe the same dense matrix
+    # the columns and the derived rows must describe the same dense matrix
     pd = synth_problem(m=9, n=6, omega_target=3, seed=42)
     from_rows = np.zeros((pd.m, pd.n))
-    for j in range(pd.m):
-        cols, vals = pd.row(j)
+    for j, (cols, vals) in enumerate(row_slices(pd)):
         from_rows[j, cols] = vals
     from_cols = np.zeros((pd.m, pd.n))
     for i in range(pd.n):
@@ -119,13 +119,10 @@ def test_from_coo_validation():
 
 def test_synth_shape_and_values():
     pd = synth_problem(m=50, n=30, omega_target=5, seed=0)
-    assert np.all(pd.row_nnz() == 5)
+    assert np.array_equal(row_lens(pd), np.full(50, 5))
     assert np.all(np.abs(pd.col_vals) >= 0.1) and np.all(np.abs(pd.col_vals) <= 1.0)
     assert set(np.unique(pd.b)) <= {-1.0, 1.0}
-    prof = row_sparsity(pd)
-    assert prof.omega == 5
-    assert prof.per_row_nnz.sum() == 50
-    assert prof.per_row_nnz[5] == 50
+    assert row_sparsity(pd) == 5
 
 
 def test_synth_deterministic():
@@ -148,12 +145,12 @@ def test_synth_degenerate_and_bad_args():
 def test_omega_monotone_under_column_removal():
     # dropping any column can only shrink row supports
     pd = synth_problem(m=10, n=8, omega_target=4, seed=5)
-    base = row_sparsity(pd).omega
+    base = row_sparsity(pd)
     rows, cols, vals = pd.triplets()
     for drop in range(pd.n):
         keep = cols != drop
         sub = ProblemData.from_coo(pd.m, pd.n, rows[keep], cols[keep], vals[keep], pd.b)
-        assert row_sparsity(sub).omega <= base
+        assert row_sparsity(sub) <= base
 
 
 def test_stack_linf():
@@ -163,7 +160,7 @@ def test_stack_linf():
     assert np.array_equal(st.b, np.concatenate([pd.b, -pd.b]))
     d = pd.dense()
     assert np.array_equal(st.dense(), np.vstack([d, -d]))
-    assert row_sparsity(st).omega == row_sparsity(pd).omega
+    assert row_sparsity(st) == row_sparsity(pd)
 
 
 def test_empty_columns_allowed():

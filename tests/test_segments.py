@@ -10,8 +10,10 @@ a behaviour change, not rounding noise.
 import numpy as np
 import pytest
 
+from helpers import row_lens, row_slices
 from spcdm.eso import DualWeights, dual_weights, primal_weights
-from spcdm.problem import ProblemData, _segments, row_sq_norms
+from spcdm.problem import ProblemData, _segments
+from spcdm.solver import Regularizer, SolverConfig, run
 from spcdm.smoothing import (
     _residual,
     evaluate,
@@ -26,16 +28,14 @@ from spcdm.smoothing import (
 
 def _ref_row_sq_norms(pd):
     v = np.zeros(pd.m)
-    for j in range(pd.m):
-        _, vals = pd.row(j)
+    for j, (_, vals) in enumerate(row_slices(pd)):
         v[j] = np.dot(vals, vals)
     return v
 
 
 def _ref_l1_D(pd):
     total = 0.0
-    for j in range(pd.m):
-        _, vals = pd.row(j)
+    for _, vals in row_slices(pd):
         vj = float(np.dot(vals, vals))
         total += vj * vj
     return 0.5 * total
@@ -108,7 +108,7 @@ def _instance(seed, m=260, n=40):
     b[rng.random(m) < 0.2] = 0.0  # r = -0.0 on these rows until a column lands
     pd = ProblemData.from_coo(m, n, rows, cols, vals, b)
     assert list(pd.col_nnz()[:4]) == [1, 12, 200, 0]
-    assert np.unique(pd.row_nnz()).size > 3
+    assert np.unique(row_lens(pd)).size > 3
     return pd, rng
 
 
@@ -129,7 +129,7 @@ def test_segments_yield_each_nonempty_segment_once():
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_weights_match_loop_references(seed):
     pd, _ = _instance(seed)
-    v = row_sq_norms(pd)
+    v = pd.row_sq_norms
     assert _same_bits(v, _ref_row_sq_norms(pd))
     assert _same_bits(dual_weights(pd, "l1").v, v)
     assert _same_bits(make_loss(pd, "l1", 0.3).huber_a, 0.3 * v * v)
@@ -140,6 +140,21 @@ def test_weights_match_loop_references(seed):
             assert _same_bits(pw.w, _ref_primal_weights(pd, dv, p))
             assert pw.w[EMPTY_COL] == 0.0
             assert list(np.flatnonzero(~pw.active)) == [EMPTY_COL]
+
+
+def test_row_sq_norms_derive_the_row_layout_once(monkeypatch):
+    pd, _ = _instance(0)
+    calls = []
+    derive = ProblemData._row_layout
+    monkeypatch.setattr(ProblemData, "_row_layout", lambda self: calls.append(self) or derive(self))
+    loss = make_loss(pd, "l1", 0.3)
+    loss_constants("l1", pd)
+    run(pd, loss, Regularizer.none(), SolverConfig(tau=4, seed=0, max_epochs=1))
+    assert calls == [pd]
+    v = pd.row_sq_norms
+    assert dual_weights(pd, "l1").v is v
+    with pytest.raises(ValueError, match="read-only"):
+        v[0] = 1.0
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -167,7 +182,7 @@ def test_residual_and_gradient_match_loop_references(app, seed):
 def test_empty_row_error_names_the_row():
     pd = ProblemData.from_coo(4, 2, [0, 1, 3], [0, 1, 0], [1.0, 2.0, 3.0], np.zeros(4))
     for call in (
-        lambda: row_sq_norms(pd),
+        lambda: pd.row_sq_norms,
         lambda: dual_weights(pd, "l1"),
         lambda: make_loss(pd, "l1", 0.5),
         lambda: loss_constants("l1", pd),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import gradient, step
+from helpers import gradient, row_slices, step
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.smoothing import (
     LSE_ACC_HI,
@@ -77,7 +77,7 @@ def test_adaboost_label_folding():
 def test_adaboost_zero_label_contributes_constant():
     pd = ProblemData.from_coo(2, 1, [0, 1], [0, 0], [1.0, 1.0], np.array([1.0, 0.0]))
     loss = _loss("adaboost", pd, 1.0)
-    assert loss.pd.row(1)[0].size == 0
+    assert row_slices(loss.pd)[1][0].size == 0
     t = 1.5
     assert evaluate(loss, np.array([t])) == pytest.approx(
         math.log((math.exp(t) + 1.0) / 2.0), rel=1e-12
@@ -115,7 +115,7 @@ def test_loss_constants():
     sigma, D = loss_constants("adaboost", prepare_problem(pd, "adaboost"))
     assert D == pytest.approx(math.log(800), rel=1e-15)
     l1w = prepare_problem(pd, "l1")
-    v = np.array([np.dot(l1w.row(j)[1], l1w.row(j)[1]) for j in range(l1w.m)])
+    v = np.array([np.dot(vals, vals) for _, vals in row_slices(l1w)])
     sigma, D = loss_constants("l1", l1w)
     assert sigma == 1.0
     assert D == pytest.approx(0.5 * float((v * v).sum()), rel=1e-12)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import prox
+from helpers import prox, row_slices
 from spcdm.eso import dual_weights, primal_weights
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import SamplingSpec, draw
@@ -134,7 +134,7 @@ def test_serial_run_matches_straight_line_reference():
 
     # mirror of the update loop, plain arrays only
     n = pd.n
-    v = np.array([float(np.dot(pd.row(j)[1], pd.row(j)[1])) for j in range(pd.m)])
+    v = np.array([float(np.dot(vals, vals)) for _, vals in row_slices(pd)])
     a = mu * v * v
     w = primal_weights(pd, dual_weights(pd, "l1")).w
     beta = 1.0 / mu  # tau=1 pairwise term vanishes, beta_prime = 1
