@@ -115,10 +115,15 @@ def assert_identical(got: ProblemData, want: ProblemData) -> None:
     for name in LAYOUT:
         g, w = getattr(got, name), getattr(want, name)
         if isinstance(w, np.ndarray):
-            assert g.dtype == w.dtype and g.shape == w.shape, name
-            assert g.tobytes() == w.tobytes(), name
+            assert_same_array(g, w, name)
         else:
             assert type(g) is type(w) and g == w, name
+
+
+def assert_same_array(got: np.ndarray, want: np.ndarray, name: str = "") -> None:
+    """The same dtype, shape and bytes."""
+    assert got.dtype == want.dtype and got.shape == want.shape, name
+    assert got.tobytes() == want.tobytes(), name
 
 
 def row_slices(pd: ProblemData) -> list:

@@ -12,7 +12,7 @@ matrix from its triplets.
 import numpy as np
 import pytest
 
-from helpers import assert_identical, load_svmlight_reference, row_lens
+from helpers import assert_identical, assert_same_array, load_svmlight_reference, row_lens
 from spcdm import problem
 from spcdm.problem import ProblemData, load_svmlight, stack_linf
 from spcdm.smoothing import prepare_problem
@@ -191,8 +191,7 @@ def _lexsort_layouts(m, n, rows, cols, vals, b):
 
 def _assert_same_arrays(got, want):
     for g, w in zip(got, want, strict=True):
-        assert g.dtype == w.dtype and g.shape == w.shape
-        assert g.tobytes() == w.tobytes()
+        assert_same_array(g, w)
 
 
 def _triplets(seed, m=40, n=30, nnz=500):
