@@ -63,7 +63,9 @@ def _add_run_args(p: _Parser) -> None:
     p.add_argument("--max-epochs", type=int, default=100)
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--beta-formula", default="auto",
-                   help="auto, beta1, beta2, beta3, or a numeric override")
+                   help="auto, beta1, beta2, beta3, local (linf and adaboost "
+                        "only), or a numeric override; auto picks local for "
+                        "linf and adaboost when its largest factor is below beta3")
     smooth = p.add_mutually_exclusive_group()
     smooth.add_argument("--mu", type=float, default=None,
                         help="smoothing level (fixed at 1 for adaboost)")
@@ -244,7 +246,7 @@ def cmd_solve(args) -> int:
 
 
 def _beta_formula(spec: str):
-    if spec in ("auto", "beta1", "beta2", "beta3"):
+    if spec in ("auto", "beta1", "beta2", "beta3", "local"):
         return spec
     try:
         return float(spec)
@@ -335,15 +337,20 @@ def cmd_bench(args) -> int:
                 report.wall_time,
                 report.objective_trace[-1][1],
                 report.target_reached,
+                report.config["beta_formula"],
+                report.config["beta_prime"],
             )
         )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         # a row that stopped at --max-epochs says so instead of passing for converged
-        writer.writerow(["tau", "epochs", "updates", "wall_time", "final_value", "target_reached"])
-        for tau, epochs, updates, wall, val, reached in rows:
-            writer.writerow([tau, epochs, updates, f"{wall:.6f}", repr(val), reached])
+        # and each row names the ESO it ran
+        writer.writerow(["tau", "epochs", "updates", "wall_time", "final_value", "target_reached",
+                         "beta_formula", "beta_prime"])
+        for tau, epochs, updates, wall, val, reached, formula, bp in rows:
+            writer.writerow([tau, epochs, updates, f"{wall:.6f}", repr(val), reached,
+                             formula, repr(bp)])
     finally:
         if args.out:
             out.close()

@@ -5,16 +5,20 @@ factor beta such that updating a random tau-subset of coordinates in
 parallel is safe in expectation.  beta_prime depends only on the
 structure counts (omega, tau, n, and for the max-row case also m);
 beta = beta_prime / (sigma * mu) folds in the smoothing parameters.
+The column-local ESO of the max-type pairing (p = 1) puts a factor
+beta_i on each coordinate instead, with beta_prime = 1 (local_factors);
+select_eso resolves a formula name to either kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .problem import ProblemData, _segments
+from .problem import ProblemData, _segments, row_sparsity
 from .sampling import hypergeom_pmf
 
 APPS = ("linf", "l1", "adaboost")
@@ -130,6 +134,49 @@ def beta3(omega: int, tau: int, n: int, m: int) -> float:
     return total
 
 
+def local_factors(pd: ProblemData, tau: int, n: int) -> np.ndarray:
+    """The column-local ESO factors beta_i of the p = 1 pairing.
+
+    For w_i = max_j A_ji^2 (primal_weights with unit v) and S the
+    tau-nice sampling of the n active coordinates,
+
+        E ||A h_S||_inf^2 <= (tau/n) sum_i beta_i w_i h_i^2,  where
+
+        beta_i = min(tau, max_{j ∋ i} |J_j|,
+                     1 + (tau-1)/(n-1) sum_{j ∋ i} (|J_j| - 1)),
+
+    J_j is the support of row j and j ∋ i runs over the rows of column
+    i.  Unlike beta3, beta_i looks only at the rows through i, so it
+    does not grow with m.  Derivation:
+
+    - Cauchy-Schwarz per row: (A_j h_S)^2 <= |J_j ∩ S| sum_{i ∈ J_j ∩ S}
+      w_i h_i^2.  With N_i(S) = max_{j ∋ i} |J_j ∩ S|, every row is at
+      most sum_{i ∈ S} N_i(S) w_i h_i^2, and so is ||A h_S||_inf^2.
+    - P(i ∈ S) = tau/n, so the expectation is at most (tau/n) sum_i
+      E[N_i(S) | i ∈ S] w_i h_i^2.
+    - Given i ∈ S, S = {i} ∪ S' with S' (tau-1)-nice on the other n-1
+      coordinates, and N_i = 1 + max_{j ∋ i} |(J_j - {i}) ∩ S'|.  The
+      max is at most the sum, whose mean is (tau-1)/(n-1) sum_{j ∋ i}
+      (|J_j| - 1).  N_i never exceeds tau or the longest row through i.
+
+    The counts come from the working matrix's row lengths (the bincount
+    omega reads).  Rows j and j + m/2 of linf's [A; -A] share a support,
+    so linf counts each support twice: safe, but looser than the raw
+    rows.  An empty column gets 1.
+    """
+    _check_counts(tau=tau, n=n)
+    beta = np.ones(pd.n)
+    if tau == 1:
+        return beta
+    nonempty = pd._col_lens > 0
+    starts = pd.col_ptr[:-1][nonempty]
+    through = pd._row_lens[pd.col_rows]  # |J_j| at each entry of A
+    longest = np.maximum.reduceat(through, starts)
+    spread = np.add.reduceat(through - 1, starts)
+    beta[nonempty] = np.minimum(np.minimum(longest, tau), 1.0 + (tau - 1) / (n - 1) * spread)
+    return beta
+
+
 def _check_counts(omega=None, tau=None, n=None):
     if omega is not None and omega < 0:
         raise ValueError("omega must be >= 0")
@@ -153,8 +200,9 @@ def select_beta_prime(
 ) -> tuple[float, str]:
     """Resolve a formula name (or numeric override) to a beta_prime value.
 
-    "auto" picks beta3 for p=1 and beta2 for p=2, the tightest exact
-    formula for tau-nice sampling in each pairing.
+    "auto" picks beta3 for p=1 and beta2 for p=2, the tightest
+    closed form with one factor for tau-nice sampling in each pairing;
+    select_eso may replace beta3 by the column-local ESO.
     """
     if isinstance(formula, (int, float)) and not isinstance(formula, bool):
         val = float(formula)
@@ -170,3 +218,46 @@ def select_beta_prime(
     if formula == "beta3":
         return beta3(omega, tau, n, m), "beta3"
     raise ValueError(f"unknown beta formula {formula!r}")
+
+
+class Eso(NamedTuple):
+    """A resolved ESO: the step of coordinate i is weighted by
+    beta_prime * factors[i] * w_i (every factor is 1 but the local ones).
+
+    local_max is the largest column-local factor over the active
+    coordinates whenever select_eso computed them (p = 1 under "auto"
+    or "local"), else None.
+    """
+
+    beta_prime: float
+    factors: np.ndarray
+    formula: str
+    local_max: float | None
+
+
+def select_eso(
+    formula: str | float, pd: ProblemData, pw: PrimalWeights, *, p: int, tau: int
+) -> Eso:
+    """Resolve a formula name (or numeric override) to an ESO for the
+    tau-nice sampling of pw's active coordinates.
+
+    "local" is the column-local ESO (local_factors, beta_prime = 1),
+    for p = 1 only.  "auto" for p = 1 takes it when its largest active
+    factor is below beta3, so that no step is shorter than under beta3,
+    and beta3 otherwise; for p = 2 it is beta2.  Every other name, and
+    a number, goes through select_beta_prime.
+    """
+    n = int(np.count_nonzero(pw.active))
+    if formula == "local" and p != 1:
+        raise ValueError("the local formula needs the max-type pairing (p = 1)")
+    if p == 1 and formula in ("auto", "local"):
+        factors = local_factors(pd, tau, n)
+        local_max = float(factors[pw.active].max())
+        b3 = beta3(row_sparsity(pd), tau, n, pd.m) if formula == "auto" else math.inf
+        if local_max < b3:
+            return Eso(1.0, factors, "local", local_max)
+        return Eso(b3, np.ones(pd.n), "beta3", local_max)
+    beta_prime, name = select_beta_prime(
+        formula, omega=row_sparsity(pd), tau=tau, n=n, m=pd.m, p=p
+    )
+    return Eso(beta_prime, np.ones(pd.n), name, None)

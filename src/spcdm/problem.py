@@ -92,6 +92,12 @@ class ProblemData:
         return self.col_nnz()
 
     @functools.cached_property
+    def _row_lens(self) -> np.ndarray:
+        """The row lengths, from one bincount of col_rows, computed once:
+        omega, the column-local ESO and the row layout all read them."""
+        return np.bincount(self.col_rows, minlength=self.m)
+
+    @functools.cached_property
     def row_sq_norms(self) -> np.ndarray:
         """v_j = squared Euclidean norm of row j, the l1 row weights:
         read-only, computed once, as the l1 loss, its constants and its
@@ -118,7 +124,7 @@ class ProblemData:
         col_rows.  It is derived on every call and not kept."""
         order = _stable_order(self.col_rows, self.m)
         ptr = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.col_rows, minlength=self.m), out=ptr[1:])
+        np.cumsum(self._row_lens, out=ptr[1:])
         cols = np.arange(self.n, dtype=np.int64).repeat(self._col_lens)
         return ptr, cols[order], self.col_vals[order]
 
@@ -265,7 +271,7 @@ def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
 
 def row_sparsity(pd: ProblemData) -> int:
     """omega, the largest number of nonzeros in a row."""
-    return int(np.bincount(pd.col_rows).max(initial=0))
+    return int(pd._row_lens.max(initial=0))
 
 
 def _segments(ptr: np.ndarray) -> list:

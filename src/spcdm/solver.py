@@ -23,9 +23,10 @@ entries whose row an earlier selected column moved, and writes r and x
 by assignment; only when two selected columns share a row does it add
 into r with np.add.at.  What depends on no state is done once per
 epoch: the np.errstate that lets an overflow to inf (needs_recompute's
-signal) pass quietly, the weights of the block, l1's Huber thresholds
-at the block's rows, and each selection's common column length, which
-lets a step reshape its entries in place of gathering them.
+signal) pass quietly, the betas and weights of the block, l1's Huber
+thresholds at the block's rows, and each selection's common column
+length, which lets a step reshape its entries in place of gathering
+them.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eso import EsoParams, dual_weights, primal_weights, select_beta_prime
+from .eso import EsoParams, dual_weights, primal_weights, select_eso
 from .problem import ProblemData, row_sparsity
 from .sampling import SamplingSpec, draw
 from .smoothing import SmoothedLoss, init_state, loss_constants
@@ -100,7 +101,8 @@ class Regularizer:
             if np.all((x >= self.lo) & (x <= self.hi)):
                 return 0.0
             return math.inf
-        return 0.5 * self.delta * float(np.dot(w * x, x))
+        # a ufunc reduction: a BLAS dot may split over threads
+        return 0.5 * self.delta * float((w * x * x).sum())
 
     @property
     def sigma_psi(self) -> float:
@@ -112,6 +114,7 @@ def prox_steps(
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
+    beta is one factor or one per coordinate, as run passes it.
     Every beta*w must be positive and finite, as run's active weights
     make them: the quadratic term is what makes the parallel update safe.
     max and min keep Python's choice on ties, so a zero step has the sign
@@ -247,16 +250,12 @@ def run(
 
     omega = row_sparsity(pd)
     sigma, _ = loss_constants(loss.kind, pd)
-    beta_prime, formula = select_beta_prime(
-        cfg.beta_formula,
-        omega=omega,
-        tau=cfg.tau,
-        n=int(active.size),
-        m=pd.m,
-        p=dw.p,
-    )
-    params = EsoParams(beta_prime=beta_prime, formula=formula, sigma=sigma, mu=loss.mu)
+    eso = select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau)
+    params = EsoParams(beta_prime=eso.beta_prime, formula=eso.formula, sigma=sigma, mu=loss.mu)
     beta = params.beta
+    # the column-local ESO scales each coordinate's step, not its w:
+    # ridge's Psi stays (delta/2) ||x||_w^2 whichever ESO runs
+    betas = beta * eso.factors
     w = pw.w
 
     spec = SamplingSpec(n=int(active.size), tau=cfg.tau, seed=cfg.seed)
@@ -271,9 +270,10 @@ def run(
         "tau": cfg.tau,
         "seed": cfg.seed,
         "mu": loss.mu,
-        "beta_formula": formula,
-        "beta_prime": beta_prime,
+        "beta_formula": eso.formula,
+        "beta_prime": eso.beta_prime,
         "beta": beta,
+        "local_beta_max": eso.local_max,
         "sigma": sigma,
         "reg": reg.kind,
         "max_epochs": cfg.max_epochs,
@@ -302,7 +302,7 @@ def run(
         # gather them all at once, then step through them
         sel = draw(spec, epochs_run * iters_per_epoch, iters_per_epoch)
         block = sel if all_active else active[sel]
-        updates += _run_epoch(state, loss.columns(block), beta, w[block], reg)
+        updates += _run_epoch(state, loss.columns(block), betas[block], w[block], reg)
         epochs_run += 1
         if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
             state.recompute()
@@ -326,20 +326,19 @@ def run(
     )
 
 
-def _run_epoch(state, batches, beta: float, wb: np.ndarray, reg: Regularizer) -> int:
+def _run_epoch(state, batches, bb: np.ndarray, wb: np.ndarray, reg: Regularizer) -> int:
     """One batched step per ColumnBatch of batches, each from a state
     refreshed first if it asks; returns the coordinate updates taken.
 
-    wb holds the weights of the epoch's block, one row per batch.  The
-    epoch's last step is not followed by a check: the trace refresh or
-    the next epoch's first check sees the same x.
+    bb and wb hold the betas and the weights of the epoch's block, one
+    row per batch.  The epoch's last step is not followed by a check:
+    the trace refresh or the next epoch's first check sees the same x.
     """
     updates = 0
-    beta = np.array(beta)  # ufuncs take a 0-d array faster than a float
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols, w in zip(batches, wb):
+        for cols, beta, w in zip(batches, bb, wb):
             if state.needs_recompute():
                 state.recompute()
             g, seen = state.gradients(cols)
@@ -350,10 +349,10 @@ def _run_epoch(state, batches, beta: float, wb: np.ndarray, reg: Regularizer) ->
 
 
 def _check_convex_case_formula(formula):
-    if isinstance(formula, str) and formula in ("beta2", "beta3"):
+    if isinstance(formula, str) and formula in ("beta2", "beta3", "local"):
         warnings.warn(
             "the non-strongly-convex bound is proved for beta_prime = "
-            "min(omega, tau); pairing it with beta2/beta3 is heuristic",
+            "min(omega, tau); pairing it with beta2/beta3/local is heuristic",
             stacklevel=3,
         )
 
@@ -380,8 +379,12 @@ def iter_bound_smoothed(
     "convex" needs the squared w*-diameter of the initial level set and
     requires eps < 2 n beta / tau (beta = beta_prime/(sigma*mu)).  The
     convex case is proved for beta_prime = min(omega, tau); passing a
-    beta2/beta3 value only triggers a warning since in practice those
-    work as well.
+    beta2/beta3/local value only triggers a warning since in practice
+    those work as well.
+
+    Under the column-local ESO (formula "local") the step weights are
+    beta_i * w_i: pass beta_prime = 1, and measure level_diameter (and
+    sigma_fmu, sigma_psi) in the norm with weights beta_i * w_i, not w.
     """
     _check_bound_args(n=n, tau=tau, beta_prime=beta_prime, eps=eps, rho=rho,
                       initial_gap=initial_gap, mu=mu, sigma=sigma)
@@ -424,6 +427,8 @@ def iter_bound_nonsmooth(
     Same two cases as iter_bound_smoothed.  The convex case requires
     eps_prime**2 < 8 n D beta_prime / (sigma tau) and a bound on the
     w*-diameter of the eps_prime/2-enlarged initial level set of F.
+    Under the column-local ESO pass beta_prime = 1 and measure that
+    diameter (and sigma_fmu, sigma_psi) in the beta_i * w_i norm.
     """
     _check_bound_args(n=n, tau=tau, beta_prime=beta_prime, eps=eps_prime, rho=rho,
                       initial_gap=initial_gap, mu=1.0, sigma=sigma)

@@ -2,8 +2,8 @@
 
 The oracles check the solver's stepsize factors from outside their
 derivation: an exact intersection moment of tau-nice sampling, the
-largest row overlap of a column set, and a power-iteration operator
-norm.  The helpers drive the batched kernel (SmoothedLoss.columns,
+largest row overlap of a column set, a power-iteration operator norm,
+and a brute-force search for the worst direction of a p = 1 ESO.  The helpers drive the batched kernel (SmoothedLoss.columns,
 SmoothState.gradients and apply_steps, prox_steps) one coordinate at
 a time, through a one-column batch, as run's epoch does: inside its
 errstate, with apply_steps taking the Snapshot that gradients took of
@@ -14,6 +14,7 @@ through the row layout ProblemData derives on request.
 """
 
 import dataclasses
+import itertools
 
 import numpy as np
 
@@ -147,6 +148,42 @@ def expected_intersection_sq(j_size: int, n: int, tau: int) -> float:
     if not 1 <= tau <= n:
         raise ValueError("tau must satisfy 1 <= tau <= n")
     return (j_size * tau / n) * (1.0 + (j_size - 1) * (tau - 1) / max(1, n - 1))
+
+
+def eso_ratio_max(A: np.ndarray, tau: int, d: np.ndarray, rng, starts: int = 12,
+                  max_iter: int = 100) -> float:
+    """The largest E_S ||A h_S||_inf^2 / ((tau/n) sum_i d_i h_i^2) found
+    over h, for S tau-nice on the n columns of the dense A.
+
+    The expectation enumerates every tau-subset.  The numerator is
+    convex and the denominator a positive definite quadratic, so the
+    ascent h <- (its gradient / d), rescaled to unit denominator,
+    maximizes the numerator's linearization over the ellipsoid and
+    never lowers the ratio.  It runs from every unit vector, from
+    random normal starts and from random signs scaled by d^-1/2, until
+    no start improves.  Test-scale sizes only (n <= 8 or so).
+    """
+    m, n = A.shape
+    subsets = np.array(list(itertools.combinations(range(n), tau)))
+    mask = np.zeros((len(subsets), n))
+    mask[np.arange(len(subsets))[:, None], subsets] = 1.0
+    q = (tau / n) * np.asarray(d, dtype=np.float64)
+    h = np.vstack([np.eye(n), rng.standard_normal((starts, n)),
+                   rng.choice([-1.0, 1.0], (starts, n)) / np.sqrt(q)])
+    best = np.zeros(len(h))
+    for _ in range(max_iter):
+        h /= np.sqrt((h * h * q).sum(axis=1, keepdims=True))
+        res = (h[:, None, :] * mask) @ A.T  # A h_S for every start and subset
+        j = np.abs(res).argmax(axis=2)
+        top = np.take_along_axis(res, j[..., None], axis=2)[..., 0]
+        val = (top * top).mean(axis=1)
+        if not np.any(val > best * (1 + 1e-14)):
+            break
+        best = np.maximum(best, val)
+        live = val > 0.0  # a start with A h_S = 0 for every S has no gradient
+        h = np.einsum("ks,ksn->kn", top[live], A[j[live]] * mask) / q
+        best = best[live]
+    return float(best.max())
 
 
 def subspace_lipschitz(pd: ProblemData, S) -> int:

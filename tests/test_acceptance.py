@@ -18,8 +18,8 @@ from helpers import (
     step,
     subspace_lipschitz,
 )
-from spcdm.eso import beta1, beta2, beta3, dual_weights, primal_weights
-from spcdm.problem import ProblemData, row_sparsity, synth_problem
+from spcdm.eso import beta1, beta2, beta3, dual_weights, primal_weights, select_eso
+from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import hypergeom_pmf
 from spcdm.smoothing import (
     evaluate,
@@ -129,13 +129,16 @@ def test_04_expected_separable_overapproximation():
     rng = np.random.default_rng(2024)
     worst = -math.inf
     checked = 0
+    # p = 1 checks beta3 and the column-local ESO, each as select_eso
+    # resolves it: the step weight of coordinate i is beta * factors_i * w_i
+    cases = (("l1", 0.3, "beta2"), ("linf", 0.25, "beta3"), ("linf", 0.25, "local"),
+             ("adaboost", 1.0, "beta3"), ("adaboost", 1.0, "local"))
     for n in range(4, 9):
-        for app, mu in (("l1", 0.3), ("linf", 0.25)):
+        for app, mu, formula in cases:
             working = _all_active_synth(n + 3, n, 3, app)
             loss = make_loss(working, app, mu)
             dw = dual_weights(working, app)
-            w = primal_weights(working, dw).w
-            omega = row_sparsity(working)
+            pw = primal_weights(working, dw)
             A = working.dense()
             if app == "l1":
                 v = (A * A).sum(axis=1)
@@ -149,10 +152,10 @@ def test_04_expected_separable_overapproximation():
                 st = init_state(loss, x)
                 grads.append(st.full_gradient())
             for tau in range(1, n + 1):
-                bp = beta2(omega, tau, n) if app == "l1" else beta3(
-                    omega, tau, n, working.m
-                )
-                beta = bp / mu
+                eso = select_eso(formula, working, pw, p=dw.p, tau=tau)
+                assert eso.formula == formula
+                beta = eso.beta_prime / mu
+                w = eso.factors * pw.w
                 subsets = np.array(list(itertools.combinations(range(n), tau)))
                 mask = np.zeros((len(subsets), n))
                 mask[np.arange(len(subsets))[:, None], subsets] = 1.0

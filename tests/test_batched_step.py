@@ -20,7 +20,7 @@ import pytest
 
 from helpers import KERNEL_ERRSTATE, gradient, prox, row_lens, step
 from spcdm import problem
-from spcdm.eso import dual_weights, primal_weights
+from spcdm.eso import dual_weights, primal_weights, select_eso
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.smoothing import (
@@ -73,7 +73,9 @@ def _ref_apply_update(st, i, h):
 
 
 def _ref_iteration(st, ids, beta, w, reg):
-    hs = [_ref_prox_step(_ref_partial_gradient(st, int(i)), st.x[i], beta, w[i], reg)
+    """beta is one factor, or one per coordinate (the column-local ESO)."""
+    hs = [_ref_prox_step(_ref_partial_gradient(st, int(i)), st.x[i],
+                         beta[i] if np.ndim(beta) else beta, w[i], reg)
           for i in ids]
     for i, h in zip(ids, hs):
         _ref_apply_update(st, int(i), h)
@@ -98,12 +100,17 @@ def _ref_columns(pd, ids):
 
 
 def _ref_run(loss, reg, cfg):
-    """run's loop before the batched kernel: (trace, final_x, updates)."""
+    """run's loop before the batched kernel: (trace, final_x, updates).
+    Each coordinate's beta is run's times its factor from select_eso,
+    which run calls (1 but under the column-local ESO)."""
     pd = loss.pd
     report = run(pd, loss, reg, SolverConfig(tau=cfg.tau, seed=cfg.seed, max_epochs=0,
                                              beta_formula=cfg.beta_formula))
     beta = report.config["beta"]
-    w = primal_weights(pd, dual_weights(pd, loss.kind)).w
+    dw = dual_weights(pd, loss.kind)
+    pw = primal_weights(pd, dw)
+    w = pw.w
+    beta = beta * select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau).factors
     active = np.flatnonzero(w > 0)
     spec = SamplingSpec(n=active.size, tau=cfg.tau, seed=cfg.seed)
     st = init_state(loss)
@@ -268,6 +275,21 @@ def test_run_matches_per_coordinate_loop(app, mu, reg_name, tau):
     loss, _, _ = _setup(app, mu)
     cfg = SolverConfig(tau=tau, seed=4, max_epochs=5)
     report = run(loss.pd, loss, REGS[reg_name], cfg)
+    trace, x, updates = _ref_run(loss, REGS[reg_name], cfg)
+    assert report.coordinate_updates == updates
+    assert _same_bits([v for _, v in report.objective_trace], [v for _, v in trace])
+    assert _same_bits(report.final_x, x)
+
+
+@pytest.mark.parametrize("tau", [3, N_ACTIVE])
+@pytest.mark.parametrize("reg_name", sorted(REGS))
+@pytest.mark.parametrize("app,mu", APPS[1:])
+def test_run_matches_the_loop_under_the_local_eso(app, mu, reg_name, tau):
+    # one beta per coordinate: on _instance the factors differ
+    loss, _, _ = _setup(app, mu)
+    cfg = SolverConfig(tau=tau, seed=4, max_epochs=5, beta_formula="local")
+    report = run(loss.pd, loss, REGS[reg_name], cfg)
+    assert report.config["beta_formula"] == "local"
     trace, x, updates = _ref_run(loss, REGS[reg_name], cfg)
     assert report.coordinate_updates == updates
     assert _same_bits([v for _, v in report.objective_trace], [v for _, v in trace])

@@ -71,6 +71,8 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "99"],
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "1",
          "--beta-formula", "beta9"],
+        ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "1",
+         "--beta-formula", "local"],  # l1 is p = 2
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1",
          "--eps-prime", "0.1", "--tau", "1"],  # mutually exclusive
         ["solve", "--synth", "10,5,2", "--tau", "1", "--mu", "0.1"],  # no --app
@@ -210,11 +212,14 @@ def test_bench_table_and_exit_codes(tmp_path):
     assert main(argv) == 0
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["tau", "epochs", "updates", "wall_time", "final_value", "target_reached"]
+    assert rows[0] == ["tau", "epochs", "updates", "wall_time", "final_value", "target_reached",
+                       "beta_formula", "beta_prime"]
     assert [r[0] for r in rows[1:]] == ["1", "3"]
     for r in rows[1:]:
         float(r[3]); float(r[4])
         assert r[5] == "True"
+    # l1 is p = 2: auto runs beta2, 1 + (omega - 1)(tau - 1)/(n - 1)
+    assert [r[6:] for r in rows[1:]] == [["beta2", "1.0"], ["beta2", repr(1 + 3 * 2 / 11)]]
 
     argv_hard = ["bench", "--synth", "40,12,4", "--app", "l1", "--mu", "0.2",
                  "--tau-list", "1,3", "--target", "0.0", "--max-epochs", "2",
@@ -235,6 +240,21 @@ def test_bench_tau_range_syntax(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert [r[0] for r in rows[1:]] == ["1", "3", "5"]
+
+
+def test_bench_rows_name_the_eso_each_tau_ran(tmp_path):
+    # adaboost's auto keeps beta3 at tau = 1, where every local factor is 1;
+    # --beta-formula local runs the column-local ESO at every tau
+    path = tmp_path / "bench.csv"
+    for formula, want in (("auto", ["beta3", "local"]), ("local", ["local", "local"])):
+        argv = ["bench", "--synth", "400,200,3", "--app", "adaboost", "--tau-list", "1,4",
+                "--target", "1e9", "--max-epochs", "1", "--beta-formula", formula,
+                "--out", str(path)]
+        assert main(argv) == 0
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["beta_formula"] for r in rows] == want
+        assert rows[0]["beta_prime"] == "1.0" and rows[1]["beta_prime"] == "1.0"
 
 
 def test_solve_rerun_is_deterministic(tmp_path):

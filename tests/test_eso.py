@@ -3,17 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from helpers import operator_norm_oracle, subspace_lipschitz
+from helpers import eso_ratio_max, operator_norm_oracle, subspace_lipschitz
 from spcdm.eso import (
     EsoParams,
     beta1,
     beta2,
     beta3,
     dual_weights,
+    local_factors,
     primal_weights,
     select_beta_prime,
+    select_eso,
 )
 from spcdm.problem import ProblemData, synth_problem
+from spcdm.smoothing import prepare_problem
 
 
 def _pd_2x3():
@@ -181,6 +184,93 @@ def test_select_beta_prime():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="beta_prime override must be positive and finite"):
             select_beta_prime(bad, p=1, **kw)
+
+
+def test_local_factors_hand_values():
+    # rows of [[1, 2, 0], [0, 2, 3]] have 2 entries each; column 1 is in both
+    pd = _pd_2x3()
+    assert local_factors(pd, 1, 3).tolist() == [1.0, 1.0, 1.0]
+    # 1 + (1/2) * (sum of |J_j| - 1 over the column's rows), capped at 2
+    assert local_factors(pd, 2, 3).tolist() == [1.5, 2.0, 1.5]
+    assert local_factors(pd, 3, 3).tolist() == [2.0, 2.0, 2.0]
+    # an empty column gets 1; the sum form binds below the longest row
+    pd = ProblemData.from_coo(3, 6, [0, 0, 0, 1, 2], [0, 1, 2, 3, 4], [1.0] * 5, np.zeros(3))
+    assert local_factors(pd, 3, 5).tolist() == [2.0, 2.0, 2.0, 1.0, 1.0, 1.0]
+    with pytest.raises(ValueError):
+        local_factors(pd, 6, 5)
+
+
+def test_select_eso():
+    pd = prepare_problem(synth_problem(200, 100, 3, seed=1), "adaboost")
+    pw = primal_weights(pd, dual_weights(pd, "adaboost"))
+    n = int(pw.active.sum())
+    b3 = beta3(3, 4, n, 200)
+    local = select_eso("local", pd, pw, p=1, tau=4)
+    assert local.formula == "local" and local.beta_prime == 1.0
+    assert local.factors.tolist() == local_factors(pd, 4, n).tolist()
+    assert local.local_max == local.factors[pw.active].max() < b3
+    auto = select_eso("auto", pd, pw, p=1, tau=4)
+    assert auto.formula == "local" and auto.local_max == local.local_max
+    assert np.array_equal(auto.factors, local.factors)
+    # beta3 is kept where no factor is below it: always at tau = 1, and
+    # where few rows make beta3 small; a kept or named scalar formula
+    # has every factor 1
+    few = prepare_problem(synth_problem(60, 30, 3, seed=1), "adaboost")
+    few_w = primal_weights(few, dual_weights(few, "adaboost"))
+    for eso, want in (
+        (select_eso("auto", pd, pw, p=1, tau=1), (1.0, "beta3", 1.0)),
+        (select_eso("beta3", pd, pw, p=1, tau=4), (b3, "beta3", None)),
+        (select_eso(2.5, pd, pw, p=1, tau=4), (2.5, "override", None)),
+        (select_eso("auto", pd, pw, p=2, tau=4), (beta2(3, 4, n), "beta2", None)),
+    ):
+        assert (eso.beta_prime, eso.formula, eso.local_max) == want
+        assert eso.factors.tolist() == [1.0] * pd.n
+    kept = select_eso("auto", few, few_w, p=1, tau=4)
+    assert (kept.beta_prime, kept.formula) == (beta3(3, 4, 30, 60), "beta3")
+    assert kept.local_max >= kept.beta_prime and np.all(kept.factors == 1.0)
+    with pytest.raises(ValueError, match="p = 1"):
+        select_eso("local", pd, pw, p=2, tau=4)
+
+
+def _brute_force_instances(rng):
+    """Dense A with m, n <= 8 and no empty column: one dense row, where
+    Cauchy-Schwarz and the sum over rows are both tight at every tau, two
+    such rows side by side, a dense block, then random supports and
+    values spanning two decades."""
+    out = [np.ones((1, n)) for n in range(2, 9)]
+    out += [np.kron(np.eye(2), np.ones((1, 4))), np.ones((3, 5))]
+    while len(out) < 50:
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        support = rng.random((m, n)) < rng.uniform(0.2, 0.9)
+        support[rng.integers(0, m, n), np.arange(n)] = True
+        out.append(support * rng.choice([-1.0, 1.0], (m, n)) * 10.0 ** rng.uniform(-1, 1, (m, n)))
+    return out
+
+
+@pytest.mark.parametrize("formula", ["local", "beta3"])
+def test_p1_eso_is_safe_by_brute_force(formula):
+    # E_S ||A h_S||_inf^2 <= (tau/n) beta' sum_i factor_i w_i h_i^2 over
+    # every tau on the working matrices of both max-type losses; linf
+    # doubles the rows, so its raw instances have m <= 4
+    rng = np.random.default_rng(12)
+    worst, checked = 0.0, 0
+    for A in _brute_force_instances(rng):
+        m, n = A.shape
+        r, c = np.nonzero(A)
+        raw = ProblemData.from_coo(m, n, r, c, A[r, c], rng.choice([-1.0, 1.0], m))
+        for app in ("adaboost", "linf") if m <= 4 else ("adaboost",):
+            pd = prepare_problem(raw, app)
+            pw = primal_weights(pd, dual_weights(pd, app))
+            assert pw.active.all()
+            dense = pd.dense()
+            for tau in range(1, n + 1):
+                eso = select_eso(formula, pd, pw, p=1, tau=tau)
+                d = eso.beta_prime * eso.factors * pw.w
+                assert np.all(d > 0)
+                worst = max(worst, eso_ratio_max(dense, tau, d, rng))
+                checked += 1
+    # at tau = 1 every h = e_i meets the bound: a search that finds less is broken
+    assert 1.0 - 1e-12 <= worst <= 1.0 + 1e-12, (worst, checked)
 
 
 def test_eso_params_beta():

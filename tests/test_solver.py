@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from helpers import prox, row_slices
-from spcdm.eso import dual_weights, primal_weights
+from spcdm.eso import beta3, dual_weights, primal_weights
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.smoothing import SmoothState, make_loss, prepare_problem
@@ -85,6 +85,15 @@ def test_regularizer_validation_and_values():
     )
     assert Regularizer.ridge(4.0).sigma_psi == 4.0
     assert Regularizer.l1(1.0).sigma_psi == 0.0
+
+
+def test_ridge_value_is_a_ufunc_sum_within_1e15_of_dot():
+    # the value sums w * x * x pairwise, where a BLAS dot may split over threads
+    rng = np.random.default_rng(5)
+    for n in (7, 20_000):
+        x, w = rng.standard_normal(n), rng.uniform(0.01, 10.0, n)
+        want = 0.5 * 0.7 * float(np.dot(w * x, x))
+        assert abs(Regularizer.ridge(0.7).value(x, w) - want) <= 1e-15 * want
 
 
 def test_choose_mu():
@@ -261,6 +270,42 @@ def test_final_x_norm_matches_linalg_norm():
     want = np.linalg.norm(rep.final_x)
     assert want > 0 and rep.final_x_nnz > 500
     assert abs(rep.final_x_norm - want) <= 1e-15 * want
+
+
+def test_auto_eso_pins_adaboost_updates_to_target():
+    # adaboost under "auto": the column-local ESO where its largest factor
+    # is below beta3 (tau = 8), beta3 where it is not (tau = 1 and 64)
+    pd = prepare_problem(synth_problem(2000, 1000, 5, seed=0), "adaboost")
+    loss = make_loss(pd, "adaboost", 1.0)
+    target = -0.0015
+    for tau, formula, local_max, updates in (
+        (1, "beta3", 1.0, 2000),
+        (8, "local", 1.0 + 7 * 80 / 999, 2000),  # the largest sum of |J_j| - 1 is 80
+        (64, "beta3", 5.0, 6144),  # capped at the longest row
+    ):
+        rep = run(pd, loss, Regularizer.none(),
+                  SolverConfig(tau=tau, max_epochs=10, target_value=target))
+        c = rep.config
+        assert (c["beta_formula"], rep.coordinate_updates, rep.target_reached) == (
+            formula, updates, True)
+        assert c["local_beta_max"] == pytest.approx(local_max, rel=1e-12)
+        b3 = beta3(5, tau, 1000, 2000)
+        assert c["beta_prime"] == (1.0 if formula == "local" else b3)
+        assert local_max < b3 if formula == "local" else local_max >= b3
+    slower = run(pd, loss, Regularizer.none(),
+                 SolverConfig(tau=8, max_epochs=10, target_value=target, beta_formula="beta3"))
+    assert slower.target_reached and slower.coordinate_updates == 4000
+    assert slower.config["local_beta_max"] is None
+
+
+def test_auto_keeps_beta3_bit_for_bit_at_tau_1():
+    pd = prepare_problem(synth_problem(300, 200, 5, seed=0), "linf")
+    loss = make_loss(pd, "linf", 0.1)
+    auto, b3 = (run(pd, loss, Regularizer.none(), SolverConfig(tau=1, max_epochs=3, beta_formula=f))
+                for f in ("auto", "beta3"))
+    assert auto.config["beta_formula"] == b3.config["beta_formula"] == "beta3"
+    assert auto.objective_trace == b3.objective_trace
+    assert np.array_equal(auto.final_x.view(np.uint64), b3.final_x.view(np.uint64))
 
 
 def test_early_stop_on_target():
