@@ -63,9 +63,9 @@ def _add_run_args(p: _Parser) -> None:
     p.add_argument("--max-epochs", type=int, default=100)
     p.add_argument("--trace-every", type=int, default=1)
     p.add_argument("--beta-formula", default="auto",
-                   help="auto, beta1, beta2, beta3, local (linf and adaboost "
-                        "only), or a numeric override; auto picks local for "
-                        "linf and adaboost when its largest factor is below beta3")
+                   help="auto, beta1, beta2, beta3, or a numeric override; for "
+                        "linf and adaboost auto runs the column-local ESO (reported "
+                        "as local) when its largest factor is below beta3")
     smooth = p.add_mutually_exclusive_group()
     smooth.add_argument("--mu", type=float, default=None,
                         help="smoothing level (fixed at 1 for adaboost)")
@@ -246,7 +246,7 @@ def cmd_solve(args) -> int:
 
 
 def _beta_formula(spec: str):
-    if spec in ("auto", "beta1", "beta2", "beta3", "local"):
+    if spec in ("auto", "beta1", "beta2", "beta3"):
         return spec
     try:
         return float(spec)

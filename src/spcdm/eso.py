@@ -189,44 +189,13 @@ def _check_counts(omega=None, tau=None, n=None):
             raise ValueError("omega must be <= n")
 
 
-def select_beta_prime(
-    formula: str | float,
-    *,
-    omega: int,
-    tau: int,
-    n: int,
-    m: int,
-    p: int,
-) -> tuple[float, str]:
-    """Resolve a formula name (or numeric override) to a beta_prime value.
-
-    "auto" picks beta3 for p=1 and beta2 for p=2, the tightest
-    closed form with one factor for tau-nice sampling in each pairing;
-    select_eso may replace beta3 by the column-local ESO.
-    """
-    if isinstance(formula, (int, float)) and not isinstance(formula, bool):
-        val = float(formula)
-        if not (val > 0 and math.isfinite(val)):
-            raise ValueError(f"beta_prime override must be positive and finite, got {val!r}")
-        return val, "override"
-    if formula == "auto":
-        formula = "beta3" if p == 1 else "beta2"
-    if formula == "beta1":
-        return beta1(omega, tau), "beta1"
-    if formula == "beta2":
-        return beta2(omega, tau, n), "beta2"
-    if formula == "beta3":
-        return beta3(omega, tau, n, m), "beta3"
-    raise ValueError(f"unknown beta formula {formula!r}")
-
-
 class Eso(NamedTuple):
     """A resolved ESO: the step of coordinate i is weighted by
     beta_prime * factors[i] * w_i (every factor is 1 but the local ones).
 
     local_max is the largest column-local factor over the active
-    coordinates whenever select_eso computed them (p = 1 under "auto"
-    or "local"), else None.
+    coordinates whenever select_eso computed them (p = 1 under "auto"),
+    else None.
     """
 
     beta_prime: float
@@ -239,25 +208,38 @@ def select_eso(
     formula: str | float, pd: ProblemData, pw: PrimalWeights, *, p: int, tau: int
 ) -> Eso:
     """Resolve a formula name (or numeric override) to an ESO for the
-    tau-nice sampling of pw's active coordinates.
+    tau-nice sampling of pw's active coordinates: the one place a
+    formula is chosen.
 
-    "local" is the column-local ESO (local_factors, beta_prime = 1),
-    for p = 1 only.  "auto" for p = 1 takes it when its largest active
-    factor is below beta3, so that no step is shorter than under beta3,
-    and beta3 otherwise; for p = 2 it is beta2.  Every other name, and
-    a number, goes through select_beta_prime.
+    "beta1", "beta2" and "beta3" name the closed forms with one factor,
+    and a positive finite number overrides beta_prime.  "auto" is beta2
+    for p = 2.  For p = 1 it computes the column-local factors
+    (local_factors, beta_prime = 1) and takes them when their largest
+    active value is below beta3, so that no step is shorter than under
+    beta3, and keeps beta3 otherwise; the result is named "local" or
+    "beta3".
     """
+    ones = np.ones(pd.n)
+    if isinstance(formula, (int, float)) and not isinstance(formula, bool):
+        val = float(formula)
+        if not (val > 0 and math.isfinite(val)):
+            raise ValueError(f"beta_prime override must be positive and finite, got {val!r}")
+        return Eso(val, ones, "override", None)
+    if formula not in ("auto", "beta1", "beta2", "beta3"):
+        raise ValueError(f"unknown beta formula {formula!r}")
     n = int(np.count_nonzero(pw.active))
-    if formula == "local" and p != 1:
-        raise ValueError("the local formula needs the max-type pairing (p = 1)")
-    if p == 1 and formula in ("auto", "local"):
+    omega = row_sparsity(pd)
+    if formula == "auto" and p == 1:
         factors = local_factors(pd, tau, n)
         local_max = float(factors[pw.active].max())
-        b3 = beta3(row_sparsity(pd), tau, n, pd.m) if formula == "auto" else math.inf
+        b3 = beta3(omega, tau, n, pd.m)
         if local_max < b3:
             return Eso(1.0, factors, "local", local_max)
-        return Eso(b3, np.ones(pd.n), "beta3", local_max)
-    beta_prime, name = select_beta_prime(
-        formula, omega=row_sparsity(pd), tau=tau, n=n, m=pd.m, p=p
-    )
-    return Eso(beta_prime, np.ones(pd.n), name, None)
+        return Eso(b3, ones, "beta3", local_max)
+    if formula == "auto":
+        formula = "beta2"
+    if formula == "beta1":
+        return Eso(beta1(omega, tau), ones, "beta1", None)
+    if formula == "beta2":
+        return Eso(beta2(omega, tau, n), ones, "beta2", None)
+    return Eso(beta3(omega, tau, n, pd.m), ones, "beta3", None)

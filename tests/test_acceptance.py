@@ -18,7 +18,9 @@ from helpers import (
     step,
     subspace_lipschitz,
 )
-from spcdm.eso import beta1, beta2, beta3, dual_weights, primal_weights, select_eso
+from spcdm.eso import (
+    beta1, beta2, beta3, dual_weights, local_factors, primal_weights, select_eso,
+)
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import hypergeom_pmf
 from spcdm.smoothing import (
@@ -129,8 +131,9 @@ def test_04_expected_separable_overapproximation():
     rng = np.random.default_rng(2024)
     worst = -math.inf
     checked = 0
-    # p = 1 checks beta3 and the column-local ESO, each as select_eso
-    # resolves it: the step weight of coordinate i is beta * factors_i * w_i
+    # p = 1 checks beta3 and the column-local ESO (beta' = 1, the step
+    # weight of coordinate i is beta_i * w_i / mu), whether or not auto
+    # would pick it
     cases = (("l1", 0.3, "beta2"), ("linf", 0.25, "beta3"), ("linf", 0.25, "local"),
              ("adaboost", 1.0, "beta3"), ("adaboost", 1.0, "local"))
     for n in range(4, 9):
@@ -152,10 +155,12 @@ def test_04_expected_separable_overapproximation():
                 st = init_state(loss, x)
                 grads.append(st.full_gradient())
             for tau in range(1, n + 1):
-                eso = select_eso(formula, working, pw, p=dw.p, tau=tau)
-                assert eso.formula == formula
-                beta = eso.beta_prime / mu
-                w = eso.factors * pw.w
+                if formula == "local":
+                    beta, w = 1.0 / mu, local_factors(working, tau, n) * pw.w
+                else:
+                    eso = select_eso(formula, working, pw, p=dw.p, tau=tau)
+                    assert eso.formula == formula
+                    beta, w = eso.beta_prime / mu, pw.w
                 subsets = np.array(list(itertools.combinations(range(n), tau)))
                 mask = np.zeros((len(subsets), n))
                 mask[np.arange(len(subsets))[:, None], subsets] = 1.0

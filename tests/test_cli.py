@@ -71,8 +71,6 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "99"],
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "1",
          "--beta-formula", "beta9"],
-        ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "1",
-         "--beta-formula", "local"],  # l1 is p = 2
         ["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1",
          "--eps-prime", "0.1", "--tau", "1"],  # mutually exclusive
         ["solve", "--synth", "10,5,2", "--tau", "1", "--mu", "0.1"],  # no --app
@@ -243,18 +241,16 @@ def test_bench_tau_range_syntax(tmp_path):
 
 
 def test_bench_rows_name_the_eso_each_tau_ran(tmp_path):
-    # adaboost's auto keeps beta3 at tau = 1, where every local factor is 1;
-    # --beta-formula local runs the column-local ESO at every tau
+    # adaboost's auto keeps beta3 at tau = 1, where every local factor is 1,
+    # and runs the column-local ESO at tau = 4
     path = tmp_path / "bench.csv"
-    for formula, want in (("auto", ["beta3", "local"]), ("local", ["local", "local"])):
-        argv = ["bench", "--synth", "400,200,3", "--app", "adaboost", "--tau-list", "1,4",
-                "--target", "1e9", "--max-epochs", "1", "--beta-formula", formula,
-                "--out", str(path)]
-        assert main(argv) == 0
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert [r["beta_formula"] for r in rows] == want
-        assert rows[0]["beta_prime"] == "1.0" and rows[1]["beta_prime"] == "1.0"
+    argv = ["bench", "--synth", "400,200,3", "--app", "adaboost", "--tau-list", "1,4",
+            "--target", "1e9", "--max-epochs", "1", "--out", str(path)]
+    assert main(argv) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["beta_formula"] for r in rows] == ["beta3", "local"]
+    assert rows[0]["beta_prime"] == "1.0" and rows[1]["beta_prime"] == "1.0"
 
 
 def test_solve_rerun_is_deterministic(tmp_path):

@@ -12,7 +12,6 @@ from spcdm.eso import (
     dual_weights,
     local_factors,
     primal_weights,
-    select_beta_prime,
     select_eso,
 )
 from spcdm.problem import ProblemData, synth_problem
@@ -169,23 +168,6 @@ def test_beta_orderings_and_monotonicity():
                 assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
-def test_select_beta_prime():
-    kw = dict(omega=5, tau=3, n=10, m=4)
-    assert select_beta_prime("beta1", p=1, **kw) == (3.0, "beta1")
-    assert select_beta_prime("beta2", p=2, **kw) == (beta2(5, 3, 10), "beta2")
-    assert select_beta_prime("beta3", p=1, **kw) == (beta3(5, 3, 10, 4), "beta3")
-    assert select_beta_prime("auto", p=1, **kw) == (beta3(5, 3, 10, 4), "beta3")
-    assert select_beta_prime("auto", p=2, **kw) == (beta2(5, 3, 10), "beta2")
-    assert select_beta_prime(2.5, p=1, **kw) == (2.5, "override")
-    with pytest.raises(ValueError):
-        select_beta_prime("beta4", p=1, **kw)
-    with pytest.raises(ValueError):
-        select_beta_prime(0.0, p=1, **kw)
-    for bad in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="beta_prime override must be positive and finite"):
-            select_beta_prime(bad, p=1, **kw)
-
-
 def test_local_factors_hand_values():
     # rows of [[1, 2, 0], [0, 2, 3]] have 2 entries each; column 1 is in both
     pd = _pd_2x3()
@@ -205,13 +187,10 @@ def test_select_eso():
     pw = primal_weights(pd, dual_weights(pd, "adaboost"))
     n = int(pw.active.sum())
     b3 = beta3(3, 4, n, 200)
-    local = select_eso("local", pd, pw, p=1, tau=4)
-    assert local.formula == "local" and local.beta_prime == 1.0
-    assert local.factors.tolist() == local_factors(pd, 4, n).tolist()
-    assert local.local_max == local.factors[pw.active].max() < b3
     auto = select_eso("auto", pd, pw, p=1, tau=4)
-    assert auto.formula == "local" and auto.local_max == local.local_max
-    assert np.array_equal(auto.factors, local.factors)
+    assert auto.formula == "local" and auto.beta_prime == 1.0
+    assert auto.factors.tolist() == local_factors(pd, 4, n).tolist()
+    assert auto.local_max == auto.factors[pw.active].max() < b3
     # beta3 is kept where no factor is below it: always at tau = 1, and
     # where few rows make beta3 small; a kept or named scalar formula
     # has every factor 1
@@ -219,8 +198,12 @@ def test_select_eso():
     few_w = primal_weights(few, dual_weights(few, "adaboost"))
     for eso, want in (
         (select_eso("auto", pd, pw, p=1, tau=1), (1.0, "beta3", 1.0)),
+        (select_eso("beta1", pd, pw, p=1, tau=4), (3.0, "beta1", None)),
+        (select_eso("beta2", pd, pw, p=1, tau=4), (beta2(3, 4, n), "beta2", None)),
         (select_eso("beta3", pd, pw, p=1, tau=4), (b3, "beta3", None)),
+        (select_eso("beta3", pd, pw, p=2, tau=4), (b3, "beta3", None)),
         (select_eso(2.5, pd, pw, p=1, tau=4), (2.5, "override", None)),
+        (select_eso(2, pd, pw, p=2, tau=4), (2.0, "override", None)),
         (select_eso("auto", pd, pw, p=2, tau=4), (beta2(3, 4, n), "beta2", None)),
     ):
         assert (eso.beta_prime, eso.formula, eso.local_max) == want
@@ -228,8 +211,13 @@ def test_select_eso():
     kept = select_eso("auto", few, few_w, p=1, tau=4)
     assert (kept.beta_prime, kept.formula) == (beta3(3, 4, 30, 60), "beta3")
     assert kept.local_max >= kept.beta_prime and np.all(kept.factors == 1.0)
-    with pytest.raises(ValueError, match="p = 1"):
-        select_eso("local", pd, pw, p=2, tau=4)
+    # local is what auto reports, not a name that can be asked for
+    for bad in ("beta4", "local", True):
+        with pytest.raises(ValueError, match="unknown beta formula"):
+            select_eso(bad, pd, pw, p=1, tau=4)
+    for bad in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="beta_prime override must be positive and finite"):
+            select_eso(bad, pd, pw, p=1, tau=4)
 
 
 def _brute_force_instances(rng):
@@ -249,9 +237,10 @@ def _brute_force_instances(rng):
 
 @pytest.mark.parametrize("formula", ["local", "beta3"])
 def test_p1_eso_is_safe_by_brute_force(formula):
-    # E_S ||A h_S||_inf^2 <= (tau/n) beta' sum_i factor_i w_i h_i^2 over
-    # every tau on the working matrices of both max-type losses; linf
-    # doubles the rows, so its raw instances have m <= 4
+    # E_S ||A h_S||_inf^2 <= (tau/n) sum_i d_i h_i^2 over every tau on
+    # the working matrices of both max-type losses, with d = beta_i w_i
+    # for the column-local ESO (whether or not auto would pick it) and
+    # d = beta3 w; linf doubles the rows, so its raw instances have m <= 4
     rng = np.random.default_rng(12)
     worst, checked = 0.0, 0
     for A in _brute_force_instances(rng):
@@ -264,8 +253,10 @@ def test_p1_eso_is_safe_by_brute_force(formula):
             assert pw.active.all()
             dense = pd.dense()
             for tau in range(1, n + 1):
-                eso = select_eso(formula, pd, pw, p=1, tau=tau)
-                d = eso.beta_prime * eso.factors * pw.w
+                if formula == "local":
+                    d = local_factors(pd, tau, n) * pw.w
+                else:
+                    d = select_eso(formula, pd, pw, p=1, tau=tau).beta_prime * pw.w
                 assert np.all(d > 0)
                 worst = max(worst, eso_ratio_max(dense, tau, d, rng))
                 checked += 1
