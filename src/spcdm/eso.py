@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import ProblemData, _segments, row_sparsity
+from .problem import ProblemData, _segments, _spans, row_sparsity
 from .sampling import hypergeom_pmf
 
 APPS = ("linf", "l1", "adaboost")
@@ -74,16 +74,20 @@ def primal_weights(pd: ProblemData, dw: DualWeights) -> PrimalWeights:
 
     p=1: w_i = max_j v_j^-2 A_ji^2; p=2: w_i = sum_j v_j^-2 A_ji^2.
     With these weights each nonzero column has unit operator norm in
-    the induced primal/dual pairing.  Empty columns get w_i = 0.
+    the induced primal/dual pairing.  Empty columns get w_i = 0.  A is
+    read one span of whole columns (_spans) at a time.
     """
     if dw.p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {dw.p}")
     w = np.zeros(pd.n)
     vinv2 = 1.0 / (dw.v * dw.v)
-    contrib = vinv2[pd.col_rows] * pd.col_vals * pd.col_vals
-    for ids, idx in _segments(pd.col_ptr):
-        block = contrib[idx]
-        w[ids] = block.max(axis=1) if dw.p == 1 else block.sum(axis=1)
+    ptr = pd.col_ptr
+    for a, b in _spans(ptr):
+        vals = pd.col_vals[ptr[a]:ptr[b]]
+        contrib = vinv2[pd.col_rows[ptr[a]:ptr[b]]] * vals * vals
+        for ids, idx in _segments(ptr[a:b + 1] - ptr[a]):
+            block = contrib[idx]
+            w[a + ids] = block.max(axis=1) if dw.p == 1 else block.sum(axis=1)
     return PrimalWeights(w=w)
 
 
@@ -160,20 +164,24 @@ def local_factors(pd: ProblemData, tau: int, n: int) -> np.ndarray:
       (|J_j| - 1).  N_i never exceeds tau or the longest row through i.
 
     The counts come from the working matrix's row lengths (the bincount
-    omega reads).  Rows j and j + m/2 of linf's [A; -A] share a support,
-    so linf counts each support twice: safe, but looser than the raw
-    rows.  An empty column gets 1.
+    omega reads), one span of whole columns (_spans) at a time.  Rows j
+    and j + m/2 of linf's [A; -A] share a support, so linf counts each
+    support twice: safe, but looser than the raw rows.  An empty column
+    gets 1.
     """
     _check_counts(tau=tau, n=n)
     beta = np.ones(pd.n)
     if tau == 1:
         return beta
-    nonempty = pd._col_lens > 0
-    starts = pd.col_ptr[:-1][nonempty]
-    through = pd._row_lens[pd.col_rows]  # |J_j| at each entry of A
-    longest = np.maximum.reduceat(through, starts)
-    spread = np.add.reduceat(through - 1, starts)
-    beta[nonempty] = np.minimum(np.minimum(longest, tau), 1.0 + (tau - 1) / (n - 1) * spread)
+    ptr = pd.col_ptr
+    for a, b in _spans(ptr):
+        nonempty = pd._col_lens[a:b] > 0
+        starts = (ptr[a:b] - ptr[a])[nonempty]
+        through = pd._row_lens[pd.col_rows[ptr[a]:ptr[b]]]  # |J_j| at each entry
+        longest = np.maximum.reduceat(through, starts)
+        spread = np.add.reduceat(through - 1, starts)
+        beta[a:b][nonempty] = np.minimum(np.minimum(longest, tau),
+                                         1.0 + (tau - 1) / (n - 1) * spread)
     return beta
 
 

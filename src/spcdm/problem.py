@@ -5,7 +5,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -40,28 +40,36 @@ class ProblemData:
     def columns(
         self, ids: np.ndarray, row_data: np.ndarray | None = None
     ) -> "Iterator[ColumnBatch]":
-        """The columns of the (count, tau) block ids, one selection per row,
-        gathered in one pass: an iterator over the selections' ColumnBatches.
+        """The columns of the (count, tau) block ids, one selection per row:
+        an iterator over the selections' ColumnBatches, gathered lazily,
+        one pass per span of whole selections (_spans).
 
-        All are sliced out of one gather, and each builds only what the
-        step kernel reads.  Length groups are built only for the
-        selections without a width (columns of differing lengths), from
-        one stable sort keyed on (selection, column length); when every
-        selection has a width, as at tau = 1 or on a column-regular
-        matrix, there is no such sort.  Shared rows come from one sort
-        of unique (selection, matrix row, position) keys, and are not
-        looked for at tau = 1.  A per-row array row_data is gathered
-        along: each batch's row_data is row_data[rows] (None without it).
+        Each batch builds only what the step kernel reads.  Length groups
+        are built only for the selections without a width (columns of
+        differing lengths), from one stable sort keyed on (selection,
+        column length); when every selection has a width, as at tau = 1
+        or on a column-regular matrix, there is no such sort.  Shared rows
+        come from one sort of unique (selection, matrix row, position)
+        keys, and are not looked for at tau = 1.  A per-row array row_data
+        is gathered along: each batch's row_data is row_data[rows].
         """
-        count, tau = ids.shape
         lens = self._col_lens[ids]
+        ptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)  # where each selection's entries start
+        np.cumsum(lens.sum(axis=1), out=ptr[1:])
+        return chain.from_iterable(
+            self._gather(ids[a:b], lens[a:b], ptr[a:b + 1] - ptr[a], row_data)
+            for a, b in _spans(ptr))
+
+    def _gather(self, ids, lens, ptr, row_data):
+        """The ColumnBatches of the (count, tau) block ids, whose columns
+        have lengths lens and whose selections start at ptr, all sliced
+        out of one gather."""
+        count, tau = ids.shape
         flat = lens.ravel()
         ends = flat.cumsum()
         offsets = ends - flat  # where each column starts in the concatenation
         rows, vals = self._entries(ids.ravel(), flat, offsets)
         at_rows = None if row_data is None else row_data[rows]
-        ptr = np.zeros(count + 1, dtype=np.int64)  # where each selection's entries start
-        np.cumsum(lens.sum(axis=1), out=ptr[1:])
         width = lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)
         ragged = np.flatnonzero(width == 0)
         groups = iter(())  # the ragged selections' groups, in selection order
@@ -158,10 +166,9 @@ class ProblemData:
         The triplets are first put in row-major order, where duplicates
         are neighbours and the first one named is the first in that
         order: one stable argsort of the int64 key rows*n + cols
-        (np.lexsort on (rows, cols) where m*n overflows int64), which is
-        linear on triplets already in row-major order, as the loaders
-        give them.  The column layout comes from a stable argsort of the
-        sorted columns, a linear radix sort when n <= 2**16.
+        (np.lexsort on (rows, cols) where m*n overflows int64), skipped
+        with the duplicate scan where the key already ascends strictly.
+        _column_layout then takes them to the columns.
         """
         if m < 0 or n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
@@ -188,19 +195,17 @@ class ProblemData:
 
         # row-major order; duplicate (row, col) pairs are adjacent after sorting
         order = _row_major_order(m, n, rows, cols)
-        r_sorted, c_sorted, v_sorted = rows[order], cols[order], vals[order]
-        del rows, cols, vals, order
-        if r_sorted.size > 1:
-            dup = (r_sorted[1:] == r_sorted[:-1]) & (c_sorted[1:] == c_sorted[:-1])
+        if order is not None:
+            rows, cols, vals = rows[order], cols[order], vals[order]
+            del order
+            dup = (rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1])
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
-                raise ValueError(
-                    f"duplicate entry at row {r_sorted[k]}, column {c_sorted[k]}"
-                )
-        col_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(c_sorted, minlength=n), out=col_ptr[1:])
-        order = _stable_order(c_sorted, n)
-        return cls(int(m), int(n), col_ptr, r_sorted[order], v_sorted[order], b.copy())
+                raise ValueError(f"duplicate entry at row {rows[k]}, column {cols[k]}")
+        row_lens = np.bincount(rows, minlength=m)
+        del rows
+        cols, vals = [cols], [vals]  # _column_layout empties the lists
+        return cls(int(m), int(n), *_column_layout(m, n, row_lens, cols, vals), b.copy())
 
     def scale_rows(self, s: np.ndarray, b: np.ndarray) -> "ProblemData":
         """diag(s) A with right-hand side b, scaled with no re-sort; s and b
@@ -246,17 +251,67 @@ _NO_PAIRS = np.zeros((2, 0), dtype=np.int64)  # shared by every batch: read-only
 _NO_PAIRS.flags.writeable = False
 
 
-def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """The stable permutation sorting (rows, cols) in row-major order."""
-    if m * n <= _INT64_MAX:
-        return (rows * n + cols).argsort(kind="stable")
-    return np.lexsort((cols, rows))  # rows*n + cols would overflow int64
+def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray):
+    """The stable permutation sorting (rows, cols) in row-major order, or
+    None where they ascend strictly in it already, with no duplicates."""
+    if m * n > _INT64_MAX:
+        return np.lexsort((cols, rows))  # rows*n + cols would overflow int64
+    key = rows * n + cols
+    return None if np.all(key[1:] > key[:-1]) else key.argsort(kind="stable")
 
 
 def _stable_order(idx: np.ndarray, size: int) -> np.ndarray:
     """The stable permutation sorting idx, whose entries are below size;
     numpy radix-sorts 16-bit keys, in linear time."""
     return (idx.astype(np.uint16) if size <= 1 << 16 else idx).argsort(kind="stable")
+
+
+# Entries that a pass over A or over an epoch's columns takes at a time
+_BUDGET = 1 << 15
+
+
+def _spans(ptr: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Ranges [a, b) of whole segments ptr[s]:ptr[s + 1] (columns or
+    selections), in order, each holding at most _BUDGET entries; a longer
+    segment is a range of its own."""
+    a, last = 0, ptr.size - 1
+    while a < last:
+        b = min(max(int(np.searchsorted(ptr, ptr[a] + _BUDGET, "right")) - 1, a + 1), last)
+        yield a, b
+        a = b
+
+
+def _column_layout(m: int, n: int, row_lens: np.ndarray, cols: list, vals: list):
+    """(col_ptr, col_rows, col_vals) of entries given in row order, each
+    row's columns distinct: row j holds row_lens[j] entries, and the
+    arrays in cols and vals, concatenated, are their column indices
+    (below n) and values.  Zero values are dropped.
+
+    The lists are emptied as they are consumed, so besides the stored
+    matrix it holds one array of the entries at a time, and _BUDGET
+    entries' temporaries: a stable sort of the columns (radix when
+    n <= 2**16) gathers the values, then the rows in place of itself.
+    """
+    row_ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(row_lens, out=row_ptr[1:])
+    row_ptr, cols, vals = _drop_zeros(row_ptr, _drain(cols), _drain(vals))
+    col_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cols, minlength=n), out=col_ptr[1:])
+    order = _stable_order(cols, n)
+    del cols
+    col_vals = vals[order]
+    del vals
+    rows = np.arange(m).repeat(np.diff(row_ptr))  # each entry's row, in row order
+    for a, b in _spans(col_ptr):
+        at = slice(col_ptr[a], col_ptr[b])
+        order[at] = rows[order[at]]  # the permutation becomes the rows
+    return col_ptr, order, col_vals
+
+
+def _drain(parts: list) -> np.ndarray:
+    """The concatenation of the arrays in parts, which is emptied."""
+    out, parts[:] = parts[0] if len(parts) == 1 else np.concatenate(parts), []
+    return out
 
 
 def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
@@ -400,14 +455,18 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     values go through float(), indices through int(), on the bytes, so
     any non-ASCII byte is an error.  It is parsed in blocks of whole
     lines of about _CHUNK_BYTES bytes, each turned into arrays at once
-    and its Python objects dropped before the next, so the parse holds
-    one block's temporaries besides the arrays it returns.
+    and its Python objects dropped before the next.  A block keeps only
+    its row lengths, int32 columns and values, from which _column_layout
+    builds the columns with no sort by rows: the lines are rows in
+    order, their indices strictly ascending.  So loading holds the
+    stored matrix, one more array of its entries, and one block's and
+    one budget's temporaries.
 
     Raises ValueError with the offending line number on malformed or
     non-UTF-8 tokens, non-finite labels or values, indices below 1 or
     past int64, or non-ascending indices, and on an empty dataset.
     """
-    labels, rows, cols, vals = [], [], [], []
+    labels, lens, cols, vals = [], [], [], []
     m = max_idx = line0 = 0
     with open(path, "rb") as fh:
         for block in _line_blocks(fh):
@@ -417,12 +476,12 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
                 parsed = None
             if parsed is None:
                 _raise_first_error(block, line0)
-            b, row, idx, val = parsed
+            b, row_lens, idx, val = parsed
             max_idx = max(max_idx, int(idx.max(initial=0)))
             labels.append(b)
-            rows.append(row + m)
-            cols.append(idx - 1)
-            vals.append(val)  # from_coo drops the zeros
+            lens.append(row_lens)
+            cols.append((idx - 1).astype(np.int32 if max_idx <= 1 << 31 else np.int64))
+            vals.append(val)  # _column_layout drops the zeros
             m += b.size
             line0 += len(block.splitlines())
     if not m:
@@ -432,10 +491,8 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
         if n_cols < max_idx:
             raise ValueError(f"n_cols={n_cols} smaller than max index {max_idx}")
         n = n_cols
-    return ProblemData.from_coo(
-        m, n, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals),
-        np.concatenate(labels),
-    )
+    return ProblemData(m, n, *_column_layout(m, n, np.concatenate(lens), cols, vals),
+                       np.concatenate(labels))
 
 
 def _line_blocks(fh) -> Iterator[bytes]:
@@ -453,8 +510,8 @@ def _line_blocks(fh) -> Iterator[bytes]:
 
 
 def _parse_block(block: bytes):
-    """Labels, and row within the block, index and value per feature, of
-    the block's lines, each array filled at once.  None where a check
+    """Labels and row lengths of the block's lines, and index and value
+    per feature, each array filled at once.  None where a check
     fails; ValueError or OverflowError where int() or float() does.
     """
     a = np.frombuffer(block, dtype=np.uint8)
@@ -490,7 +547,7 @@ def _parse_block(block: bytes):
     if not (np.isfinite(b).all() and np.isfinite(val).all() and np.all(idx >= 1)
             and np.all(idx[1:][same] > idx[:-1][same])):
         return None
-    return b, row, idx, val
+    return b, np.bincount(row, minlength=b.size), idx, val
 
 
 def _raise_first_error(block: bytes, line0: int):

@@ -23,7 +23,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .problem import ColumnBatch, ProblemData, stack_linf
+from .problem import ColumnBatch, ProblemData, _spans, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -112,11 +112,15 @@ def loss_constants(app: str, working: ProblemData) -> tuple[float, float]:
 
 
 def _residual(pd: ProblemData, x: np.ndarray) -> np.ndarray:
-    # np.add.at adds in CSC order: each row takes its terms by ascending column
+    # one span of whole columns at a time; np.add.at adds in CSC order:
+    # each row takes its terms by ascending column
     r = -pd.b
-    xe = np.repeat(x, pd.col_nnz())
-    hit = xe != 0.0
-    np.add.at(r, pd.col_rows[hit], pd.col_vals[hit] * xe[hit])
+    ptr = pd.col_ptr
+    for a, b in _spans(ptr):
+        xe = np.repeat(x[a:b], pd._col_lens[a:b])
+        hit = xe != 0.0
+        at = slice(ptr[a], ptr[b])
+        np.add.at(r, pd.col_rows[at][hit], pd.col_vals[at][hit] * xe[hit])
     return r
 
 

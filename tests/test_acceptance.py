@@ -133,7 +133,9 @@ def test_04_expected_separable_overapproximation():
     checked = 0
     # p = 1 checks beta3 and the column-local ESO (beta' = 1, the step
     # weight of coordinate i is beta_i * w_i / mu), whether or not auto
-    # would pick it
+    # would pick it.  The directions h are random, so this is a sanity
+    # check: too-small factors can pass it.  The safety oracle is
+    # test_eso's test_p1_eso_is_safe_by_brute_force, which maximises over h.
     cases = (("l1", 0.3, "beta2"), ("linf", 0.25, "beta3"), ("linf", 0.25, "local"),
              ("adaboost", 1.0, "beta3"), ("adaboost", 1.0, "local"))
     for n in range(4, 9):

@@ -1,0 +1,179 @@
+"""Every O(nnz) pass over A takes at most problem._BUDGET entries at a time.
+
+The passes (load_svmlight's column layout, ProblemData.columns, the
+residual, the primal weights and the column-local factors) split along
+whole columns, rows or selections (problem._spans), so the split must
+not change a single bit: under a budget of 1 or 7 entries, where every
+pass splits, the results are compared bit for bit, sign of zero
+included, with the default budget's.  The memory the split saves is
+pinned in bytes traced by tracemalloc, never in seconds.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from helpers import assert_identical, assert_same_array
+from spcdm import problem
+from spcdm.eso import dual_weights, local_factors, primal_weights
+from spcdm.problem import ProblemData, load_svmlight, save_svmlight
+from spcdm.sampling import SamplingSpec, draw
+from spcdm.smoothing import _residual, make_loss, prepare_problem
+from spcdm.solver import Regularizer, SolverConfig, run
+
+DEFAULT_BUDGET = problem._BUDGET
+APPS = {"linf": (0.1, Regularizer.none()), "l1": (0.3, Regularizer.l1(0.05)),
+        "adaboost": (1.0, Regularizer.none())}
+TAUS = (1, 3, 8)
+
+
+def _raw() -> ProblemData:
+    """30 rows and 24 columns of differing lengths, none empty, every row
+    nonempty (l1 weighs rows by their norms), and column 0 dense: at 30
+    entries (60 in linf's [A; -A]) it is longer than the budget of 7."""
+    rng = np.random.default_rng(5)
+    m, n = 30, 24
+    support = rng.random((m, n)) < rng.uniform(0.05, 0.4, n)
+    support[:, 0] = True
+    support[rng.integers(0, m, n), np.arange(n)] = True
+    r, c = np.nonzero(support)
+    vals = rng.choice([-1.0, 1.0], r.size) * rng.uniform(0.1, 1.0, r.size)
+    return ProblemData.from_coo(m, n, r, c, vals, rng.choice([-1.0, 1.0], m))
+
+
+def _outcome(app: str, tau: int) -> dict:
+    """Everything the budget could touch: the gathered batches of one
+    epoch's block, the run's trace, updates and final x, w, the local
+    factors and the residual at an x holding 0.0 and -0.0."""
+    mu, reg = APPS[app]
+    working = prepare_problem(_raw(), app)
+    loss = make_loss(working, app, mu)
+    n = working.n
+    ids = draw(SamplingSpec(n=n, tau=tau, seed=4), 0, -(-n // tau))
+    batches = [(b.rows, b.vals, b.lens, b.shared, b.width, b.groups, b.row_data)
+               for b in loss.columns(ids)]
+    report = run(working, loss, reg, SolverConfig(tau=tau, seed=4, max_epochs=3))
+    x = report.final_x.copy()
+    x[::3], x[1::5] = 0.0, -0.0
+    return {
+        "batches": batches,
+        "trace": report.objective_trace,
+        "updates": report.coordinate_updates,
+        "final_x": report.final_x,
+        "w": primal_weights(working, dual_weights(working, app)).w,
+        "factors": local_factors(working, tau, n),
+        "residual": _residual(working, x),
+    }
+
+
+@pytest.fixture(scope="module")
+def reference(tmp_path_factory):
+    """The outcomes under the default budget, computed before any test
+    shrinks it, and _raw() written as svmlight and loaded back."""
+    assert problem._BUDGET == DEFAULT_BUDGET
+    path = tmp_path_factory.mktemp("budget") / "a.svm"
+    save_svmlight(_raw(), path)
+    out = {(app, tau): _outcome(app, tau) for app in APPS for tau in TAUS}
+    out["raw"], out["svmlight"] = _raw(), (path, load_svmlight(path))
+    return out
+
+
+@pytest.fixture(params=[1, 7], ids=["budget1", "budget7"])
+def budget(request, monkeypatch):
+    """A budget of 1 entry puts every column, row and selection in a span
+    of its own; 7 packs the short ones and leaves the long column alone."""
+    monkeypatch.setattr(problem, "_BUDGET", request.param)
+    return request.param
+
+
+def test_spans_are_whole_segments_under_the_budget(budget):
+    ptr = np.array([0, 3, 5, 5, 40, 41, 47, 47])
+    spans = list(problem._spans(ptr))
+    assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+    assert spans[-1][1] == ptr.size - 1
+    for a, b in spans:
+        assert b > a and (ptr[b] - ptr[a] <= budget or b == a + 1)
+    assert list(problem._spans(np.zeros(1, dtype=np.int64))) == []
+
+
+@pytest.mark.parametrize("tau", TAUS)
+@pytest.mark.parametrize("app", APPS)
+def test_every_pass_gives_the_same_bits_under_a_tiny_budget(reference, budget, app, tau):
+    want = reference[app, tau]
+    got = _outcome(app, tau)
+    working = prepare_problem(_raw(), app)
+    assert len(list(problem._spans(working.col_ptr))) > 1  # the passes over A split
+    assert got["trace"] == want["trace"]
+    assert got["updates"] == want["updates"]
+    for name in ("final_x", "w", "factors", "residual"):
+        assert_same_array(got[name], want[name], name)
+    assert len(got["batches"]) == len(want["batches"])
+    for g, w in zip(got["batches"], want["batches"]):
+        for a, b in zip(g[:4], w[:4]):
+            assert_same_array(a, b)
+        assert g[4] == w[4]
+        assert len(g[5]) == len(w[5])
+        for (gs, gi), (ws, wi) in zip(g[5], w[5]):
+            assert_same_array(gs, ws)
+            assert_same_array(gi, wi)
+        assert (g[6] is None) == (w[6] is None)
+        if w[6] is not None:
+            assert_same_array(g[6], w[6])
+
+
+def test_the_instance_has_ragged_selections_and_shared_rows(reference):
+    # what the gather's split must keep: selections without a width and
+    # rows that several columns of a selection hold
+    batches = reference["adaboost", 8]["batches"]
+    assert any(width == 0 for *_, width, _, _ in batches)
+    assert any(shared.size for _, _, _, shared, *_ in batches)
+
+
+def test_ingest_gives_the_same_layout_under_a_tiny_budget(reference, budget):
+    path, want = reference["svmlight"]
+    assert_identical(load_svmlight(path), want)
+    assert_identical(_raw(), reference["raw"])
+
+
+def _svmlight_file(path, m: int, k: int, n: int) -> None:
+    """m rows of k distinct ascending features each, out of n."""
+    rng = np.random.default_rng(0)
+    cols = np.sort(rng.random((m, n)).argsort(axis=1)[:, :k], axis=1) + 1
+    vals = rng.integers(1, 1000, (m, k)) / 1000 * rng.choice([-1, 1], (m, k))
+    labels = rng.choice([-1, 1], m)
+    path.write_text("".join(
+        f"{labels[j]} " + " ".join(f"{c}:{v}" for c, v in zip(cols[j].tolist(), vals[j].tolist()))
+        + "\n" for j in range(m)))
+
+
+@pytest.mark.parametrize("k", [20, 40], ids=["100k-entries", "200k-entries"])
+def test_traced_memory_is_the_matrix_plus_one_budget(tmp_path, monkeypatch, k):
+    # With a block of 16 KiB and a budget of 4096 entries, both small
+    # beside A: loading holds at most 32 bytes an entry (the stored 16,
+    # the 8 of one array of the entries, and slack for b and the last
+    # block), and a run holds, above the matrix, at most 8 doubles a row
+    # and a column of state plus 96 bytes per budget entry, the same at
+    # 100k and 200k entries.
+    m, n = 5000, 2000
+    path = tmp_path / "a.svm"
+    _svmlight_file(path, m, k, n)
+    monkeypatch.setattr(problem, "_CHUNK_BYTES", 1 << 14)
+    monkeypatch.setattr(problem, "_BUDGET", 1 << 12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        pd = load_svmlight(path)
+        load_peak = tracemalloc.get_traced_memory()[1] - before
+        working = prepare_problem(pd, "adaboost")
+        loss = make_loss(working, "adaboost", 1.0)
+        del pd
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        run(working, loss, Regularizer.none(), SolverConfig(tau=8, seed=0, max_epochs=2))
+        run_peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert working.nnz == m * k
+    assert load_peak <= 32 * working.nnz, load_peak / working.nnz
+    assert run_peak <= 8 * 8 * (m + n) + 96 * problem._BUDGET, run_peak

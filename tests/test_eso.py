@@ -264,6 +264,28 @@ def test_p1_eso_is_safe_by_brute_force(formula):
     assert 1.0 - 1e-12 <= worst <= 1.0 + 1e-12, (worst, checked)
 
 
+@pytest.mark.parametrize("variant", ["over-n", "no-plus-one"])
+def test_brute_force_oracle_catches_too_small_local_factors(variant):
+    # the oracle's power: two too-small variants of local_factors, from
+    # the same row lengths, (tau-1)/n in place of (tau-1)/(n-1) and the
+    # "+1" dropped, fail it on one dense row, where the sum form is tight
+    # at every tau (test_04's random directions let both pass)
+    rng = np.random.default_rng(12)
+    for n in range(2, 9):
+        raw = ProblemData.from_coo(1, n, np.zeros(n), np.arange(n), np.ones(n), [1.0])
+        pd = prepare_problem(raw, "adaboost")
+        pw = primal_weights(pd, dual_weights(pd, "adaboost"))
+        through = pd._row_lens[pd.col_rows]
+        longest = np.maximum.reduceat(through, pd.col_ptr[:-1])
+        spread = np.add.reduceat(through - 1, pd.col_ptr[:-1])
+        for tau in range(2, n + 1):
+            if variant == "over-n":
+                factors = np.minimum(np.minimum(longest, tau), 1.0 + (tau - 1) / n * spread)
+            else:
+                factors = np.minimum(np.minimum(longest, tau), (tau - 1) / (n - 1) * spread)
+            assert eso_ratio_max(pd.dense(), tau, factors * pw.w, rng) > 1.0 + 1e-6, (n, tau)
+
+
 def test_eso_params_beta():
     ep = EsoParams(beta_prime=3.0, formula="beta1", sigma=2.0, mu=0.25)
     assert ep.beta == pytest.approx(6.0)
