@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 from dataclasses import replace
 
@@ -171,17 +170,16 @@ def _parse_tau_values(spec: str, n: int) -> list[int]:
 
 
 def _resolve_mu(args, app: str, D: float) -> float:
-    """Pick the smoothing level from --mu / --eps-prime / defaults."""
-    if app == "adaboost":
-        if args.mu is not None and args.mu != 1.0:
-            raise _UsageError("adaboost fixes mu = 1")
-        if args.eps_prime is not None:
-            raise _UsageError("adaboost has no eps-prime mode (mu is fixed)")
-        return 1.0
+    """Pick the smoothing level from --mu / --eps-prime / defaults;
+    make_loss checks the value."""
     if args.eps_prime is not None:
+        if app == "adaboost":
+            raise _UsageError("adaboost has no eps-prime mode (mu is fixed)")
         return choose_mu(args.eps_prime, D)
     if args.mu is not None:
         return args.mu
+    if app == "adaboost":
+        return 1.0
     raise _UsageError(f"--app {app} needs --mu or --eps-prime")
 
 
@@ -246,19 +244,14 @@ def cmd_solve(args) -> int:
 
 
 def _beta_formula(spec: str):
-    if spec in ("auto", "beta1", "beta2", "beta3"):
-        return spec
+    """A number is an override; any other name is select_eso's to check."""
     try:
         return float(spec)
     except ValueError:
-        raise _UsageError(f"bad beta formula {spec!r}") from None
+        return spec
 
 
 def cmd_eso_table(args) -> int:
-    if args.omega < 0 or args.omega > args.n:
-        raise _UsageError("need 0 <= omega <= n")
-    if args.m < 1:
-        raise _UsageError("m must be >= 1")
     taus = _parse_tau_values(args.tau_range, args.n)
     rows = [
         (
@@ -283,14 +276,7 @@ def cmd_eso_table(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     app = args.app
-    if app == "adaboost":
-        if args.mu is not None and args.mu != 1.0:
-            raise _UsageError("adaboost fixes mu = 1")
-        mu = 1.0
-    else:
-        mu = 0.1 if args.mu is None else args.mu
-        if not (mu > 0 and math.isfinite(mu)):
-            raise _UsageError("mu must be positive and finite")
+    mu = args.mu if args.mu is not None else 1.0 if app == "adaboost" else 0.1
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     worst_where = ""
@@ -362,13 +348,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except SolverDiverged as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as e:
+    except (_UsageError, SolverDiverged, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -20,8 +20,7 @@ import numpy as np
 
 from .problem import ProblemData, _segments, _spans, row_sparsity
 from .sampling import hypergeom_pmf
-
-APPS = ("linf", "l1", "adaboost")
+from .smoothing import KINDS
 
 
 @dataclass(frozen=True)
@@ -43,18 +42,6 @@ class PrimalWeights:
         return self.w > 0.0
 
 
-@dataclass(frozen=True)
-class EsoParams:
-    beta_prime: float
-    formula: str
-    sigma: float
-    mu: float
-
-    @property
-    def beta(self) -> float:
-        return self.beta_prime / (self.sigma * self.mu)
-
-
 def dual_weights(pd: ProblemData, app: str) -> DualWeights:
     """Row weights for the given application, computed on the working matrix.
 
@@ -62,7 +49,7 @@ def dual_weights(pd: ProblemData, app: str) -> DualWeights:
     l1 uses p=2 with v_j = squared Euclidean norm of row j, which must
     be positive (an all-zero row has no finite weight).
     """
-    if app not in APPS:
+    if app not in KINDS:
         raise ValueError(f"unknown app {app!r}")
     if app in ("linf", "adaboost"):
         return DualWeights(v=np.ones(pd.m), p=1)

@@ -184,14 +184,14 @@ class ProblemData:
             raise ValueError("matrix values must be finite")
         if not np.all(np.isfinite(b)):
             raise ValueError("b values must be finite")
-        keep = vals != 0.0
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        if rows.size:
+        if rows.size:  # whatever the value: a zero at a bad index is still bad input
             if rows.min() < 0 or rows.max() >= m:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("column index out of range")
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
         # row-major order; duplicate (row, col) pairs are adjacent after sorting
         order = _row_major_order(m, n, rows, cols)

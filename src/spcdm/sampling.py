@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,49 +30,49 @@ class SamplingSpec:
 def draw(spec: SamplingSpec, round: int, count: int | None = None) -> np.ndarray:
     """Return the round-th subset as a sorted int64 array of size tau.
 
-    Counter-based generator: key = seed, counter = round * 2**128, so
-    distinct rounds use disjoint counter ranges.  The subset itself
-    comes from a partial Fisher-Yates shuffle over a virtual identity
-    array with sparse overrides; cost is O(tau), independent of n.
+    A round is defined by a freshly built Philox(key=seed, counter=round
+    * 2**128) generator, so distinct rounds use disjoint counter ranges
+    (_fresh_round).  The subset itself comes from a partial Fisher-Yates
+    shuffle over a virtual identity array with sparse overrides; cost is
+    O(tau), independent of n.
 
     With count, returns rounds round, ..., round + count - 1 as the rows
     of a (count, tau) array, each row equal to draw(spec, that round).
+    The block is computed at once (_offsets); a round it cannot take, and
+    every round when n >= 2**32, is drawn by _fresh_round.
     """
+    round = int(round)
+    rows = 1 if count is None else int(count)
     if round < 0:
         raise ValueError("round must be nonnegative")
-    if count is None:
-        return _draw_round(spec, round)
-    round, count = int(round), int(count)
-    if count < 0:
+    if rows < 0:
         raise ValueError("count must be nonnegative")
-    if round + count > 1 << 128:
+    if round + rows > 1 << 128:
         raise ValueError("rounds must be below 2**128")
-    _check_seed(spec.seed)
+    if not 0 <= int(spec.seed) < 1 << 128:
+        raise ValueError("seed must satisfy 0 <= seed < 2**128")
     n, tau = spec.n, spec.tau
-    out = np.empty((count, tau), dtype=np.int64)
-    if n >= 1 << 32:  # integers' 64-bit path; every round takes the per-round draw
-        for t in range(count):
-            out[t] = _draw_round(spec, round + t)
-        return out
-    offsets, rejected = _offsets(spec, round, count)
-    # distinct offsets, each at or past tau or equal to its own k: no swap
-    # writes a slot a later one reads, so the subset is the offsets
-    srt = np.sort(offsets, axis=1)
-    plain = ((offsets >= tau) | (offsets == np.arange(tau))).all(axis=1) & ~rejected
-    plain &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-    out[plain] = srt[plain]
-    for t in np.flatnonzero(~plain).tolist():
-        if rejected[t]:
-            out[t] = _draw_round(spec, round + t)
-        else:
+    out = np.empty((rows, tau), dtype=np.int64)
+    fresh = np.ones(rows, dtype=bool)
+    if count is not None and n < 1 << 32:  # integers' 64-bit path is not replayed
+        offsets, fresh = _offsets(spec, round, rows)
+        # distinct offsets, each at or past tau or equal to its own k: no swap
+        # writes a slot a later one reads, so the subset is the offsets
+        srt = np.sort(offsets, axis=1)
+        plain = ((offsets >= tau) | (offsets == np.arange(tau))).all(axis=1) & ~fresh
+        plain &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
+        out[plain] = srt[plain]
+        for t in np.flatnonzero(~plain & ~fresh).tolist():
             out[t] = _shuffle(offsets[t].tolist())
-    return out
+    for t in np.flatnonzero(fresh).tolist():
+        out[t] = _fresh_round(spec, round + t)
+    return out if count is not None else out[0]
 
 
-def _draw_round(spec: SamplingSpec, round: int) -> np.ndarray:
-    """draw for one round, through this thread's reset Philox generator."""
-    # the k-th offset is uniform on [k, n)
-    gen = _keyed_generator(spec.seed, round)
+def _fresh_round(spec: SamplingSpec, round: int) -> np.ndarray:
+    """The round-th subset by definition: the k-th offset, uniform on
+    [k, n), from a freshly built Philox(key=seed, counter=round << 128)."""
+    gen = np.random.Generator(np.random.Philox(key=int(spec.seed), counter=round << 128))
     return _shuffle(gen.integers(np.arange(spec.tau, dtype=np.int64), spec.n).tolist())
 
 
@@ -93,36 +92,6 @@ def _shuffle(offsets: list) -> np.ndarray:
 
 
 _U64 = (1 << 64) - 1
-_philox = threading.local()
-
-
-def _check_seed(seed: int) -> None:
-    if not 0 <= int(seed) < 1 << 128:
-        raise ValueError("seed must satisfy 0 <= seed < 2**128")
-
-
-def _keyed_generator(seed: int, round: int) -> np.random.Generator:
-    """This thread's Generator, reset to Philox(key=seed, counter=round << 128).
-
-    Resetting the key, the counter and the output buffer gives the stream
-    of a freshly built Philox without the cost of building one per round.
-    """
-    seed, round = int(seed), int(round)
-    _check_seed(seed)
-    if round >= 1 << 128:
-        raise ValueError("round must be below 2**128")
-    gen = getattr(_philox, "gen", None)
-    if gen is None:
-        gen = _philox.gen = np.random.Generator(np.random.Philox(0))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": [0, 0, round & _U64, round >> 64], "key": [seed & _U64, seed >> 64]},
-        "buffer": [0, 0, 0, 0],
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-    return gen
 
 
 # Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments

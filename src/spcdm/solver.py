@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eso import EsoParams, dual_weights, primal_weights, select_eso
+from .eso import dual_weights, primal_weights, select_eso
 from .problem import ProblemData, row_sparsity
 from .sampling import SamplingSpec, draw
 from .smoothing import SmoothedLoss, init_state, loss_constants
@@ -251,8 +251,7 @@ def run(
     omega = row_sparsity(pd)
     sigma, _ = loss_constants(loss.kind, pd)
     eso = select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau)
-    params = EsoParams(beta_prime=eso.beta_prime, formula=eso.formula, sigma=sigma, mu=loss.mu)
-    beta = params.beta
+    beta = eso.beta_prime / (sigma * loss.mu)
     # the column-local ESO scales each coordinate's step, not its w:
     # ridge's Psi stays (delta/2) ||x||_w^2 whichever ESO runs
     betas = beta * eso.factors
@@ -429,30 +428,26 @@ def iter_bound_nonsmooth(
     w*-diameter of the eps_prime/2-enlarged initial level set of F.
     Under the column-local ESO pass beta_prime = 1 and measure that
     diameter (and sigma_fmu, sigma_psi) in the beta_i * w_i norm.
+
+    It is the smoothed bound at mu = eps_prime/(2D): f_mu <= f <= f_mu +
+    mu D, so F_mu accuracy eps_prime/2 from an F_mu gap of at most
+    initial_gap + eps_prime/2 gives F accuracy eps_prime.
     """
+    # eps_prime's own checks, before mu = eps_prime/(2D) hides their names
     _check_bound_args(n=n, tau=tau, beta_prime=beta_prime, eps=eps_prime, rho=rho,
                       initial_gap=initial_gap, mu=1.0, sigma=sigma)
     if D <= 0:
         raise ValueError("D must be positive")
-    log_term = math.log((2.0 * initial_gap + eps_prime) / (eps_prime * rho))
-    if case == "strongly_convex":
-        if sigma_fmu + sigma_psi <= 0:
-            raise ValueError("strongly_convex case needs sigma_fmu + sigma_psi > 0")
-        ratio = (2.0 * beta_prime * D / (sigma * eps_prime) + sigma_psi) / (
-            sigma_fmu + sigma_psi
+    if case == "convex" and eps_prime**2 >= 8.0 * n * D * beta_prime / (sigma * tau):
+        raise ValueError(
+            "convex case requires eps_prime^2 < 8 n D beta_prime / (sigma tau)"
         )
-        return math.ceil((n / tau) * ratio * log_term)
-    if case == "convex":
-        if eps_prime**2 >= 8.0 * n * D * beta_prime / (sigma * tau):
-            raise ValueError(
-                "convex case requires eps_prime^2 < 8 n D beta_prime / (sigma tau)"
-            )
-        if level_diameter is None:
-            raise ValueError("convex case needs level_diameter")
-        _check_convex_case_formula(formula)
-        factor = 8.0 * D * level_diameter**2 / (sigma * eps_prime**2)
-        return math.ceil((n * beta_prime / tau) * factor * log_term)
-    raise ValueError(f"unknown case {case!r}")
+    return iter_bound_smoothed(
+        case, n=n, tau=tau, beta_prime=beta_prime, mu=eps_prime / (2.0 * D), sigma=sigma,
+        eps=eps_prime / 2.0, rho=rho, initial_gap=initial_gap + eps_prime / 2.0,
+        sigma_fmu=sigma_fmu, sigma_psi=sigma_psi, level_diameter=level_diameter,
+        formula=formula,
+    )
 
 
 def _check_bound_args(*, n, tau, beta_prime, eps, rho, initial_gap, mu, sigma):

@@ -85,6 +85,10 @@ def test_usage_errors_are_exit_1(tmp_path, capsys):
     for argv in bad:
         assert main(argv) == 1, argv
         assert "error" in capsys.readouterr().err.lower()
+    # a bad name reaches the library, whose check names it
+    assert main(["solve", "--synth", "10,5,2", "--app", "l1", "--mu", "0.1", "--tau", "1",
+                 "--beta-formula", "beta9"]) == 1
+    assert "error: unknown beta formula 'beta9'" in capsys.readouterr().err
 
 
 def test_l1_rejects_dataset_with_empty_row(tmp_path, capsys):
@@ -165,7 +169,7 @@ def test_eps_prime_without_target_cannot_certify(tmp_path):
     assert main(argv) == 2
 
 
-def test_gradcheck_passes_and_fails():
+def test_gradcheck_passes_and_fails(capsys):
     assert main(["gradcheck", "--app", "l1"]) == 0
     assert main(["gradcheck", "--app", "linf", "--mu", "0.5"]) == 0
     assert main(["gradcheck", "--app", "adaboost"]) == 0
@@ -173,6 +177,9 @@ def test_gradcheck_passes_and_fails():
     assert main(["gradcheck", "--app", "linf", "--mu", "1e-12"]) == 3
     assert main(["gradcheck", "--app", "adaboost", "--mu", "0.5"]) == 1
     assert main(["gradcheck", "--app", "l1", "--mu", "-1"]) == 1
+    capsys.readouterr()
+    assert main(["gradcheck", "--app", "l1", "--mu", "nan"]) == 1
+    assert "error: mu must be positive and finite, got nan" in capsys.readouterr().err
 
 
 def test_eso_table_stdout_and_file(tmp_path, capsys):
@@ -196,6 +203,10 @@ def test_eso_table_stdout_and_file(tmp_path, capsys):
 
     assert main(["eso-table", "--n", "10", "--m", "5", "--omega", "11",
                  "--tau-range", "1:2"]) == 1
+    capsys.readouterr()
+    assert main(["eso-table", "--n", "5", "--m", "5", "--omega", "9",
+                 "--tau-range", "1:2"]) == 1
+    assert "error: omega must be <= n" in capsys.readouterr().err
     assert main(["eso-table", "--n", "10", "--m", "5", "--omega", "3",
                  "--tau-range", "0:2"]) == 1
     assert main(["eso-table", "--n", "10", "--m", "5", "--omega", "3",

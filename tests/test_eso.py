@@ -5,7 +5,6 @@ import pytest
 
 from helpers import eso_ratio_max, operator_norm_oracle, subspace_lipschitz
 from spcdm.eso import (
-    EsoParams,
     beta1,
     beta2,
     beta3,
@@ -284,11 +283,6 @@ def test_brute_force_oracle_catches_too_small_local_factors(variant):
             else:
                 factors = np.minimum(np.minimum(longest, tau), (tau - 1) / (n - 1) * spread)
             assert eso_ratio_max(pd.dense(), tau, factors * pw.w, rng) > 1.0 + 1e-6, (n, tau)
-
-
-def test_eso_params_beta():
-    ep = EsoParams(beta_prime=3.0, formula="beta1", sigma=2.0, mu=0.25)
-    assert ep.beta == pytest.approx(6.0)
 
 
 def test_subspace_lipschitz_examples():

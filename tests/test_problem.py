@@ -101,6 +101,11 @@ def test_from_coo_validation():
         ProblemData.from_coo(2, 2, [2], [0], [1.0], b)
     with pytest.raises(ValueError, match="column index"):
         ProblemData.from_coo(2, 2, [0], [5], [1.0], b)
+    # an index is checked whatever its value, as load_svmlight checks it
+    with pytest.raises(ValueError, match="row index"):
+        ProblemData.from_coo(2, 2, [0, 7], [0, -3], [1.0, 0.0], b)
+    with pytest.raises(ValueError, match="column index"):
+        ProblemData.from_coo(2, 2, [0, 1], [0, -3], [1.0, 0.0], b)
     with pytest.raises(ValueError, match="length"):
         ProblemData.from_coo(2, 2, [0], [0], [1.0], np.zeros(3))
     # float indices are taken only when integral, never truncated

@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -78,6 +80,39 @@ def test_draw_rejects_keys_and_rounds_philox_cannot_take():
     assert draw(SamplingSpec(n=4, tau=2, seed=0), 5, 0).shape == (0, 2)
 
 
+def test_draw_in_two_threads_matches_the_serial_draws():
+    # rejected rounds at n = 2**31 + 11 take the per-round path inside blocks
+    specs = [SamplingSpec(n=n, tau=tau, seed=7) for n, tau in ((50, 6), (2**31 + 11, 8))]
+    rounds = range(0, 200, 20)
+
+    def draws():
+        return [(draw(spec, r), draw(spec, r, 20)) for spec in specs for r in rounds]
+
+    serial = draws()
+    results = [None, None]
+    start = threading.Barrier(2)
+
+    def worker(k):
+        start.wait()
+        results[k] = draws()
+
+    threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside a draw too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got in results:
+        assert len(got) == len(serial)
+        for (one, block), (one_ref, block_ref) in zip(got, serial):
+            assert np.array_equal(one, one_ref) and np.array_equal(block, block_ref)
+
+
 def test_draw_is_valid_subset():
     for n, tau in [(1, 1), (5, 1), (5, 5), (12, 7), (100, 13)]:
         spec = SamplingSpec(n=n, tau=tau, seed=3)
@@ -109,10 +144,8 @@ def test_draw_deterministic_and_replayable():
 def test_draw_uniform_singletons():
     # tau=1, n=4: each index should appear ~1/4 of the time
     spec = SamplingSpec(n=4, tau=1, seed=2024)
-    counts = np.zeros(4)
     ndraws = 40000
-    for r in range(ndraws):
-        counts[draw(spec, r)[0]] += 1
+    counts = np.bincount(draw(spec, 0, ndraws)[:, 0], minlength=4)
     expected = ndraws / 4
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=3)
@@ -124,8 +157,8 @@ def test_draw_uniform_pairs():
     pairs = {p: k for k, p in enumerate(itertools.combinations(range(5), 2))}
     counts = np.zeros(10)
     ndraws = 100000
-    for r in range(ndraws):
-        counts[pairs[tuple(draw(spec, r))]] += 1
+    for row in draw(spec, 0, ndraws).tolist():
+        counts[pairs[tuple(row)]] += 1
     expected = ndraws / 10
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=9)
@@ -208,8 +241,8 @@ def test_draw_matches_exact_distribution_tiny():
     pairs = {p: k for k, p in enumerate(itertools.combinations(range(4), 2))}
     counts = np.zeros(6)
     ndraws = 60000
-    for r in range(ndraws):
-        counts[pairs[tuple(draw(spec, r))]] += 1
+    for row in draw(spec, 0, ndraws).tolist():
+        counts[pairs[tuple(row)]] += 1
     expected = ndraws / 6
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     assert chi2 < stats.chi2.ppf(0.99, df=5)

@@ -258,6 +258,9 @@ def test_run_report_json_round_trip():
     assert back.final_x_norm == rep.final_x_norm
     assert back.final_x_nnz == rep.final_x_nnz
     assert back.config == rep.config
+    # the echoed step factor is beta = beta'/(sigma mu), here with beta' > 1
+    c = rep.config
+    assert c["beta_prime"] > 1 and c["beta"] == c["beta_prime"] / (c["sigma"] * c["mu"])
     assert back.final_x is None  # the iterate itself stays out of the report file
     with pytest.raises(ValueError):
         RunReport.from_dict({"schema": 99})
@@ -486,6 +489,17 @@ def test_iter_bound_nonsmooth_values_and_scaling():
 
     ratio = convex_k(0.05) / convex_k(0.1)
     assert 3.9 <= ratio <= 4.5  # quadratic in 1/eps', up to the log factor
+
+    # the smoothed bound at mu = eps'/(2D), accuracy eps'/2 and gap + eps'/2
+    def smoothed(case, eps_prime, **kw):
+        return iter_bound_smoothed(
+            case, n=60, tau=6, beta_prime=2.0, mu=eps_prime / (2 * math.log(100)),
+            sigma=1.0, eps=eps_prime / 2, rho=0.1, initial_gap=4.0 + eps_prime / 2, **kw,
+        )
+
+    assert k == smoothed("strongly_convex", 0.05, sigma_fmu=1.5)
+    for eps_prime in (0.05, 0.1):
+        assert convex_k(eps_prime) == smoothed("convex", eps_prime, level_diameter=2.0)
 
 
 def test_iter_bound_side_conditions():
