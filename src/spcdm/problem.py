@@ -159,9 +159,9 @@ class ProblemData:
     ) -> "ProblemData":
         """Build the column layout from triplets.
 
-        Explicit zeros are dropped.  Non-finite values, non-integral or
-        out-of-range indices, duplicate (row, col) pairs and a bad-length
-        b raise ValueError.
+        Explicit zeros are dropped, after the checks.  Non-finite values,
+        non-integral or out-of-range indices, duplicate (row, col) pairs
+        (a zero among them too) and a bad-length b raise ValueError.
 
         The triplets are first put in row-major order, where duplicates
         are neighbours and the first one named is the first in that
@@ -189,11 +189,8 @@ class ProblemData:
                 raise ValueError("row index out of range")
             if cols.min() < 0 or cols.max() >= n:
                 raise ValueError("column index out of range")
-        keep = vals != 0.0
-        if not keep.all():
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-
-        # row-major order; duplicate (row, col) pairs are adjacent after sorting
+        # row-major order; duplicate (row, col) pairs are adjacent after
+        # sorting, and are duplicates whatever their values
         order = _row_major_order(m, n, rows, cols)
         if order is not None:
             rows, cols, vals = rows[order], cols[order], vals[order]
@@ -202,6 +199,9 @@ class ProblemData:
             if dup.any():
                 k = int(np.flatnonzero(dup)[0])
                 raise ValueError(f"duplicate entry at row {rows[k]}, column {cols[k]}")
+        keep = vals != 0.0
+        if not keep.all():
+            rows, cols, vals = rows[keep], cols[keep], vals[keep]
         row_lens = np.bincount(rows, minlength=m)
         del rows
         cols, vals = [cols], [vals]  # _column_layout empties the lists

@@ -188,9 +188,17 @@ class SmoothState:
         self.mu = np.array(self.loss.mu)
 
     def value(self) -> float:
+        """f_mu at x from the maintained state: O(m) for l1, O(1) in
+        Python floats for the exponential variants.  NaN while lse_acc is
+        outside [LSE_ACC_LO, LSE_ACC_HI] or not finite, where it no longer
+        tracks f_mu.  lse_acc is 1 right after a recompute, where this is
+        fmu."""
         if self.loss.kind == "l1":
             return value_from_residual(self.loss, self.r)
-        return float(self.fmu + self.loss.mu * float(np.log(self.lse_acc)))
+        acc = self.lse_acc
+        if not LSE_ACC_LO <= acc <= LSE_ACC_HI:
+            return math.nan
+        return float(self.fmu) + self.loss.mu * math.log(acc)
 
     def gradients(self, cols: ColumnBatch) -> tuple[np.ndarray, Snapshot]:
         """Derivatives of f_mu along the columns cols.ids, from maintained

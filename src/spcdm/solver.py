@@ -12,7 +12,8 @@ Which coordinates an iteration visits depends on the seed and the round
 alone, so run draws an epoch's subsets in one call (draw with count) and
 gathers their columns in one pass (SmoothedLoss.columns on the block);
 only the gradient, prox and update steps run per iteration.  A refresh
-in mid-epoch changes the state, never the subsets or the columns.
+in mid-epoch changes the state, never the subsets or the columns; a
+target check in mid-epoch reads the state and never writes it.
 
 A step gathers what it reads of the state once, and exponentiates each
 residual once.  SmoothState.gradients gathers x and r at the selected
@@ -36,13 +37,14 @@ import numbers
 import time
 import warnings
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .eso import dual_weights, primal_weights, select_eso
 from .problem import ProblemData, row_sparsity
 from .sampling import SamplingSpec, draw
-from .smoothing import SmoothedLoss, init_state, loss_constants
+from .smoothing import SmoothedLoss, evaluate, init_state, loss_constants
 
 REPORT_SCHEMA = 1
 
@@ -229,8 +231,15 @@ def run(
     pd must be the working matrix the loss was built on.  An epoch is
     ceil(n_active / tau) iterations, roughly one expected visit per
     coordinate.  The objective (f_mu plus the regularizer) is traced
-    after a fresh recompute every trace_every epochs; the run stops
-    early once the traced value reaches cfg.target_value.
+    after a fresh recompute every trace_every epochs.
+
+    With a cfg.target_value the run stops as soon as the objective
+    reaches it, in mid-epoch too (see _run_epoch): a step is checked
+    from the running value of the state, and the stop is confirmed by a
+    fresh evaluation, which never touches the state.  That value is the
+    last trace point, labelled with the epoch in progress, which counts
+    in epochs_run; coordinate_updates counts the steps taken.  Every
+    trace point before it is the one a run with no target traces.
 
     Raises SolverDiverged if a traced value is not finite.
     """
@@ -281,8 +290,10 @@ def run(
         "target_value": cfg.target_value,
     }
 
-    def traced_value() -> float:
-        val = state.value() + reg.value(state.x, w)
+    def objective() -> float:
+        return state.value() + reg.value(state.x, w)
+
+    def finite(val: float) -> float:
         if not math.isfinite(val):
             raise SolverDiverged(
                 "objective is not finite; beta or mu may be too small"
@@ -290,8 +301,18 @@ def run(
         return val
 
     t0 = time.perf_counter()
-    trace: list[tuple[int, float]] = [(0, traced_value())]
+    trace: list[tuple[int, float]] = [(0, finite(objective()))]
     target = cfg.target_value
+    stop = None
+    if target is not None:
+        # a check reads f_mu from the state (O(m) for l1, O(1) for the
+        # exponential losses) and Psi (O(n) unless there is none)
+        stop = _Stop(
+            target,
+            (pd.m if loss.kind == "l1" else 0) + (pd.n if reg.kind != "none" else 0),
+            objective,
+            lambda: evaluate(loss, state.x) + reg.value(state.x, w),
+        )
     updates = 0
     epochs_run = 0
     reached = target is not None and trace[0][1] <= target
@@ -301,14 +322,18 @@ def run(
         # gather them all at once, then step through them
         sel = draw(spec, epochs_run * iters_per_epoch, iters_per_epoch)
         block = sel if all_active else active[sel]
-        updates += _run_epoch(state, loss.columns(block), betas[block], w[block], reg)
         epochs_run += 1
-        if epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs:
+        traces = epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs
+        steps, val = _run_epoch(
+            state, loss.columns(block), betas[block], w[block], reg, stop, traces
+        )
+        updates += steps
+        if val is None and traces:
             state.recompute()
-            val = traced_value()
-            trace.append((epochs_run, val))
-            if target is not None and val <= target:
-                reached = True
+            val = objective()
+        if val is not None:
+            trace.append((epochs_run, finite(val)))
+            reached = target is not None and val <= target
     wall = time.perf_counter() - t0
 
     return RunReport(
@@ -325,26 +350,61 @@ def run(
     )
 
 
-def _run_epoch(state, batches, bb: np.ndarray, wb: np.ndarray, reg: Regularizer) -> int:
+class _Stop(NamedTuple):
+    """run's target check: the target, the entries one check reads, and
+    the objective from the running state and from a fresh evaluation."""
+
+    target: float
+    cost: int
+    running: Callable[[], float]
+    fresh: Callable[[], float]
+
+
+def _run_epoch(
+    state, batches, bb: np.ndarray, wb: np.ndarray, reg: Regularizer,
+    stop: _Stop | None, traced: bool,
+) -> tuple[int, float | None]:
     """One batched step per ColumnBatch of batches, each from a state
-    refreshed first if it asks; returns the coordinate updates taken.
+    refreshed first if it asks; returns the coordinate updates taken, and
+    the fresh objective at which the epoch stopped, or None if it ran out.
 
     bb and wb hold the betas and the weights of the epoch's block, one
-    row per batch.  The epoch's last step is not followed by a check:
-    the trace refresh or the next epoch's first check sees the same x.
+    row per batch.  The epoch's last step is not followed by a refresh
+    check: the trace refresh or the next epoch's first check sees the
+    same x.
+
+    With stop, once the steps since the last check touched stop.cost
+    entries (so after every step where a check is O(1)), the running
+    value is read; if it is at most stop.target, a fresh evaluation
+    confirms it and ends the epoch, or else disarms the check for the
+    rest of the epoch.  Neither writes to the state.  A traced epoch's
+    last step is not checked: its trace point sees the same x.
     """
     updates = 0
+    touched = 0
+    armed = stop is not None
+    last = len(bb) - 1 if traced else len(bb)
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for cols, beta, w in zip(batches, bb, wb):
+        for k, (cols, beta, w) in enumerate(zip(batches, bb, wb)):
             if state.needs_recompute():
                 state.recompute()
             g, seen = state.gradients(cols)
             h = prox_steps(g, seen.x, beta, w, reg)
             state.apply_steps(cols, h, seen)
             updates += h.size
-    return updates
+            if armed and k < last:
+                touched += cols.rows.size
+                if touched >= stop.cost:
+                    touched = 0
+                    # NaN, while the state cannot say, is never at most the target
+                    if stop.running() <= stop.target:
+                        val = stop.fresh()
+                        if val <= stop.target:
+                            return updates, val
+                        armed = False
+    return updates, None
 
 
 def _check_convex_case_formula(formula):

@@ -7,9 +7,10 @@ and a brute-force search for the worst direction of a p = 1 ESO.  The helpers dr
 SmoothState.gradients and apply_steps, prox_steps) one coordinate at
 a time, through a one-column batch, as run's epoch does: inside its
 errstate, with apply_steps taking the Snapshot that gradients took of
-the same state.  load_svmlight_reference is the svmlight loader as a
-loop over lines and tokens of decoded text, the reference for the
-array-at-once load_svmlight.  row_slices and row_lens read A by rows,
+the same state; replay drives it through run's epochs with no target
+check, for a given number of iterations.  load_svmlight_reference is
+the svmlight loader as a loop over lines and tokens of decoded text,
+the reference for the array-at-once load_svmlight.  row_slices and row_lens read A by rows,
 through the row layout ProblemData derives on request.
 """
 
@@ -18,7 +19,10 @@ import itertools
 
 import numpy as np
 
+from spcdm.eso import dual_weights, primal_weights, select_eso
 from spcdm.problem import ProblemData
+from spcdm.sampling import SamplingSpec, draw
+from spcdm.smoothing import init_state, loss_constants
 from spcdm.solver import prox_steps
 
 
@@ -47,6 +51,36 @@ def step(st, i, h):
     cols = column(st.loss, i)
     with np.errstate(**KERNEL_ERRSTATE):
         st.apply_steps(cols, np.array([h], dtype=np.float64), st.gradients(cols)[1])
+
+
+def replay(loss, reg, cfg, iterations):
+    """The state after the first iterations of run(loss.pd, loss, reg,
+    cfg), taken with no target check: run's betas, draws and gathers,
+    its refresh before any step that asks, and its recompute at each
+    traced epoch end."""
+    pd = loss.pd
+    dw = dual_weights(pd, loss.kind)
+    pw = primal_weights(pd, dw)
+    eso = select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau)
+    betas = eso.beta_prime / (loss_constants(loss.kind, pd)[0] * loss.mu) * eso.factors
+    active = np.flatnonzero(pw.active)
+    spec = SamplingSpec(n=active.size, tau=cfg.tau, seed=cfg.seed)
+    per_epoch = -(-active.size // cfg.tau)
+    st = init_state(loss)
+    epoch = 0
+    while iterations > 0:
+        block = active[draw(spec, epoch * per_epoch, per_epoch)][:iterations]
+        with np.errstate(**KERNEL_ERRSTATE):
+            for cols, beta, w in zip(loss.columns(block), betas[block], pw.w[block]):
+                if st.needs_recompute():
+                    st.recompute()
+                g, seen = st.gradients(cols)
+                st.apply_steps(cols, prox_steps(g, seen.x, beta, w, reg), seen)
+        iterations -= len(block)
+        epoch += 1
+        if iterations > 0 and (epoch % cfg.trace_every == 0 or epoch == cfg.max_epochs):
+            st.recompute()
+    return st
 
 
 def load_svmlight_reference(path, n_cols=None) -> ProblemData:

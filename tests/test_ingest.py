@@ -230,8 +230,10 @@ def test_from_coo_names_the_first_duplicate_in_row_major_order():
     cols = [2, 0, 4, 9, 2, 4, 1]
     with pytest.raises(ValueError, match=r"^duplicate entry at row 1, column 4$"):
         ProblemData.from_coo(6, 10, rows, cols, np.ones(7), np.zeros(6))
-    # a duplicate whose copy is zero is no duplicate: zeros go first
-    pd = ProblemData.from_coo(2, 2, [1, 1, 0], [0, 0, 1], [0.0, 2.0, 3.0], np.zeros(2))
+    # a duplicate whose copy is zero is still a duplicate: zeros go after the scan
+    with pytest.raises(ValueError, match=r"^duplicate entry at row 1, column 0$"):
+        ProblemData.from_coo(2, 2, [1, 1, 0], [0, 0, 1], [0.0, 2.0, 3.0], np.zeros(2))
+    pd = ProblemData.from_coo(2, 2, [1, 0, 0], [0, 0, 1], [2.0, 0.0, 3.0], np.zeros(2))
     assert np.array_equal(pd.triplets()[2], [3.0, 2.0])
 
 

@@ -95,6 +95,10 @@ def test_from_coo_validation():
     b = np.zeros(2)
     with pytest.raises(ValueError, match="duplicate"):
         ProblemData.from_coo(2, 2, [0, 0], [1, 1], [1.0, 2.0], b)
+    # a pair is a duplicate whatever its values, as load_svmlight rejects it
+    for vals in ([0.0, 2.0], [2.0, 0.0]):
+        with pytest.raises(ValueError, match="duplicate entry at row 0, column 1"):
+            ProblemData.from_coo(2, 2, [0, 0], [1, 1], vals, b)
     with pytest.raises(ValueError, match="finite"):
         ProblemData.from_coo(2, 2, [0], [1], [np.inf], b)
     with pytest.raises(ValueError, match="row index"):

@@ -5,11 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import prox, row_slices
+from helpers import assert_same_array, prox, replay, row_slices
+from spcdm import solver
 from spcdm.eso import beta3, dual_weights, primal_weights
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.sampling import SamplingSpec, draw
-from spcdm.smoothing import SmoothState, make_loss, prepare_problem
+from spcdm.smoothing import (
+    LSE_ACC_HI, LSE_ACC_LO, SmoothState, evaluate, init_state, make_loss, prepare_problem,
+)
 from spcdm.solver import (
     Regularizer,
     RunReport,
@@ -277,14 +280,15 @@ def test_final_x_norm_matches_linalg_norm():
 
 def test_auto_eso_pins_adaboost_updates_to_target():
     # adaboost under "auto": the column-local ESO where its largest factor
-    # is below beta3 (tau = 8), beta3 where it is not (tau = 1 and 64)
+    # is below beta3 (tau = 8), beta3 where it is not (tau = 1 and 64);
+    # the run stops at the step where the objective reaches the target
     pd = prepare_problem(synth_problem(2000, 1000, 5, seed=0), "adaboost")
     loss = make_loss(pd, "adaboost", 1.0)
     target = -0.0015
     for tau, formula, local_max, updates in (
-        (1, "beta3", 1.0, 2000),
-        (8, "local", 1.0 + 7 * 80 / 999, 2000),  # the largest sum of |J_j| - 1 is 80
-        (64, "beta3", 5.0, 6144),  # capped at the longest row
+        (1, "beta3", 1.0, 1320),
+        (8, "local", 1.0 + 7 * 80 / 999, 1824),  # the largest sum of |J_j| - 1 is 80
+        (64, "beta3", 5.0, 5632),  # capped at the longest row
     ):
         rep = run(pd, loss, Regularizer.none(),
                   SolverConfig(tau=tau, max_epochs=10, target_value=target))
@@ -297,7 +301,7 @@ def test_auto_eso_pins_adaboost_updates_to_target():
         assert local_max < b3 if formula == "local" else local_max >= b3
     slower = run(pd, loss, Regularizer.none(),
                  SolverConfig(tau=8, max_epochs=10, target_value=target, beta_formula="beta3"))
-    assert slower.target_reached and slower.coordinate_updates == 4000
+    assert slower.target_reached and slower.coordinate_updates == 3440
     assert slower.config["local_beta_max"] is None
 
 
@@ -333,6 +337,169 @@ def test_early_stop_on_target():
         SolverConfig(tau=2, seed=3, max_epochs=30, target_value=1e12),
     )
     assert rep0.target_reached and rep0.epochs_run == 0 and rep0.coordinate_updates == 0
+
+
+# the target check inside an epoch: (app, mu, regularizer, tau) on a
+# problem whose columns are all active
+STOP_CASES = {
+    "linf": ("linf", 0.2, Regularizer.none(), 8),
+    "adaboost": ("adaboost", 1.0, Regularizer.none(), 8),
+    "l1-l1reg": ("l1", 0.3, Regularizer.l1(0.05), 4),
+}
+
+
+def _stop_case(name):
+    app, mu, reg, tau = STOP_CASES[name]
+    raw = synth_problem(200, 100, 20, seed=3) if app == "l1" else synth_problem(50, 40, 6, seed=77)
+    working = prepare_problem(raw, app)
+    assert primal_weights(working, dual_weights(working, app)).active.all()
+    return make_loss(working, app, mu), reg, tau
+
+
+def _iterations_per_epoch(loss, tau):
+    return -(-loss.pd.n // tau)
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+
+    def counted(loss, x):
+        calls.append(1)
+        return evaluate(loss, x)
+
+    monkeypatch.setattr(solver, "evaluate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(STOP_CASES))
+def test_target_stops_the_run_at_the_step_that_reaches_it(name):
+    loss, reg, tau = _stop_case(name)
+    free = run(loss.pd, loss, reg, SolverConfig(tau=tau, seed=2, max_epochs=8))
+    vals = [v for _, v in free.objective_trace]
+    target = 0.5 * (vals[3] + vals[4])
+    assert vals[4] < target < vals[3]
+    cfg = SolverConfig(tau=tau, seed=2, max_epochs=8, target_value=target)
+    rep = run(loss.pd, loss, reg, cfg)
+    assert rep.target_reached
+    # the stop is inside the epoch that the last trace point names
+    steps = rep.coordinate_updates // tau
+    assert rep.coordinate_updates == steps * tau
+    assert rep.coordinate_updates < rep.epochs_run * _iterations_per_epoch(loss, tau) * tau
+    assert rep.objective_trace[-1][0] == rep.epochs_run
+    # every trace point before the stop is the target-free run's
+    k = len(rep.objective_trace) - 1
+    assert k == rep.epochs_run and rep.objective_trace[:k] == free.objective_trace[:k]
+    # the checks left the state alone: a replay of as many steps with no
+    # check ends at the same x, bit for bit
+    assert_same_array(rep.final_x, replay(loss, reg, cfg, steps).x)
+    # the last trace point is a fresh evaluation at that x
+    w = primal_weights(loss.pd, dual_weights(loss.pd, loss.kind)).w
+    fresh = evaluate(loss, rep.final_x) + reg.value(rep.final_x, w)
+    assert rep.objective_trace[-1][1] == fresh and fresh <= target
+
+
+def test_l1_check_reads_the_state_once_per_check_cost(monkeypatch):
+    # a check reads m residuals and n coordinates: it runs once the steps
+    # since the last one touched m + n entries, and never on the last step
+    # of a traced epoch
+    loss, reg, tau = _stop_case("l1-l1reg")
+    pd = loss.pd
+    reads = []
+    value = SmoothState.value
+
+    def counted(self):
+        reads.append(1)
+        return value(self)
+
+    monkeypatch.setattr(SmoothState, "value", counted)
+    epochs = 3
+    # f_mu and the l1 term are never negative: the target is never met
+    rep = run(pd, loss, reg, SolverConfig(tau=tau, seed=2, max_epochs=epochs, target_value=-1.0))
+    assert not rep.target_reached and rep.epochs_run == epochs
+    cost = pd.m + pd.n
+    per_epoch = _iterations_per_epoch(loss, tau)
+    spec = SamplingSpec(n=pd.n, tau=tau, seed=2)
+    want = 1  # the starting point
+    for e in range(epochs):
+        touched = np.cumsum(pd.col_nnz()[draw(spec, e * per_epoch, per_epoch)].sum(axis=1))
+        last = 0
+        for t in touched[:-1].tolist():
+            if t - last >= cost:
+                want, last = want + 1, t
+        want += 1  # the epoch's trace point
+    assert len(reads) == want
+    assert epochs + 1 < want < epochs * per_epoch  # checks ran, and not after every step
+
+
+def test_a_refuted_running_value_costs_one_evaluation_per_epoch(monkeypatch):
+    # a running value the fresh evaluation refutes disarms the check for
+    # the rest of its epoch, and changes nothing the run computes
+    loss, reg, tau = _stop_case("linf")
+    cfg = SolverConfig(tau=tau, seed=2, max_epochs=5)
+    free = run(loss.pd, loss, reg, cfg)
+    value = SmoothState.value
+    # the traced values are read right after a recompute, at staleness 0
+    monkeypatch.setattr(SmoothState, "value",
+                        lambda self: value(self) if self.staleness == 0 else -math.inf)
+    evals = _count_evaluations(monkeypatch)
+    target = min(v for _, v in free.objective_trace) - 1.0
+    rep = run(loss.pd, loss, reg,
+              SolverConfig(tau=tau, seed=2, max_epochs=5, target_value=target))
+    assert not rep.target_reached
+    assert len(evals) == rep.epochs_run == 5
+    assert rep.objective_trace == free.objective_trace
+    assert rep.coordinate_updates == free.coordinate_updates
+    assert_same_array(rep.final_x, free.final_x)
+
+
+@pytest.mark.parametrize("acc", [0.0, -1.0, math.inf, math.nan])
+def test_state_value_is_nan_where_the_accumulator_cannot_say(acc):
+    loss, _, _ = _stop_case("adaboost")
+    st = init_state(loss)
+    for edge in (LSE_ACC_LO, LSE_ACC_HI):
+        st.lse_acc = edge
+        assert st.value() == float(st.fmu) + loss.mu * math.log(edge)
+    st.lse_acc = acc
+    assert math.isnan(st.value())
+
+
+@pytest.mark.parametrize("acc", [0.0, -1.0, math.inf])
+def test_out_of_band_accumulator_skips_the_check(monkeypatch, acc):
+    loss, reg, tau = _stop_case("linf")
+    apply_steps = SmoothState.apply_steps
+
+    def spoiled(self, cols, h, seen):
+        apply_steps(self, cols, h, seen)
+        self.lse_acc = acc  # the next step's refresh rebuilds it from x
+
+    monkeypatch.setattr(SmoothState, "apply_steps", spoiled)
+    evals = _count_evaluations(monkeypatch)
+    free = run(loss.pd, loss, reg, SolverConfig(tau=tau, seed=2, max_epochs=8))
+    target = free.objective_trace[2][1]
+    rep = run(loss.pd, loss, reg,
+              SolverConfig(tau=tau, seed=2, max_epochs=8, target_value=target))
+    assert rep.target_reached and evals == []
+    # with no check able to fire, the run stops at an epoch end
+    assert rep.coordinate_updates == rep.epochs_run * _iterations_per_epoch(loss, tau) * tau
+
+
+def test_a_traced_epoch_leaves_its_last_step_to_the_trace_point(monkeypatch):
+    # tau = n: each epoch is one step, its last
+    loss, reg, _ = _stop_case("linf")
+    n = loss.pd.n
+    free = run(loss.pd, loss, reg, SolverConfig(tau=n, seed=2, max_epochs=6))
+    target = free.objective_trace[3][1]
+    assert min(v for _, v in free.objective_trace[:3]) > target
+    evals = _count_evaluations(monkeypatch)
+    rep = run(loss.pd, loss, reg, SolverConfig(tau=n, seed=2, max_epochs=6, target_value=target))
+    # no check ran: the recompute at the epoch's end traced the stop, once
+    assert evals == [] and rep.objective_trace == free.objective_trace[:4]
+    # an untraced epoch checks its last step, and the fresh evaluation
+    # gives the bits the recompute gives
+    rep = run(loss.pd, loss, reg,
+              SolverConfig(tau=n, seed=2, max_epochs=6, trace_every=2, target_value=target))
+    assert len(evals) == 1
+    assert rep.objective_trace == [free.objective_trace[e] for e in (0, 2, 3)]
 
 
 def test_trace_cadence():
