@@ -325,18 +325,20 @@ def cmd_bench(args) -> int:
                 report.target_reached,
                 report.config["beta_formula"],
                 report.config["beta_prime"],
+                report.config["local_beta_max"],
             )
         )
     out = open(args.out, "w", newline="", encoding="utf-8") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         # a row that stopped at --max-epochs says so instead of passing for converged
-        # and each row names the ESO it ran
+        # and each row names the ESO it ran, with the largest column-local
+        # factor where it was computed (under local, beta_prime reads 1)
         writer.writerow(["tau", "epochs", "updates", "wall_time", "final_value", "target_reached",
-                         "beta_formula", "beta_prime"])
-        for tau, epochs, updates, wall, val, reached, formula, bp in rows:
+                         "beta_formula", "beta_prime", "local_beta_max"])
+        for tau, epochs, updates, wall, val, reached, formula, bp, local in rows:
             writer.writerow([tau, epochs, updates, f"{wall:.6f}", repr(val), reached,
-                             formula, repr(bp)])
+                             formula, repr(bp), "" if local is None else repr(local)])
     finally:
         if args.out:
             out.close()

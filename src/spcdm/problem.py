@@ -17,8 +17,9 @@ class ProblemData:
 
     The methods read A one column at a time, so A is stored once, by
     columns: finite, nonzero entries, no duplicates, rows ascending
-    within each column.  Row order, which only setup statistics and the
-    writers need, is derived on request (_row_layout) and not kept.
+    within each column.  Per-row statistics are reductions over the
+    columns, in CSC order; nothing in the library sorts A by rows but
+    save_svmlight, which writes them.
     """
 
     m: int
@@ -102,7 +103,7 @@ class ProblemData:
     @functools.cached_property
     def _row_lens(self) -> np.ndarray:
         """The row lengths, from one bincount of col_rows, computed once:
-        omega, the column-local ESO and the row layout all read them."""
+        omega and the column-local ESO read them."""
         return np.bincount(self.col_rows, minlength=self.m)
 
     @functools.cached_property
@@ -110,13 +111,17 @@ class ProblemData:
         """v_j = squared Euclidean norm of row j, the l1 row weights:
         read-only, computed once, as the l1 loss, its constants and its
         weights all read it.  Each must be positive, so an empty row
-        raises ValueError naming it."""
-        ptr, _, vals = self._row_layout()
+        raises ValueError naming it.
+
+        One pass over spans of whole columns (_spans): np.add.at adds in
+        CSC order, so each row sums its squares one at a time by
+        ascending column, whatever the budget.
+        """
         v = np.zeros(self.m)
-        for ids, idx in _segments(ptr):
-            seg = vals[idx]
-            # batched 1-by-k @ k-by-1 products: one dot per row, as np.dot(row, row)
-            v[ids] = (seg[:, None, :] @ seg[:, :, None]).ravel()
+        ptr = self.col_ptr
+        for a, b in _spans(ptr):
+            vals = self.col_vals[ptr[a]:ptr[b]]
+            np.add.at(v, self.col_rows[ptr[a]:ptr[b]], vals * vals)
         if np.any(v == 0.0):
             j = int(np.flatnonzero(v == 0.0)[0])
             raise ValueError(f"l1 weights undefined: row {j} has no nonzeros")
@@ -125,21 +130,6 @@ class ProblemData:
 
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
-
-    def _row_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A row-compressed copy of A: (ptr, cols, vals), row j's columns
-        ascending in cols[ptr[j]:ptr[j + 1]], from one stable sort of
-        col_rows.  It is derived on every call and not kept."""
-        order = _stable_order(self.col_rows, self.m)
-        ptr = np.zeros(self.m + 1, dtype=np.int64)
-        np.cumsum(self._row_lens, out=ptr[1:])
-        cols = np.arange(self.n, dtype=np.int64).repeat(self._col_lens)
-        return ptr, cols[order], self.col_vals[order]
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All stored entries as (rows, cols, vals) in row-major order."""
-        ptr, cols, vals = self._row_layout()
-        return np.arange(self.m, dtype=np.int64).repeat(np.diff(ptr)), cols, vals
 
     def dense(self) -> np.ndarray:
         """Dense copy of A; small instances only."""
@@ -378,32 +368,44 @@ def _shared_rows(rows: np.ndarray, ptr: np.ndarray, m: int):
     columns hold: a (2, pairs) array of (earlier, next) positions within
     the selection, in row then position order.
 
-    One in-place sort of the int64 keys ((selection*m + row) << b) |
-    position, b the bit width of the entry count, finds them for every
-    one: the keys are unique, so any sort gives the stable order.  They
-    ascend by selection already, so when the selections hold equally
-    many entries, each selection's are sorted alone.  Where such a key
-    would overflow int64, a stable argsort of (selection*m + row) gives
-    the same.
+    A sort of unique keys, row then position, finds them: unique, so any
+    sort gives the stable order.  When every selection holds s entries
+    and m << bits(s) fits int32, each selection's int32 keys
+    (row << bits(s)) | position are sorted alone.  Otherwise one sort of
+    the int64 keys ((selection*m + row) << b) | position, b the bit
+    width of the entry count, finds them for every selection; where such
+    a key would overflow int64, a stable argsort of (selection*m + row)
+    gives the same.
     """
     count = ptr.size - 1
     sizes = np.diff(ptr)
-    key = (np.arange(count) * m).repeat(sizes)
-    key += rows
-    b = rows.size.bit_length()
-    if (count * m) << b <= _INT64_MAX:
+    size = rows.size // max(count, 1)
+    b = size.bit_length()
+    if np.all(sizes == size) and m << b < 1 << 31:
+        key = rows.astype(np.int32).reshape(count, size)
         key <<= b
-        key |= np.arange(rows.size)
-        size = rows.size // max(count, 1)
-        (key.reshape(count, size) if np.all(sizes == size) else key).sort()
+        key |= np.arange(size, dtype=np.int32)
+        key.sort(axis=1)
         pos = key & ((1 << b) - 1)
         key >>= b
+        label, at = np.divmod(np.flatnonzero(key[:, 1:] == key[:, :-1]), size - 1)
+        pairs = np.stack((pos[label, at], pos[label, at + 1])).astype(np.int64)
     else:
-        pos = key.argsort(kind="stable")
-        key = key[pos]
-    dup = np.flatnonzero(key[1:] == key[:-1])
-    label = key[dup] // m
-    pairs = np.stack((pos[dup], pos[dup + 1])) - ptr[label]
+        key = (np.arange(count) * m).repeat(sizes)
+        key += rows
+        b = rows.size.bit_length()
+        if (count * m) << b <= _INT64_MAX:
+            key <<= b
+            key |= np.arange(rows.size)
+            key.sort()
+            pos = key & ((1 << b) - 1)
+            key >>= b
+        else:
+            pos = key.argsort(kind="stable")
+            key = key[pos]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        label = key[dup] // m
+        pairs = np.stack((pos[dup], pos[dup + 1])) - ptr[label]
     bounds = np.searchsorted(label, np.arange(ptr.size)).tolist()
     return (pairs[:, a:b] if b > a else _NO_PAIRS for a, b in zip(bounds, bounds[1:]))
 
@@ -588,11 +590,16 @@ def _raise_first_error(block: bytes, line0: int):
 
 
 def save_svmlight(pd: ProblemData, path) -> None:
-    """Write svmlight/libsvm text that load_svmlight reads back exactly."""
-    ptr, cols, vals = pd._row_layout()
+    """Write svmlight/libsvm text that load_svmlight reads back exactly.
+
+    Rows come from one stable sort of col_rows, which keeps each row's
+    columns ascending."""
+    order = _stable_order(pd.col_rows, pd.m)
+    cols = np.arange(pd.n).repeat(pd._col_lens)[order]
+    vals = pd.col_vals[order]
+    ends = pd._row_lens.cumsum().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for j in range(pd.m):
-            lo, hi = ptr[j], ptr[j + 1]
+        for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
             toks = [f"{pd.b[j]:.17g}"]
             toks.extend(f"{c + 1}:{v:.17g}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
             fh.write(" ".join(toks) + "\n")

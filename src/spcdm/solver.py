@@ -324,10 +324,19 @@ def run(
         block = sel if all_active else active[sel]
         epochs_run += 1
         traces = epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs
-        steps, val = _run_epoch(
+        steps, k = _run_epoch(
             state, loss.columns(block), betas[block], w[block], reg, stop, traces
         )
         updates += steps
+        # a stop is confirmed once the epoch's gather is released; a
+        # refuted check disarms the rest of the epoch, gathered anew
+        val = None if k is None else stop.fresh()
+        if val is not None and not val <= target:
+            rest = block[k + 1:]
+            updates += _run_epoch(
+                state, loss.columns(rest), betas[rest], w[rest], reg, None, traces
+            )[0]
+            val = None
         if val is None and traces:
             state.recompute()
             val = objective()
@@ -363,10 +372,11 @@ class _Stop(NamedTuple):
 def _run_epoch(
     state, batches, bb: np.ndarray, wb: np.ndarray, reg: Regularizer,
     stop: _Stop | None, traced: bool,
-) -> tuple[int, float | None]:
+) -> tuple[int, int | None]:
     """One batched step per ColumnBatch of batches, each from a state
     refreshed first if it asks; returns the coordinate updates taken, and
-    the fresh objective at which the epoch stopped, or None if it ran out.
+    the index of the step after which the running value reached the
+    target, or None if the batches ran out.
 
     bb and wb hold the betas and the weights of the epoch's block, one
     row per batch.  The epoch's last step is not followed by a refresh
@@ -375,14 +385,12 @@ def _run_epoch(
 
     With stop, once the steps since the last check touched stop.cost
     entries (so after every step where a check is O(1)), the running
-    value is read; if it is at most stop.target, a fresh evaluation
-    confirms it and ends the epoch, or else disarms the check for the
-    rest of the epoch.  Neither writes to the state.  A traced epoch's
-    last step is not checked: its trace point sees the same x.
+    value is read, which writes nothing to the state; at most
+    stop.target, it ends the epoch, for run to confirm.  A traced
+    epoch's last step is not checked: its trace point sees the same x.
     """
     updates = 0
     touched = 0
-    armed = stop is not None
     last = len(bb) - 1 if traced else len(bb)
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
@@ -394,16 +402,13 @@ def _run_epoch(
             h = prox_steps(g, seen.x, beta, w, reg)
             state.apply_steps(cols, h, seen)
             updates += h.size
-            if armed and k < last:
+            if stop is not None and k < last:
                 touched += cols.rows.size
                 if touched >= stop.cost:
                     touched = 0
                     # NaN, while the state cannot say, is never at most the target
                     if stop.running() <= stop.target:
-                        val = stop.fresh()
-                        if val <= stop.target:
-                            return updates, val
-                        armed = False
+                        return updates, k
     return updates, None
 
 

@@ -10,8 +10,9 @@ errstate, with apply_steps taking the Snapshot that gradients took of
 the same state; replay drives it through run's epochs with no target
 check, for a given number of iterations.  load_svmlight_reference is
 the svmlight loader as a loop over lines and tokens of decoded text,
-the reference for the array-at-once load_svmlight.  row_slices and row_lens read A by rows,
-through the row layout ProblemData derives on request.
+the reference for the array-at-once load_svmlight.  row_layout derives
+A by rows from the stored columns, with one stable sort of col_rows;
+triplets, row_slices and row_lens read A through it.
 """
 
 import dataclasses
@@ -20,7 +21,7 @@ import itertools
 import numpy as np
 
 from spcdm.eso import dual_weights, primal_weights, select_eso
-from spcdm.problem import ProblemData
+from spcdm.problem import ProblemData, _stable_order
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.smoothing import init_state, loss_constants
 from spcdm.solver import prox_steps
@@ -161,15 +162,32 @@ def assert_same_array(got: np.ndarray, want: np.ndarray, name: str = "") -> None
     assert got.tobytes() == want.tobytes(), name
 
 
+def row_layout(pd: ProblemData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A row-compressed copy of A: (ptr, cols, vals), row j's columns
+    ascending in cols[ptr[j]:ptr[j + 1]], from one stable sort of col_rows
+    (save_svmlight's)."""
+    order = _stable_order(pd.col_rows, pd.m)
+    ptr = np.zeros(pd.m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pd.col_rows, minlength=pd.m), out=ptr[1:])
+    cols = np.arange(pd.n, dtype=np.int64).repeat(pd.col_nnz())
+    return ptr, cols[order], pd.col_vals[order]
+
+
+def triplets(pd: ProblemData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All stored entries as (rows, cols, vals) in row-major order."""
+    ptr, cols, vals = row_layout(pd)
+    return np.arange(pd.m, dtype=np.int64).repeat(np.diff(ptr)), cols, vals
+
+
 def row_slices(pd: ProblemData) -> list:
     """Each row's (column indices, values), columns ascending."""
-    ptr, cols, vals = pd._row_layout()
+    ptr, cols, vals = row_layout(pd)
     return [(cols[a:b], vals[a:b]) for a, b in zip(ptr[:-1].tolist(), ptr[1:].tolist())]
 
 
 def row_lens(pd: ProblemData) -> np.ndarray:
     """Each row's number of nonzeros."""
-    return np.diff(pd._row_layout()[0])
+    return np.diff(row_layout(pd)[0])
 
 
 def expected_intersection_sq(j_size: int, n: int, tau: int) -> float:
@@ -234,7 +252,7 @@ def subspace_lipschitz(pd: ProblemData, S) -> int:
         raise ValueError("column index out of range")
     mask = np.zeros(pd.n, dtype=bool)
     mask[S] = True
-    ptr, cols, _ = pd._row_layout()
+    ptr, cols, _ = row_layout(pd)
     hits = mask[cols].astype(np.int64)
     csum = np.concatenate([[0], np.cumsum(hits)])
     per_row = csum[ptr[1:]] - csum[ptr[:-1]]

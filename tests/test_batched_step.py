@@ -391,20 +391,31 @@ def test_rows_shared_by_three_columns_chain_their_pairs():
 
 @pytest.mark.parametrize("instance", [_instance, _regular_instance])
 def test_shared_rows_fall_back_to_a_stable_argsort_past_int64(instance):
-    # _instance's selections hold differing numbers of entries, and are
-    # sorted at once; _regular_instance's hold equally many, sorted each alone
+    # _instance's selections hold differing numbers of entries, so their
+    # keys are int64 and sorted at once; _regular_instance's hold equally
+    # many, so at pd.m their keys are int32, sorted each alone
     pd = instance(1)
     batches = list(pd.columns(draw(SamplingSpec(n=pd.n, tau=pd.n - 1, seed=2), 0, 40)))
     rows = np.concatenate([cols.rows for cols in batches])
     ptr = np.cumsum([0] + [cols.rows.size for cols in batches])
     count, b = len(batches), rows.size.bit_length()
+    size = rows.size // count
+    assert np.all(np.diff(ptr) == size) == (instance is _regular_instance)
+    assert pd.m << size.bit_length() < 1 << 31
+    # rows spread by stride keep their order and their ties: spread, the
+    # int32 keys would overflow and the packed int64 keys fit; at huge
+    # only (selection, row) does
+    stride = 1 << (31 - size.bit_length())
     huge = (1 << 62) // count
-    # the packed keys fit at pd.m; at huge only (selection, row) does
-    assert (count * pd.m) << b < 1 << 63 and count * huge < 1 << 63 < (count * huge) << b
-    got = list(problem._shared_rows(rows, ptr, huge))
-    assert len(got) == count and sum(pairs.shape[1] for pairs in got) > 0
-    for pairs, cols in zip(got, batches):
-        assert pairs.shape == cols.shared.shape and np.array_equal(pairs, cols.shared)
+    assert (int(rows.max()) * stride) << size.bit_length() >= 1 << 31
+    assert (count * pd.m * stride) << b < 1 << 63
+    assert count * huge < 1 << 63 < (count * huge) << b
+    for spread, m in ((stride, pd.m * stride), (1, huge)):
+        got = list(problem._shared_rows(rows * spread, ptr, m))
+        assert len(got) == count and sum(pairs.shape[1] for pairs in got) > 0
+        for pairs, cols in zip(got, batches):
+            assert pairs.dtype == cols.shared.dtype == np.int64
+            assert pairs.shape == cols.shared.shape and np.array_equal(pairs, cols.shared)
 
 
 def test_columns_gathers_in_column_order():
@@ -482,6 +493,7 @@ def _no_shared_rows(rows, ptr, m):
 # whether there are pairs)
 _unstable_shared_rows = _mutant(
     problem._shared_rows, "_unstable_shared_rows",
+    ("if np.all(sizes == size) and m << b < 1 << 31:", "if False:"),
     ("if (count * m) << b <= _INT64_MAX:", "if False:"),
     ('key.argsort(kind="stable")', 'key.argsort(kind="quicksort")'))
 

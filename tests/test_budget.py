@@ -1,14 +1,15 @@
 """Every O(nnz) pass over A takes at most problem._BUDGET entries at a time.
 
 The passes (load_svmlight's column layout, ProblemData.columns, the
-residual, the primal weights and the column-local factors) split along
-whole columns, rows or selections (problem._spans), so the split must
-not change a single bit: under a budget of 1 or 7 entries, where every
-pass splits, the results are compared bit for bit, sign of zero
-included, with the default budget's.  The memory the split saves is
-pinned in bytes traced by tracemalloc, never in seconds.
+residual, the l1 row norms, the primal weights and the column-local
+factors) split along whole columns, rows or selections (problem._spans),
+so the split must not change a single bit: under a budget of 1 or 7
+entries, where every pass splits, the results are compared bit for bit,
+sign of zero included, with the default budget's.  The memory the split
+saves is pinned in bytes traced by tracemalloc, never in seconds.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from spcdm import problem
 from spcdm.eso import dual_weights, local_factors, primal_weights
 from spcdm.problem import ProblemData, load_svmlight, save_svmlight
 from spcdm.sampling import SamplingSpec, draw
-from spcdm.smoothing import _residual, make_loss, prepare_problem
+from spcdm.smoothing import _residual, loss_constants, make_loss, prepare_problem
 from spcdm.solver import Regularizer, SolverConfig, run
 
 DEFAULT_BUDGET = problem._BUDGET
@@ -45,7 +46,7 @@ def _raw() -> ProblemData:
 def _outcome(app: str, tau: int) -> dict:
     """Everything the budget could touch: the gathered batches of one
     epoch's block, the run's trace, updates and final x, w, the local
-    factors and the residual at an x holding 0.0 and -0.0."""
+    factors, the row norms and the residual at an x holding 0.0 and -0.0."""
     mu, reg = APPS[app]
     working = prepare_problem(_raw(), app)
     loss = make_loss(working, app, mu)
@@ -63,6 +64,7 @@ def _outcome(app: str, tau: int) -> dict:
         "final_x": report.final_x,
         "w": primal_weights(working, dual_weights(working, app)).w,
         "factors": local_factors(working, tau, n),
+        "row_sq_norms": working.row_sq_norms,
         "residual": _residual(working, x),
     }
 
@@ -106,7 +108,7 @@ def test_every_pass_gives_the_same_bits_under_a_tiny_budget(reference, budget, a
     assert len(list(problem._spans(working.col_ptr))) > 1  # the passes over A split
     assert got["trace"] == want["trace"]
     assert got["updates"] == want["updates"]
-    for name in ("final_x", "w", "factors", "residual"):
+    for name in ("final_x", "w", "factors", "row_sq_norms", "residual"):
         assert_same_array(got[name], want[name], name)
     assert len(got["batches"]) == len(want["batches"])
     for g, w in zip(got["batches"], want["batches"]):
@@ -177,3 +179,66 @@ def test_traced_memory_is_the_matrix_plus_one_budget(tmp_path, monkeypatch, k):
     assert working.nnz == m * k
     assert load_peak <= 32 * working.nnz, load_peak / working.nnz
     assert run_peak <= 8 * 8 * (m + n) + 96 * problem._BUDGET, run_peak
+
+
+def _rows_of_k(m: int, n: int, k: int) -> ProblemData:
+    """m rows of k entries each, one in each of k equal bands of the n
+    columns (so ascending and distinct), and random signs for b."""
+    rng = np.random.default_rng(0)
+    cols = np.arange(k) * (n // k) + rng.integers(0, n // k, (m, k))
+    vals = rng.choice([-1.0, 1.0], (m, k)) * rng.uniform(0.1, 1.0, (m, k))
+    return ProblemData.from_coo(m, n, np.arange(m).repeat(k), cols.ravel(), vals.ravel(),
+                                rng.choice([-1.0, 1.0], m))
+
+
+def _run_peak(working, loss, cfg):
+    """The report of run and the bytes it traced above what was live."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        report = run(working, loss, Regularizer.none(), cfg)
+        return report, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_mid_epoch_stop_stacks_no_evaluation_on_the_gather(monkeypatch):
+    # A stop in mid-epoch is confirmed by a fresh evaluation, whose
+    # residual pass holds about 33 bytes per budget entry.  Made once the
+    # epoch's gather span is released, it stacks on nothing: the run
+    # peaks where the same run with no target does, give or take 2 bytes
+    # per budget entry of Python objects.
+    monkeypatch.setattr(problem, "_BUDGET", 1 << 12)
+    working = prepare_problem(_rows_of_k(5000, 2000, 20), "linf")
+    loss = make_loss(working, "linf", 0.1)
+    cfg = SolverConfig(tau=8, seed=0, max_epochs=3)
+    run(working, loss, Regularizer.none(), cfg)  # fills the caches every run reads
+    free, free_peak = _run_peak(working, loss, cfg)
+    (_, v1), (_, v2) = free.objective_trace[1:3]
+    stopped, peak = _run_peak(working, loss, dataclasses.replace(cfg, target_value=(v1 + v2) / 2))
+    assert stopped.target_reached and stopped.epochs_run == 2
+    assert free.coordinate_updates / 3 < stopped.coordinate_updates < free.coordinate_updates * 2 / 3
+    assert peak <= free_peak + 2 * problem._BUDGET, (peak - free_peak) / problem._BUDGET
+
+
+@pytest.mark.parametrize("m", [20_000, 40_000], ids=["100k-entries", "200k-entries"])
+def test_l1_setup_holds_a_few_doubles_a_row_past_the_matrix(monkeypatch, m):
+    # Past the matrix, the l1 loss's setup (v, its thresholds and D, and
+    # the weights that read v) holds a few doubles a row and one budget's
+    # squares: at most 8 bytes an entry with 5 entries a row (5 doubles a
+    # row), the same at 100k and 200k entries.  A row layout, the entries
+    # sorted by row with their columns and values, takes about 41 here.
+    pd = _rows_of_k(m, 4000, 5)
+    monkeypatch.setattr(problem, "_BUDGET", 1 << 12)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        working = prepare_problem(pd, "l1")
+        make_loss(working, "l1", 0.1)
+        loss_constants("l1", working)
+        dual_weights(working, "l1")
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert pd.nnz == m * 5
+    assert peak <= 8 * pd.nnz, peak / pd.nnz

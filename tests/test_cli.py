@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from spcdm.cli import main
-from spcdm.eso import beta1, beta2, beta3
+from spcdm.eso import beta1, beta2, beta3, dual_weights, local_factors, primal_weights
 from spcdm.problem import synth_problem, save_svmlight
+from spcdm.smoothing import prepare_problem
 from spcdm.solver import RunReport
 
 
@@ -222,13 +223,14 @@ def test_bench_table_and_exit_codes(tmp_path):
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tau", "epochs", "updates", "wall_time", "final_value", "target_reached",
-                       "beta_formula", "beta_prime"]
+                       "beta_formula", "beta_prime", "local_beta_max"]
     assert [r[0] for r in rows[1:]] == ["1", "3"]
     for r in rows[1:]:
         float(r[3]); float(r[4])
         assert r[5] == "True"
-    # l1 is p = 2: auto runs beta2, 1 + (omega - 1)(tau - 1)/(n - 1)
-    assert [r[6:] for r in rows[1:]] == [["beta2", "1.0"], ["beta2", repr(1 + 3 * 2 / 11)]]
+    # l1 is p = 2: auto runs beta2, 1 + (omega - 1)(tau - 1)/(n - 1), and
+    # computes no local factors
+    assert [r[6:] for r in rows[1:]] == [["beta2", "1.0", ""], ["beta2", repr(1 + 3 * 2 / 11), ""]]
 
     argv_hard = ["bench", "--synth", "40,12,4", "--app", "l1", "--mu", "0.2",
                  "--tau-list", "1,3", "--target", "0.0", "--max-epochs", "2",
@@ -262,6 +264,12 @@ def test_bench_rows_name_the_eso_each_tau_ran(tmp_path):
         rows = list(csv.DictReader(fh))
     assert [r["beta_formula"] for r in rows] == ["beta3", "local"]
     assert rows[0]["beta_prime"] == "1.0" and rows[1]["beta_prime"] == "1.0"
+    # the factor beta_prime hides under local: the largest beta_i that ran
+    working = prepare_problem(synth_problem(400, 200, 3, seed=0), "adaboost")
+    active = primal_weights(working, dual_weights(working, "adaboost")).active
+    assert rows[0]["local_beta_max"] == "1.0"
+    assert float(rows[1]["local_beta_max"]) == float(local_factors(working, 4, active.sum())[active].max())
+    assert 1.0 < float(rows[1]["local_beta_max"]) < 4.0
 
 
 def test_solve_rerun_is_deterministic(tmp_path):

@@ -2,8 +2,9 @@
 
 load_svmlight parses blocks of lines into arrays; the reference parses
 one token at a time (helpers.load_svmlight_reference).  from_coo sorts
-one row-major key, and ProblemData derives its row layout from one sort
-of the column layout's rows; the reference sorts both with np.lexsort.
+one row-major key, and helpers.row_layout derives the row layout from
+one sort of the column layout's rows (save_svmlight's); the reference
+sorts both with np.lexsort.
 Adaboost's prepare_problem scales the columns in place of a re-sort, and
 linf's stacks [A; -A] column by column; the references rebuild the
 matrix from its triplets.
@@ -12,7 +13,9 @@ matrix from its triplets.
 import numpy as np
 import pytest
 
-from helpers import assert_identical, assert_same_array, load_svmlight_reference, row_lens
+from helpers import (
+    assert_identical, assert_same_array, load_svmlight_reference, row_layout, row_lens, triplets,
+)
 from spcdm import problem
 from spcdm.problem import ProblemData, load_svmlight, stack_linf
 from spcdm.smoothing import prepare_problem
@@ -175,7 +178,7 @@ def test_only_ascii_digits_and_whitespace(tmp_path, text, message):
 
 def _lexsort_layouts(m, n, rows, cols, vals, b):
     """The column layout as a ProblemData, the reference for from_coo, and
-    the row layout (ptr, cols, vals), the reference for _row_layout,
+    the row layout (ptr, cols, vals), the reference for row_layout,
     both by np.lexsort."""
     rows, cols, vals = (np.asarray(a) for a in (rows, cols, vals))
     keep = vals != 0.0
@@ -207,7 +210,7 @@ def _triplets(seed, m=40, n=30, nnz=500):
 
 
 @pytest.mark.parametrize("seed", range(3))
-# uint16 radix sorts up to 2**16 columns (from_coo) and rows (_row_layout)
+# uint16 radix sorts up to 2**16 columns (from_coo) and rows (row_layout)
 @pytest.mark.parametrize("m, n", [(40, 30), (40, 2**16), (40, 2**16 + 1), (2**16, 30), (2**16 + 1, 30)])
 @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
 def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, m, n, order):
@@ -220,9 +223,9 @@ def test_from_coo_layouts_do_not_depend_on_triplet_order(seed, m, n, order):
     got = ProblemData.from_coo(m, n, rows[perm], cols[perm], vals[perm], b)
     by_cols, by_rows = _lexsort_layouts(m, n, rows, cols, vals, b)
     assert_identical(got, by_cols)
-    _assert_same_arrays(got._row_layout(), by_rows)
+    _assert_same_arrays(row_layout(got), by_rows)
     ptr, want_cols, want_vals = by_rows
-    _assert_same_arrays(got.triplets(), (np.arange(m).repeat(np.diff(ptr)), want_cols, want_vals))
+    _assert_same_arrays(triplets(got), (np.arange(m).repeat(np.diff(ptr)), want_cols, want_vals))
 
 
 def test_from_coo_names_the_first_duplicate_in_row_major_order():
@@ -234,7 +237,7 @@ def test_from_coo_names_the_first_duplicate_in_row_major_order():
     with pytest.raises(ValueError, match=r"^duplicate entry at row 1, column 0$"):
         ProblemData.from_coo(2, 2, [1, 1, 0], [0, 0, 1], [0.0, 2.0, 3.0], np.zeros(2))
     pd = ProblemData.from_coo(2, 2, [1, 0, 0], [0, 0, 1], [2.0, 0.0, 3.0], np.zeros(2))
-    assert np.array_equal(pd.triplets()[2], [3.0, 2.0])
+    assert np.array_equal(triplets(pd)[2], [3.0, 2.0])
 
 
 def test_row_major_order_falls_back_to_lexsort_past_int64():
@@ -250,8 +253,8 @@ def test_row_major_order_falls_back_to_lexsort_past_int64():
 # prepare_problem("adaboost"): the columns scaled by the labels
 
 def _rebuilt(pd: ProblemData) -> ProblemData:
-    """The labels scaled into A through triplets() and from_coo."""
-    rows, cols, vals = pd.triplets()
+    """The labels scaled into A through triplets and from_coo."""
+    rows, cols, vals = triplets(pd)
     return ProblemData.from_coo(pd.m, pd.n, rows, cols, vals * pd.b[rows], np.zeros(pd.m))
 
 
@@ -294,8 +297,8 @@ def test_scale_rows_needs_a_factor_and_a_label_per_row():
 # prepare_problem("linf"): [A; -A] built column by column
 
 def _stacked(pd: ProblemData) -> ProblemData:
-    """[A; -A] and (b; -b) through triplets() and from_coo."""
-    rows, cols, vals = pd.triplets()
+    """[A; -A] and (b; -b) through triplets and from_coo."""
+    rows, cols, vals = triplets(pd)
     return ProblemData.from_coo(
         2 * pd.m, pd.n, np.r_[rows, rows + pd.m], np.r_[cols, cols], np.r_[vals, -vals],
         np.r_[pd.b, -pd.b],

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import row_lens, row_slices
+from helpers import row_lens, row_slices, triplets
 from spcdm.problem import (
     ProblemData,
     load_svmlight,
@@ -155,7 +155,7 @@ def test_omega_monotone_under_column_removal():
     # dropping any column can only shrink row supports
     pd = synth_problem(m=10, n=8, omega_target=4, seed=5)
     base = row_sparsity(pd)
-    rows, cols, vals = pd.triplets()
+    rows, cols, vals = triplets(pd)
     for drop in range(pd.n):
         keep = cols != drop
         sub = ProblemData.from_coo(pd.m, pd.n, rows[keep], cols[keep], vals[keep], pd.b)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from helpers import row_lens, row_slices
+from spcdm import problem
 from spcdm.eso import DualWeights, dual_weights, primal_weights
 from spcdm.problem import ProblemData, _segments
 from spcdm.solver import Regularizer, SolverConfig, run
@@ -27,16 +28,17 @@ from spcdm.smoothing import (
 
 
 def _ref_row_sq_norms(pd):
+    # each row's squares summed one term at a time, by ascending column
     v = np.zeros(pd.m)
     for j, (_, vals) in enumerate(row_slices(pd)):
-        v[j] = np.dot(vals, vals)
+        for a in vals.tolist():
+            v[j] += a * a
     return v
 
 
 def _ref_l1_D(pd):
     total = 0.0
-    for _, vals in row_slices(pd):
-        vj = float(np.dot(vals, vals))
+    for vj in _ref_row_sq_norms(pd).tolist():
         total += vj * vj
     return 0.5 * total
 
@@ -142,15 +144,32 @@ def test_weights_match_loop_references(seed):
             assert list(np.flatnonzero(~pw.active)) == [EMPTY_COL]
 
 
-def test_row_sq_norms_derive_the_row_layout_once(monkeypatch):
+@pytest.mark.parametrize("budget", [64, 200])
+def test_row_sq_norms_sum_each_row_in_column_order_across_spans(monkeypatch, budget):
+    # spans of several columns that split the rows: per-span partial sums
+    # added together move the last bit of some rows at both budgets
+    monkeypatch.setattr(problem, "_BUDGET", budget)
+    for seed in range(3):
+        pd, _ = _instance(seed)
+        assert 1 < len(list(problem._spans(pd.col_ptr))) < pd.n
+        assert _same_bits(pd.row_sq_norms, _ref_row_sq_norms(pd))
+
+
+def test_row_sq_norms_are_computed_once_and_read_only(monkeypatch):
     pd, _ = _instance(0)
-    calls = []
-    derive = ProblemData._row_layout
-    monkeypatch.setattr(ProblemData, "_row_layout", lambda self: calls.append(self) or derive(self))
+    passes = []
+    spans = problem._spans
+
+    def counted(ptr):
+        # row_sq_norms is problem's one pass over A's own column pointers
+        passes.append(ptr is pd.col_ptr)
+        return spans(ptr)
+
+    monkeypatch.setattr(problem, "_spans", counted)
     loss = make_loss(pd, "l1", 0.3)
     loss_constants("l1", pd)
     run(pd, loss, Regularizer.none(), SolverConfig(tau=4, seed=0, max_epochs=1))
-    assert calls == [pd]
+    assert passes.count(True) == 1
     v = pd.row_sq_norms
     assert dual_weights(pd, "l1").v is v
     with pytest.raises(ValueError, match="read-only"):

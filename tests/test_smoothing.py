@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import gradient, row_slices, step
+from helpers import gradient, row_slices, step, triplets
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.smoothing import (
     LSE_ACC_HI,
@@ -129,7 +129,7 @@ def test_evaluate_matches_dense_reference():
             pd = synth_problem(m, n, min(3, n), seed=int(rng.integers(1 << 30)))
             if app == "adaboost":
                 pd = ProblemData.from_coo(
-                    m, n, *pd.triplets(), np.sign(rng.standard_normal(m))
+                    m, n, *triplets(pd), np.sign(rng.standard_normal(m))
                 )
             mu = 1.0 if app == "adaboost" else float(rng.uniform(0.05, 2.0))
             loss = _loss(app, pd, mu)
@@ -148,7 +148,7 @@ def test_gradient_matches_finite_differences():
             pd = synth_problem(m, n, min(3, n), seed=int(rng.integers(1 << 30)))
             if app == "adaboost":
                 pd = ProblemData.from_coo(
-                    m, n, *pd.triplets(), np.sign(rng.standard_normal(m))
+                    m, n, *triplets(pd), np.sign(rng.standard_normal(m))
                 )
             mu = 1.0 if app == "adaboost" else float(rng.uniform(0.1, 1.0))
             loss = _loss(app, pd, mu)
@@ -167,7 +167,7 @@ def test_partial_gradient_agrees_with_full():
     for app in ("linf", "l1", "adaboost"):
         pd = synth_problem(8, 6, 3, seed=5)
         if app == "adaboost":
-            pd = ProblemData.from_coo(8, 6, *pd.triplets(), np.sign(rng.standard_normal(8)))
+            pd = ProblemData.from_coo(8, 6, *triplets(pd), np.sign(rng.standard_normal(8)))
         loss = _loss(app, pd, 1.0 if app == "adaboost" else 0.3)
         st = init_state(loss, rng.standard_normal(6))
         g = st.full_gradient()
@@ -180,7 +180,7 @@ def test_incremental_value_tracks_evaluate():
     for app in ("linf", "l1", "adaboost"):
         pd = synth_problem(12, 9, 4, seed=21)
         if app == "adaboost":
-            pd = ProblemData.from_coo(12, 9, *pd.triplets(), np.sign(rng.standard_normal(12)))
+            pd = ProblemData.from_coo(12, 9, *triplets(pd), np.sign(rng.standard_normal(12)))
         loss = _loss(app, pd, 1.0 if app == "adaboost" else 0.4)
         st = init_state(loss)
         for _ in range(60):
@@ -264,7 +264,7 @@ def test_sandwich_bounds():
             pd = synth_problem(m, n, min(2, n), seed=int(rng.integers(1 << 30)))
             if app == "adaboost":
                 pd = ProblemData.from_coo(
-                    m, n, *pd.triplets(), np.sign(rng.standard_normal(m))
+                    m, n, *triplets(pd), np.sign(rng.standard_normal(m))
                 )
             mu = 1.0 if app == "adaboost" else float(rng.uniform(0.01, 1.5))
             loss = _loss(app, pd, mu)

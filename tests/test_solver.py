@@ -146,7 +146,11 @@ def test_serial_run_matches_straight_line_reference():
 
     # mirror of the update loop, plain arrays only
     n = pd.n
-    v = np.array([float(np.dot(vals, vals)) for _, vals in row_slices(pd)])
+    # each row's squares summed one term at a time, by ascending column
+    v = np.zeros(pd.m)
+    for j, (_, vals) in enumerate(row_slices(pd)):
+        for t in vals.tolist():
+            v[j] += t * t
     a = mu * v * v
     w = primal_weights(pd, dual_weights(pd, "l1")).w
     beta = 1.0 / mu  # tau=1 pairwise term vanishes, beta_prime = 1
