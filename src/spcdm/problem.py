@@ -436,11 +436,19 @@ class ColumnBatch(NamedTuple):
     row_data: np.ndarray | None = None
 
 
-# Bytes read per block of whole lines: a block's temporaries (masks over
-# its bytes, one Python object per token) are dropped before the next.
+# Bytes read per block of whole lines: a block's temporaries (arrays over
+# its bytes and its fields) are dropped before the next.
 _CHUNK_BYTES = 1 << 18
-_SPACE = np.zeros(256, dtype=bool)  # what bytes.split() splits on
-_SPACE[list(b" \t\n\r\x0b\x0c")] = True
+# 1 at the bytes that end a field: what bytes.split() splits on (ASCII
+# whitespace, CR and LF among it) and the colon
+_SEPARATOR = bytes(c in b" \t\n\r\x0b\x0c:" for c in range(256))
+# Eight-digit words (_digits): k digits read from a word's low bytes go to
+# its top by a left shift of _SHIFT[k] and ASCII zeros _FILL[k] fill the
+# bytes below; _POW10[k] is 10**k, exact as an integer and as a double
+_SHIFT = np.array([8 * (8 - k) for k in range(9)], dtype=np.uint64)
+_FILL = np.array([0x3030303030303030 >> 8 * k for k in range(9)], dtype=np.uint64)
+_POW10 = 10 ** np.arange(9, dtype=np.uint64)
+_POW10F = _POW10.astype(np.float64)
 
 
 def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
@@ -453,16 +461,26 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
     ``n_cols`` overrides it; the override must not undercut the data.
 
     The file is read as bytes: lines end at LF, CR or CRLF, ASCII
-    whitespace (space, tab, VT, FF) separates tokens, and labels and
-    values go through float(), indices through int(), on the bytes, so
-    any non-ASCII byte is an error.  It is parsed in blocks of whole
-    lines of about _CHUNK_BYTES bytes, each turned into arrays at once
-    and its Python objects dropped before the next.  A block keeps only
-    its row lengths, int32 columns and values, from which _column_layout
-    builds the columns with no sort by rows: the lines are rows in
-    order, their indices strictly ascending.  So loading holds the
-    stored matrix, one more array of its entries, and one block's and
-    one budget's temporaries.
+    whitespace (space, tab, VT, FF) separates tokens, and every number
+    reads as float() (labels and values) or int() (indices) reads its
+    bytes, so any non-ASCII byte is an error.  The numbers are parsed
+    in numpy, eight digits to a 64-bit word, with no Python object per
+    token.  An index of at most 8 digits is that word's value.  A label
+    or value with an optional sign, at most 8 integer and at most 8
+    fraction digits, and 1 to 15 digits in all, is mantissa / 10.0**k
+    (Clinger's fast path): the mantissa is below 2**53 and 10**k exact,
+    so the one correctly rounded division is float()'s result, and the
+    sign, applied by negation, keeps -0.0.  Every other field (an
+    exponent, an underscore, inf or nan, 17 significant digits, a long
+    or signed index, a bad byte) goes through float() or int() alone.
+
+    The file is parsed in blocks of whole lines of about _CHUNK_BYTES
+    bytes, each turned into arrays at once.  A block keeps only its row
+    lengths, int32 columns and values, from which _column_layout builds
+    the columns with no sort by rows: the lines are rows in order, their
+    indices strictly ascending.  So loading holds the stored matrix, one
+    more array of its entries, and one block's and one budget's
+    temporaries.
 
     Raises ValueError with the offending line number on malformed or
     non-UTF-8 tokens, non-finite labels or values, indices below 1 or
@@ -478,14 +496,14 @@ def load_svmlight(path, n_cols: int | None = None) -> ProblemData:
                 parsed = None
             if parsed is None:
                 _raise_first_error(block, line0)
-            b, row_lens, idx, val = parsed
+            b, row_lens, idx, val, lines = parsed
             max_idx = max(max_idx, int(idx.max(initial=0)))
             labels.append(b)
             lens.append(row_lens)
             cols.append((idx - 1).astype(np.int32 if max_idx <= 1 << 31 else np.int64))
             vals.append(val)  # _column_layout drops the zeros
             m += b.size
-            line0 += len(block.splitlines())
+            line0 += lines
     if not m:
         raise ValueError(f"{path}: no rows")
     n = max_idx
@@ -512,44 +530,124 @@ def _line_blocks(fh) -> Iterator[bytes]:
 
 
 def _parse_block(block: bytes):
-    """Labels and row lengths of the block's lines, and index and value
-    per feature, each array filled at once.  None where a check
-    fails; ValueError or OverflowError where int() or float() does.
+    """Labels and row lengths of the block's lines, index and value per
+    feature, and the block's line count (splitlines' count), each array
+    filled at once.  None where a check fails; ValueError or
+    OverflowError where int() or float() does.
     """
-    a = np.frombuffer(block, dtype=np.uint8)
-    # tokens are the runs of non-space bytes, each from its start to its end
-    edges = np.flatnonzero(np.diff(~_SPACE[a], prepend=False, append=False))
-    starts, ends = edges[0::2], edges[1::2]
-    # a token is its line's label when a CR or LF stands between it and
-    # the token before (the CR of a CRLF stands before no token)
-    line = np.searchsorted(np.flatnonzero((a == 10) | (a == 13)), starts)
-    first = np.ones(starts.size, dtype=bool)
-    first[1:] = line[1:] != line[:-1]
-    # a label holds no colon, every other token one with bytes on both sides
-    colon = a == 58
-    at = np.flatnonzero(colon)
-    owner = np.searchsorted(starts, at, "right") - 1
-    if not (np.array_equal(np.bincount(owner, minlength=starts.size), ~first)
-            and np.all(at > starts[owner]) and np.all(at + 1 < ends[owner])):
+    size = len(block)
+    data = block + bytes(8)
+    a = np.frombuffer(data, dtype=np.uint8)
+    sep = np.flatnonzero(np.frombuffer(block.translate(_SEPARATOR), dtype=bool))
+    # field k runs from sep[k - 1] + 1 to sep[k], with -1 and size past the ends
+    fields = _fields(a, sep, size)
+    if fields is None:
         return None
-    # blanking all but the labels and splitting gives the labels; blanking
-    # the labels and colons gives each feature's index and value in turn
-    edge = np.zeros(a.size + 1, dtype=np.int8)
-    edge[starts[first]] = 1
-    edge[ends[first]] = -1
-    in_label = np.cumsum(edge[:-1], dtype=np.int8).view(bool)
-    space = np.uint8(32)
-    b = np.fromiter(map(float, np.where(in_label, a, space).tobytes().split()), np.float64)
-    halves = np.where(in_label | colon, space, a).tobytes().split()
-    idx = np.fromiter(map(int, halves[0::2]), np.int64, len(halves) // 2)
-    val = np.fromiter(map(float, halves[1::2]), np.float64, len(halves) // 2)
-    del halves
-    row = np.cumsum(first)[~first] - 1
-    same = row[1:] == row[:-1]
+    labels, keys, lines = fields
+    start, end = np.append(0, sep + 1), np.append(sep, size)
+    # words[i]: the 8 bytes from i on as one little-endian word; data pads
+    # the block with 8 zero bytes, so every field's words are in range
+    words = np.ndarray((size + 1,), dtype="<u8", buffer=data, strides=(1,))
+    # a dot of each field, or its end where it has none (where a field
+    # holds two, the other one fails the digit check)
+    dot = end.copy()
+    dots = np.flatnonzero(a[:size] == 46)
+    dot[np.searchsorted(sep, dots)] = dots
+    b, val = (_decimals(block, a, words, start[f], end[f], dot[f]) for f in (labels, keys + 1))
+    idx = _integers(block, words, start[keys], sep[keys])
+    row_start = np.searchsorted(keys, labels)  # each row's first feature
+    new_row = np.zeros(keys.size + 1, dtype=bool)
+    new_row[row_start] = True
     if not (np.isfinite(b).all() and np.isfinite(val).all() and np.all(idx >= 1)
-            and np.all(idx[1:][same] > idx[:-1][same])):
+            and np.all((idx[1:] > idx[:-1]) | new_row[1:-1])):
         return None
-    return b, np.bincount(row, minlength=b.size), idx, val
+    return b, np.diff(row_start, append=keys.size), idx, val, lines
+
+
+def _fields(a: np.ndarray, sep: np.ndarray, size: int):
+    """The label fields, the index fields (each value field follows its
+    index) and the line count of the size bytes a, whose separators are
+    at sep; None where the fields break a rule."""
+    at = a[sep]
+    colon = at == 58
+    filled = np.diff(sep, prepend=-1, append=size) > 1
+    # a colon ends an index and starts its value, each nonempty; the label,
+    # first on its line, is the only field with no colon beside it
+    is_idx, is_val = np.append(colon, False), np.append(False, colon)
+    beside = is_idx | is_val
+    if np.any(beside & ~filled) or np.any(is_idx & is_val):
+        return None
+    line = np.zeros(sep.size + 1, dtype=np.int64)  # line ends before each field
+    np.cumsum((at == 10) | (at == 13), out=line[1:])
+    fields = np.flatnonzero(filled)
+    first = np.ones(fields.size, dtype=bool)
+    on = line[fields]
+    first[1:] = on[1:] != on[:-1]
+    if not np.array_equal(first, ~beside[fields]):
+        return None
+    crlf = np.count_nonzero(a[sep[at == 13] + 1] == 10)
+    lines = int(line[-1]) - crlf + (a[size - 1] not in (10, 13))
+    return fields[first], np.flatnonzero(colon), lines
+
+
+def _digits(words: np.ndarray, at: np.ndarray, count: np.ndarray):
+    """The count[i] <= 8 bytes from at[i] on read as a decimal number,
+    eight digits to a word (Lemire's SWAR), and whether each is all
+    ASCII digits."""
+    w = words[at] << _SHIFT[count]
+    w |= _FILL[count]
+    # a byte is a digit, 0x30 to 0x39, when its high nibble is 3 and stays 3 after adding 6
+    ok = ((w & 0xF0F0F0F0F0F0F0F0) | ((w + 0x0606060606060606) & 0xF0F0F0F0F0F0F0F0) >> 4
+          ) == 0x3333333333333333
+    w -= 0x3030303030303030
+    w = w * 10 + (w >> 8)  # byte 2i holds digits 2i and 2i + 1
+    # the top half sums bytes 0, 2, 4 and 6 times 10**6, 10**4, 100 and 1
+    w = ((w & 0xFF000000FF) * (100 + (10**6 << 32))
+         + ((w >> 16) & 0xFF000000FF) * (1 + (10**4 << 32))) >> 32
+    return w, ok
+
+
+def _tokens(block: bytes, start: np.ndarray, end: np.ndarray, which: np.ndarray):
+    """The fields block[start[i]:end[i]] for i in which, as bytes."""
+    return (block[s:e] for s, e in zip(start[which].tolist(), end[which].tolist()))
+
+
+def _integers(block: bytes, words: np.ndarray, start: np.ndarray, end: np.ndarray):
+    """int() of each field block[start[i]:end[i]], as int64."""
+    size = end - start
+    out, ok = _digits(words, start, np.minimum(size, 8))
+    out = out.astype(np.int64)
+    slow = np.flatnonzero(~ok | (size > 8))
+    if slow.size:
+        out[slow] = np.fromiter(map(int, _tokens(block, start, end, slow)), np.int64, slow.size)
+    return out
+
+
+def _decimals(block: bytes, a: np.ndarray, words: np.ndarray, start: np.ndarray,
+              end: np.ndarray, dot: np.ndarray):
+    """float() of each field block[start[i]:end[i]] of the bytes a, with
+    a dot at dot[i] (end[i] where it has none)."""
+    sign = a[start]
+    neg = sign == 45
+    head = start + (neg | (sign == 43))
+    whole = dot - head
+    frac_at = np.minimum(dot + 1, end)  # end where there is no fraction
+    frac = end - frac_at
+    w, ok = _digits(words, head, np.minimum(whole, 8))
+    k = np.minimum(frac, 8)
+    f, frac_ok = _digits(words, frac_at, k)
+    digits = whole + frac
+    # Clinger's fast path: the mantissa w * 10**k + f is below 10**15 < 2**53
+    # and 10**k is exact, so one correctly rounded division gives float()'s
+    ok &= frac_ok & (whole <= 8) & (frac <= 8) & (digits >= 1) & (digits <= 15)
+    out = (w * _POW10[k] + f).astype(np.float64)
+    out /= _POW10F[k]
+    np.negative(out, out=out, where=neg)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        out[slow] = np.fromiter(map(float, _tokens(block, start, end, slow)), np.float64,
+                                slow.size)
+    return out
 
 
 def _raise_first_error(block: bytes, line0: int):
@@ -593,15 +691,18 @@ def save_svmlight(pd: ProblemData, path) -> None:
     """Write svmlight/libsvm text that load_svmlight reads back exactly.
 
     Rows come from one stable sort of col_rows, which keeps each row's
-    columns ascending."""
+    columns ascending.  Labels and values are written as repr(float),
+    the shortest spelling that reads back to the same double, so short
+    decimals load on load_svmlight's fast path."""
     order = _stable_order(pd.col_rows, pd.m)
-    cols = np.arange(pd.n).repeat(pd._col_lens)[order]
-    vals = pd.col_vals[order]
+    cols = (np.arange(pd.n).repeat(pd._col_lens)[order] + 1).tolist()
+    vals = pd.col_vals[order].tolist()
+    labels = pd.b.tolist()
     ends = pd._row_lens.cumsum().tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for j, (lo, hi) in enumerate(zip([0] + ends, ends)):
-            toks = [f"{pd.b[j]:.17g}"]
-            toks.extend(f"{c + 1}:{v:.17g}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
+        for label, lo, hi in zip(labels, [0] + ends, ends):
+            toks = [repr(label)]
+            toks.extend(f"{c}:{v!r}" for c, v in zip(cols[lo:hi], vals[lo:hi]))
             fh.write(" ".join(toks) + "\n")
 
 

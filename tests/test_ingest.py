@@ -32,6 +32,21 @@ VALID = {
     "underscores, leading zeros": b"1_0 01:1_5.0 002:3\n",
     "no final newline": b"1 1:1.0\n-1 2:2.0",
     "crlf then lone cr at the end": b"1 1:1.0\r\n-1 2:2.0\r",
+    # the edges of the fast path (load_svmlight): at most 8 digits to an
+    # index, at most 8 integer and 8 fraction digits and 15 in all to a value
+    "indices of 8 and 9 digits": b"1 00000001:1 000000002:2 00000000000003:3\n",
+    "mantissas of 15 and 16 digits": (
+        b"1 1:1234567.89012345 2:12345678.9012345 3:12345678.90123456 4:-9999999.99999999\n"
+        b"-1 1:123456789012345 2:1234567890123456 3:99999999.99999999\n"
+    ),
+    "fractions of 8 and 9 digits": b"1 1:0.12345678 2:0.123456789 3:-.99999999 4:.999999999\n",
+    "no digit on one side of the dot, signed zeros": (
+        b".5 1:.5 2:5. 3:+1 4:-0 5:-.0 6:+0.0\n+1 1:-0. 2:+.25\n-0 1:-5.\n-.0\n+0.0 1:0\n"
+    ),
+    "leading zeros past 8 digits": b"0000000001 1:000000000.5 2:0000000000000000000001.25\n",
+    "17 significant digits and past 2**53": (
+        b"0.10000000000000001 1:0.10000000000000001 2:9007199254740993 3:-9007199254740993.5\n"
+    ),
 }
 
 MALFORMED = {
@@ -55,6 +70,13 @@ MALFORMED = {
     "first error wins": b"1 1:1\r\n2 2:1 1:1\r\nx 1:1\r\n",
     "label error before token error": b"1 1:1\r5x 1:y\n",
     "no rows": b"\n \r\n\t\n",
+    "a lone dot": b"1 1:.\n",
+    "a lone sign": b"1 1:-\n",
+    "a sign and a dot": b"+. 1:1\n",
+    "two dots": b"1 1:1.2.3\n",
+    "two signs": b"1 1:+-1\n",
+    "a sign inside the digits": b"1 1:1-2\n",
+    "a dot in an index": b"1 1:1 2.5:1\n",
 }
 
 
@@ -148,6 +170,54 @@ def test_bad_line_just_past_a_block_end(tmp_path, end, bad, offset):
     assert msg.startswith(f"line {len(good.splitlines()) + 1}: ")
     if bad.isascii():  # the reference raises a bare UnicodeDecodeError
         assert msg == _message(load_svmlight_reference, path)
+
+
+def test_large_indices_read_as_int_does():
+    # an index of up to 8 digits is one word's value, a longer one int()'s;
+    # the columns of indices this large are too many to load, so the
+    # block's parse is checked alone
+    toks = ["1", "12345678", "23456789", "98765432", "99999999", "100000000",
+            "123456789012", "+123456790000", "9223372036854775807"]
+    line = "1 " + " ".join(f"{t}:1" for t in toks) + "\n"
+    b, row_lens, idx, val, lines = problem._parse_block(line.encode())
+    assert idx.tolist() == [int(t) for t in toks]
+    assert row_lens.tolist() == [len(toks)] and lines == 1
+
+
+@pytest.mark.parametrize("name", VALID)
+def test_a_block_counts_its_lines_as_splitlines_does(name):
+    # from the separators: a CRLF is one line end, and a last line with
+    # none still counts
+    block = VALID[name]
+    assert problem._parse_block(block)[4] == len(block.splitlines())
+
+
+def _no_bytes(convert):
+    """convert, but raising where it is handed a token's bytes."""
+    def stub(x, *args):
+        if isinstance(x, bytes):
+            raise AssertionError(f"{convert.__name__}({x!r}) left the fast path")
+        return convert(x, *args)
+    return stub
+
+
+def test_workload_numbers_take_the_fast_path(tmp_path, monkeypatch):
+    # +-1 labels, indices of at most 5 digits, and values on a 1e-6 grid
+    # written by repr, as the adaboost workload's text: no token reaches
+    # float() or int()
+    rng = np.random.default_rng(0)
+    lines = []
+    for label in rng.choice([-1, 1], 1500).tolist():
+        idx = np.sort(rng.choice(99999, size=20, replace=False)) + 1
+        vals = rng.integers(100_000, 1_000_001, size=20) / 1e6 * rng.choice([-1, 1], size=20)
+        toks = [f"{i}:{v!r}" for i, v in zip(idx.tolist(), vals.tolist())]
+        lines.append(" ".join([str(label)] + toks))
+    path = _write(tmp_path, "\n".join(lines).encode() + b"\n")
+    assert path.stat().st_size > problem._CHUNK_BYTES
+    want = load_svmlight_reference(path)
+    monkeypatch.setattr(problem, "float", _no_bytes(float), raising=False)
+    monkeypatch.setattr(problem, "int", _no_bytes(int), raising=False)
+    assert_identical(load_svmlight(path), want)
 
 
 @pytest.mark.parametrize("text,match", [

@@ -112,3 +112,27 @@ def test_svmlight_round_trip_is_exact(tmp_path_factory, pd):
     assert np.array_equal(np.signbit(back.b), np.signbit(pd.b))  # same_as takes -0.0 == 0.0
     assert np.array_equal(back.col_ptr, pd.col_ptr)
     assert_identical(back, load_svmlight_reference(path, n_cols=pd.n))
+
+
+def _spelled(sign: str, whole: str, dot: str, frac: str) -> str:
+    """A decimal with at least one digit."""
+    return f"{sign}{whole}{dot}{frac}" if whole or frac else f"{sign}0{dot}"
+
+
+_DIGITS = st.text("0123456789", max_size=18)
+_NUMBERS = st.builds(_spelled, st.sampled_from(["", "+", "-"]), _DIGITS,
+                     st.sampled_from(["", "."]), _DIGITS)
+_LINES = st.tuples(_NUMBERS, st.lists(st.tuples(st.integers(0, 10), _NUMBERS), max_size=6))
+
+
+@FIXED
+@given(st.lists(_LINES, min_size=1, max_size=6))
+def test_number_spellings_load_as_the_reference_reads_them(tmp_path_factory, lines):
+    # signs, integer and fraction digits on both sides of the fast path's
+    # limits (8 and 8 digits, 15 in all), indices with leading zeros
+    text = "".join(
+        " ".join([label] + [f"{'0' * zeros}{i}:{v}" for i, (zeros, v) in enumerate(feats, 1)])
+        + "\n" for label, feats in lines)
+    path = tmp_path_factory.mktemp("svm") / "d.txt"
+    path.write_text(text)
+    assert_identical(load_svmlight(path), load_svmlight_reference(path))
