@@ -5,7 +5,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -40,51 +39,46 @@ class ProblemData:
 
     def columns(
         self, ids: np.ndarray, row_data: np.ndarray | None = None
-    ) -> "Iterator[ColumnBatch]":
+    ) -> "Iterator[ColumnSpan]":
         """The columns of the (count, tau) block ids, one selection per row:
-        an iterator over the selections' ColumnBatches, gathered lazily,
-        one pass per span of whole selections (_spans).
+        an iterator over ColumnSpans of consecutive whole selections,
+        gathered lazily, one pass per span (_spans).
 
-        Each batch builds only what the step kernel reads.  Length groups
+        Each span builds only what the step kernel reads.  Length groups
         are built only for the selections without a width (columns of
         differing lengths), from one stable sort keyed on (selection,
         column length); when every selection has a width, as at tau = 1
-        or on a column-regular matrix, there is no such sort.  Shared rows
-        come from one sort of unique (selection, matrix row, position)
-        keys, and are not looked for at tau = 1.  A per-row array row_data
-        is gathered along: each batch's row_data is row_data[rows].
+        or on a column-regular matrix, there is no such sort.  The shared
+        rows and the waves come from one sort per span (_plan).  A per-row
+        array row_data is gathered along: the span's row_data is
+        row_data[rows].
         """
         lens = self._col_lens[ids]
         ptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)  # where each selection's entries start
         np.cumsum(lens.sum(axis=1), out=ptr[1:])
-        return chain.from_iterable(
-            self._gather(ids[a:b], lens[a:b], ptr[a:b + 1] - ptr[a], row_data)
-            for a, b in _spans(ptr))
+        return (self._gather(ids[a:b], lens[a:b], ptr[a:b + 1] - ptr[a], row_data)
+                for a, b in _spans(ptr))
 
-    def _gather(self, ids, lens, ptr, row_data):
-        """The ColumnBatches of the (count, tau) block ids, whose columns
-        have lengths lens and whose selections start at ptr, all sliced
-        out of one gather."""
+    def _gather(self, ids, lens, ptr, row_data) -> "ColumnSpan":
+        """The ColumnSpan of the (count, tau) block ids, whose columns have
+        lengths lens and whose selections start at ptr, from one gather."""
         count, tau = ids.shape
         flat = lens.ravel()
         ends = flat.cumsum()
         offsets = ends - flat  # where each column starts in the concatenation
         rows, vals = self._entries(ids.ravel(), flat, offsets)
-        at_rows = None if row_data is None else row_data[rows]
         width = lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)
         ragged = np.flatnonzero(width == 0)
-        groups = iter(())  # the ragged selections' groups, in selection order
+        groups = [[]] * count
         if ragged.size:
             it = np.arange(ragged.size).repeat(tau)
             starts = offsets.reshape(count, tau)[ragged] - ptr[ragged, None]
-            groups = _length_groups(starts.ravel(), lens[ragged].ravel(), it, ragged.size)
-        # at tau = 1 no two columns can share a row
-        shared = _shared_rows(rows, ptr, self.m) if tau > 1 else repeat(_NO_PAIRS)
-        ptr = ptr.tolist()
-        return (ColumnBatch(sel, n, rows[a:b], vals[a:b], [] if k else next(groups), pairs, k,
-                            None if at_rows is None else at_rows[a:b])
-                for sel, n, a, b, pairs, k
-                in zip(ids, lens, ptr, ptr[1:], shared, width.tolist()))
+            for t, g in zip(ragged.tolist(), _length_groups(
+                    starts.ravel(), lens[ragged].ravel(), it, ragged.size)):
+                groups[t] = g
+        pairs, pair_ptr, waves = _plan(rows, ptr, self.m)
+        return ColumnSpan(ids, flat, ptr.tolist(), rows, vals, width.tolist(), groups,
+                          pairs, pair_ptr, waves, None if row_data is None else row_data[rows])
 
     def _entries(
         self, ids: np.ndarray, lens: np.ndarray, offsets: np.ndarray
@@ -237,8 +231,6 @@ def _indices(a, name: str) -> np.ndarray:
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-_NO_PAIRS = np.zeros((2, 0), dtype=np.int64)  # shared by every batch: read-only
-_NO_PAIRS.flags.writeable = False
 
 
 def _row_major_order(m: int, n: int, rows: np.ndarray, cols: np.ndarray):
@@ -362,77 +354,94 @@ def _length_groups(starts: np.ndarray, lens: np.ndarray, it: np.ndarray, count: 
             for p, q in zip(bounds, bounds[1:]))
 
 
-def _shared_rows(rows: np.ndarray, ptr: np.ndarray, m: int):
-    """An iterator over the selections t (entries ptr[t]:ptr[t+1] of rows,
-    row indices below m) giving the entries of rows that several of its
-    columns hold: a (2, pairs) array of (earlier, next) positions within
-    the selection, in row then position order.
+def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
+    """The rows shared inside selections and the waves of a span: its
+    selections t hold the entries ptr[t]:ptr[t+1] of rows, row indices
+    below m.
 
-    A sort of unique keys, row then position, finds them: unique, so any
-    sort gives the stable order.  When every selection holds s entries
-    and m << bits(s) fits int32, each selection's int32 keys
-    (row << bits(s)) | position are sorted alone.  Otherwise one sort of
-    the int64 keys ((selection*m + row) << b) | position, b the bit
-    width of the entry count, finds them for every selection; where such
-    a key would overflow int64, a stable argsort of (selection*m + row)
-    gives the same.
+    Returns (pairs, pair_ptr, waves).  pairs[:, pair_ptr[t]:pair_ptr[t+1]]
+    are selection t's (earlier, next) positions within the selection of
+    entries whose row several of its columns hold, in row then position
+    order.  waves are the starts of the span's waves, then count: a wave
+    is a maximal run of consecutive selections no two of which share a
+    row, so each starts at the first selection that shares a row with
+    one of the current wave's.
+
+    One sort of unique keys, row then position in the span, finds both:
+    unique, so any sort gives the stable order, and neighbours in it
+    that hold one row are an earlier and the next entry of that row.
+    The keys are (row << b) | position, b the bit width of the entry
+    count, in int32 where m << b fits it and in int64 otherwise; where
+    they would overflow int64, a stable argsort of the rows gives the
+    same order.
     """
     count = ptr.size - 1
-    sizes = np.diff(ptr)
-    size = rows.size // max(count, 1)
-    b = size.bit_length()
-    if np.all(sizes == size) and m << b < 1 << 31:
-        key = rows.astype(np.int32).reshape(count, size)
+    b = rows.size.bit_length()
+    if m << b <= _INT64_MAX:
+        dtype = np.int32 if m << b < 1 << 31 else np.int64
+        key = rows.astype(dtype)
         key <<= b
-        key |= np.arange(size, dtype=np.int32)
-        key.sort(axis=1)
+        key |= np.arange(rows.size, dtype=dtype)
+        key.sort()
         pos = key & ((1 << b) - 1)
         key >>= b
-        label, at = np.divmod(np.flatnonzero(key[:, 1:] == key[:, :-1]), size - 1)
-        pairs = np.stack((pos[label, at], pos[label, at + 1])).astype(np.int64)
     else:
-        key = (np.arange(count) * m).repeat(sizes)
-        key += rows
-        b = rows.size.bit_length()
-        if (count * m) << b <= _INT64_MAX:
-            key <<= b
-            key |= np.arange(rows.size)
-            key.sort()
-            pos = key & ((1 << b) - 1)
-            key >>= b
-        else:
-            pos = key.argsort(kind="stable")
-            key = key[pos]
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        label = key[dup] // m
-        pairs = np.stack((pos[dup], pos[dup + 1])) - ptr[label]
-    bounds = np.searchsorted(label, np.arange(ptr.size)).tolist()
-    return (pairs[:, a:b] if b > a else _NO_PAIRS for a, b in zip(bounds, bounds[1:]))
+        pos = rows.argsort(kind="stable")
+        key = rows[pos]
+    dup = np.flatnonzero(key[1:] == key[:-1])
+    del key
+    earlier, later = pos[dup], pos[dup + 1]
+    del pos
+    sel = np.arange(count, dtype=np.int32).repeat(np.diff(ptr))  # each entry's selection
+    t0, t1 = sel[earlier], sel[later]
+    del sel
+    inside = t0 == t1
+    label = t1[inside]
+    order = label.argsort(kind="stable")
+    label = label[order]
+    pairs = np.stack((earlier[inside][order], later[inside][order])) - ptr[label]
+    pair_ptr = np.searchsorted(label, np.arange(count + 1)).tolist()
+    # the latest earlier selection that shares a row with each selection
+    # (ufunc.at is fast only where its array and operands share a dtype)
+    latest = np.full(count, -1, dtype=np.int32)
+    np.maximum.at(latest, t1[~inside], t0[~inside])
+    waves, start = [0], 0
+    for t, p in enumerate(latest.tolist()):
+        if p >= start:
+            waves.append(t)
+            start = t
+    waves.append(count)
+    return pairs, pair_ptr, waves
 
 
-class ColumnBatch(NamedTuple):
-    """Columns ids of a ProblemData, gathered once (ProblemData.columns).
+class ColumnSpan(NamedTuple):
+    """The columns of a run of consecutive selections (ProblemData.columns),
+    gathered at once.
 
-    rows and vals hold the columns' entries concatenated in the order of
-    ids, each column's in storage order; lens holds the column lengths.
-    width is k when every one of the columns has the same k > 0 entries,
-    else 0: then rows and vals reshape to (columns, k) views, one row per
-    column.  groups is read only without a width: it is then _segments
-    over the concatenation, (positions in ids, index into rows/vals) per
-    column length, and empty where width is set.  shared holds the
-    entries of rows that several of the columns hold: a (2, pairs) array
-    of (earlier, next) positions in rows, in row order and then column
-    order, with no pairs when no two of the columns share a row.
-    row_data holds a per-row array gathered along with rows, if any.
+    ids is the (count, tau) block of column ids, lens their lengths,
+    flat, and ptr (a list) where each selection starts in rows and vals,
+    which hold the columns' entries concatenated in the order of ids,
+    each column's in storage order.  width[t] is k when every column of
+    selection t has the same k > 0 entries, else 0: then groups[t] is
+    _segments over the selection's entries, (positions in the selection,
+    index into its entries) per column length; it is empty where width
+    is set.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]] holds selection t's
+    entries that several of its columns hold: (earlier, next) positions
+    within the selection, in row order and then column order.  waves
+    are the starts of the span's waves, then count (_plan).  row_data
+    holds a per-row array gathered along with rows, if any.
     """
 
     ids: np.ndarray
     lens: np.ndarray
+    ptr: list
     rows: np.ndarray
     vals: np.ndarray
+    width: list
     groups: list
-    shared: np.ndarray
-    width: int
+    pairs: np.ndarray
+    pair_ptr: list
+    waves: list
     row_data: np.ndarray | None = None
 
 

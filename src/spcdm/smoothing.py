@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .problem import ColumnBatch, ProblemData, _spans, stack_linf
+from .problem import ColumnSpan, ProblemData, _spans, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -51,9 +51,9 @@ class SmoothedLoss:
         """Row count normalizing the mean exponential."""
         return self.pd.m
 
-    def columns(self, ids: np.ndarray) -> Iterator[ColumnBatch]:
-        """pd.columns on the (count, tau) block ids, each batch carrying
-        the per-row data gradients reads: huber_a[rows] for l1."""
+    def columns(self, ids: np.ndarray) -> Iterator[ColumnSpan]:
+        """pd.columns on the (count, tau) block ids, each span carrying
+        the per-row data SmoothState.wave reads: huber_a[rows] for l1."""
         return self.pd.columns(ids, self.huber_a)
 
 
@@ -153,15 +153,26 @@ def nonsmooth_value(loss: SmoothedLoss, x: np.ndarray) -> float:
     return float(r.max())
 
 
-class Snapshot(NamedTuple):
-    """What one step reads of the state, gathered once by
-    SmoothState.gradients and handed to apply_steps: x[cols.ids],
-    r[cols.rows] and, for the exponential variants, e = exp((r[cols.rows]
-    - fmu) / mu) (None for l1)."""
+@dataclass(eq=False, slots=True)
+class Wave:
+    """Iterations of a ColumnSpan no two of which share a row, and what
+    they read of the state, gathered once (SmoothState.wave): x at their
+    columns, r at their entries, for the exponential variants e =
+    exp((r - fmu) / mu) there (None for l1), and s, each column's vals @ e
+    (for l1 its gradient).  first is the wave's first iteration, where
+    those start; a is the first iteration whose steps are not written
+    back yet, and hs and ds hold the steps and the terms they add to r
+    of the iterations taken since (SmoothState.land)."""
 
+    span: ColumnSpan
+    first: int
     x: np.ndarray
     r: np.ndarray
     e: np.ndarray | None
+    s: np.ndarray
+    a: int = 0
+    hs: list = field(default_factory=list)
+    ds: list = field(default_factory=list)
 
 
 @dataclass
@@ -200,101 +211,138 @@ class SmoothState:
             return math.nan
         return float(self.fmu) + self.loss.mu * math.log(acc)
 
-    def gradients(self, cols: ColumnBatch) -> tuple[np.ndarray, Snapshot]:
-        """Derivatives of f_mu along the columns cols.ids, from maintained
-        state, and the Snapshot of that state apply_steps takes.
+    def wave(self, span: ColumnSpan, a: int, b: int) -> Wave:
+        """The Wave of iterations a, ..., b - 1 of span, which must share no
+        row: what they read of the state, gathered once.
 
-        cols comes from loss.columns.  An exponential that overflows is
-        inf, which trips needs_recompute; run's epoch holds the errstate
-        that keeps it quiet.
+        Each column's s is one dot, vals @ e, batched as 1-by-k @ k-by-1
+        products over the wave when its selections share a width k, else
+        per selection, by length groups where it has none.  An exponential
+        that overflows is inf, which trips needs_recompute; run's epoch
+        holds the errstate that keeps it quiet.
         """
-        loss = self.loss
-        r = self.r[cols.rows]
-        if loss.kind == "l1":
+        ptr, tau = span.ptr, span.ids.shape[1]
+        at = slice(ptr[a], ptr[b])
+        r = self.r[span.rows[at]]
+        vals = span.vals[at]
+        if self.loss.kind == "l1":
             e = None
             # np.clip(q, -1, 1), without np.clip's Python-level wrapper
-            z = np.minimum(np.maximum(r / cols.row_data, -1.0), 1.0)
+            z = np.minimum(np.maximum(r / span.row_data[at], -1.0), 1.0)
         else:
             e = r - self.fmu
             e /= self.mu
             np.exp(e, out=e)
-            z = e / (loss.denom * self.lse_acc)
-        # batched 1-by-k @ k-by-1 products: one dot per column, as np.dot(vals, z)
-        k = cols.width
-        if k:
-            g = (cols.vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
+            z = e
+        widths = span.width[a:b]
+        k = widths[0]
+        if k and widths.count(k) == len(widths):
+            s = (vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
         else:
-            g = np.zeros(cols.ids.size)
-            for sel, idx in cols.groups:
-                g[sel] = (cols.vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
-        return g, Snapshot(self.x[cols.ids], r, e)
+            s = np.zeros((b - a) * tau)
+            for t in range(a, b):
+                c, q = (t - a) * tau, slice(ptr[t] - ptr[a], ptr[t + 1] - ptr[a])
+                v, zt, k = vals[q], z[q], span.width[t]
+                if k:
+                    s[c:c + tau] = (v.reshape(-1, 1, k) @ zt.reshape(-1, k, 1)).ravel()
+                for sel, idx in span.groups[t]:
+                    s[c + sel] = (v[idx][:, None, :] @ zt[idx][:, :, None]).ravel()
+        return Wave(span, a, self.x[span.ids[a:b].ravel()], r, e, s, a)
 
     def full_gradient(self) -> np.ndarray:
-        """All partial derivatives: gradients over every column at once."""
-        return self.gradients(next(self.loss.columns(np.arange(self.loss.pd.n)[None])))[0]
+        """All partial derivatives: every column as one selection."""
+        s = self.wave(next(self.loss.columns(np.arange(self.loss.pd.n)[None])), 0, 1).s
+        return s if self.loss.kind == "l1" else s / (self.loss.denom * self.lse_acc)
 
-    def apply_steps(self, cols: ColumnBatch, h: np.ndarray, seen: Snapshot) -> None:
-        """x[cols.ids] += h in O(nnz of those columns), keeping r and lse_acc
-        in sync; seen is the Snapshot gradients took of this state, which
-        the call consumes.
+    def steps(self, wave: Wave, prox, check=None) -> tuple[int, bool]:
+        """Take the iterations of wave from wave.a on in turn, and land
+        them; returns the iteration after the last one taken, and whether
+        check ended the wave.
 
-        cols.ids must be distinct and ascending.  The result is bit for bit
-        that of applying the steps one column at a time in that order: zero
-        steps change nothing and do not count toward staleness, each row
-        takes its terms in ascending column order, and lse_acc takes the
-        columns' changes in turn, each column seeing the rows earlier ones
-        moved.  Only the new residuals are exponentiated, and the old ones
-        at the entries whose row an earlier column moved.
+        Iteration t's gradients are its columns' s / (denom * lse_acc),
+        from the current lse_acc (s itself for l1), and its steps h =
+        prox(g, x, t), x at its columns; its columns must be distinct and
+        ascending.  The result is that of applying the steps one column
+        at a time in that order: zero steps change nothing and do not
+        count toward staleness, and each row takes its terms in ascending
+        column order.  lse_acc takes the iteration's terms e'_j *
+        expm1(d_j / mu) in one dot, d_j its entries' terms of r, where
+        e'_j is e_j but at an entry whose row an earlier column moved:
+        there it is the exponential of the moved residual.  lse_acc and
+        staleness are current after every step, where check(wave, t), if
+        given, is called; true, it ends the wave.  The wave also ends
+        early where a step leaves the state asking for a refresh.
         """
-        kept = int(np.count_nonzero(h))
-        keep = None
-        d = cols.vals * h.repeat(cols.lens)
-        if kept < h.size:
-            # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
-            keep = h != 0.0
-            h = np.where(keep, h, -0.0)
-            d = np.where(keep.repeat(cols.lens), d, -0.0)
-        old, e_old = seen.r, seen.e
-        shared = cols.shared.size > 0
-        if e_old is not None:
-            if shared:
-                # a row several columns share: each sees the terms of the earlier ones
-                for src, dst in zip(*cols.shared.tolist()):
-                    old[dst] = old[src] + d[src]
-                dst = cols.shared[1]
-                e_old[dst] = np.exp((old[dst] - self.fmu) / self.mu)
-            new = old + d
-            # the new exponentials beside the old, each column's two sums in one call
-            e = np.empty((2, new.size))
-            e_new = e[0]
-            np.subtract(new, self.fmu, out=e_new)
-            e_new /= self.mu
-            np.exp(e_new, out=e_new)
-            e[1] = e_old
-            k = cols.width
-            if k:
-                sums = np.add.reduce(e.reshape(2, -1, k), axis=2)
-                change = sums[0] - sums[1]
-            else:
-                change = np.zeros(h.size)
-                for sel, idx in cols.groups:
-                    sums = np.add.reduce(e.take(idx, axis=1), axis=2)
-                    change[sel] = sums[0] - sums[1]
-            if keep is not None:
-                change = change[keep]
-            acc, denom = self.lse_acc, self.loss.denom
-            for c in change.tolist():  # in column order, as the columns land
-                acc += c / denom
-            self.lse_acc = acc
-        elif not shared:
-            new = old + d
-        if shared:
-            # np.add.at adds in CSC order: each row takes its terms by ascending column
-            np.add.at(self.r, cols.rows, d)
+        span, a, first = wave.span, wave.a, wave.first
+        ptr, tau, width, lens, vals = span.ptr, span.ids.shape[1], span.width, span.lens, span.vals
+        pairs, pair_ptr = span.pairs, span.pair_ptr
+        s, x, e, hs, ds = wave.s, wave.x, wave.e, wave.hs, wave.ds
+        fmu, mu, denom, p0 = self.fmu, self.mu, self.loss.denom, ptr[first]
+        b = first + x.size // tau
+        norm = np.array(1.0)  # denom * lse_acc, 0-d: ufuncs take it faster than a float
+        c = (a - first) * tau
+        for t in range(a, b):
+            lo, hi = ptr[t], ptr[t + 1]
+            g = s[c:c + tau]
+            if e is not None:
+                norm[()] = denom * self.lse_acc
+                g = g / norm
+            h = prox(g, x[c:c + tau], t)
+            c += tau
+            k = width[t] or lens[t * tau:(t + 1) * tau]
+            d = vals[lo:hi] * h.repeat(k)
+            kept = np.count_nonzero(h)
+            if kept < tau:
+                # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
+                keep = h != 0.0
+                h = np.where(keep, h, -0.0)
+                d = np.where(keep.repeat(k), d, -0.0)
+            hs.append(h)
+            ds.append(d)
+            self.staleness += kept
+            if e is not None:
+                et = e[lo - p0:hi - p0]
+                if pair_ptr[t + 1] > pair_ptr[t]:
+                    # a row several columns share: each sees the terms of the earlier ones
+                    old = wave.r[lo - p0:hi - p0]
+                    shared = pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
+                    for src, dst in zip(*shared.tolist()):
+                        old[dst] = old[src] + d[src]
+                    dst = shared[1]
+                    et[dst] = np.exp((old[dst] - fmu) / mu)
+                em = d / mu
+                np.expm1(em, out=em)
+                self.lse_acc += float(et.dot(em)) / denom
+            if check is not None and check(wave, t):
+                self.land(wave)
+                return t + 1, True
+            if t + 1 < b and self.needs_recompute():
+                break
+        self.land(wave)
+        return t + 1, False
+
+    def land(self, wave: Wave) -> None:
+        """Write r and x for the iterations of wave taken since it last
+        landed.  They share no row, so r takes each row's terms in
+        ascending column order: np.add.at adds in CSC order where a row
+        repeats inside an iteration, and r is assigned otherwise."""
+        if not wave.hs:
+            return
+        span, first, a = wave.span, wave.first, wave.a
+        b = a + len(wave.hs)
+        h, d = (wave.hs[0], wave.ds[0]) if b == a + 1 else (
+            np.concatenate(wave.hs), np.concatenate(wave.ds))
+        ptr, tau = span.ptr, span.ids.shape[1]
+        rows = span.rows[ptr[a]:ptr[b]]
+        if span.pair_ptr[b] > span.pair_ptr[a]:
+            np.add.at(self.r, rows, d)
         else:
-            self.r[cols.rows] = new
-        self.x[cols.ids] = seen.x + h
-        self.staleness += kept
+            self.r[rows] = wave.r[ptr[a] - ptr[first]:ptr[b] - ptr[first]] + d
+        c = (a - first) * tau
+        self.x[span.ids[a:b].ravel()] = wave.x[c:c + h.size] + h
+        wave.a = b
+        wave.hs.clear()
+        wave.ds.clear()
 
     def needs_recompute(self) -> bool:
         """Staleness policy: refresh every n updates, or as soon as the

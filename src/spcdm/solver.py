@@ -112,17 +112,18 @@ class Regularizer:
 
 
 def prox_steps(
-    grad: np.ndarray, x: np.ndarray, beta: float, w: np.ndarray, reg: Regularizer
+    grad: np.ndarray, x: np.ndarray, bw: np.ndarray, w: np.ndarray, reg: Regularizer
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    beta is one factor or one per coordinate, as run passes it.
-    Every beta*w must be positive and finite, as run's active weights
-    make them: the quadratic term is what makes the parallel update safe.
-    max and min keep Python's choice on ties, so a zero step has the sign
-    the scalar formula gives it.
+    bw is the model's curvature in h, (beta + reg.sigma_psi) * w, as run
+    computes it once per run: beta * w, but for ridge, whose Psi adds
+    delta * w to it; w is read by ridge only.  Every bw must be positive
+    and finite, as run's active weights make them: the quadratic term is
+    what makes the parallel update safe.  max and min keep Python's
+    choice on ties, so a zero step has the sign the scalar formula gives
+    it.
     """
-    bw = beta * w
     if reg.kind == "none":
         return -grad / bw
     if reg.kind == "l1":
@@ -134,7 +135,7 @@ def prox_steps(
         u = np.where(reg.lo > u, reg.lo, u)
         return np.where(reg.hi < u, reg.hi, u) - x
     # ridge: gradient of the quadratic model plus delta*w*(x+h) vanishes
-    return -(grad + reg.delta * w * x) / ((beta + reg.delta) * w)
+    return -(grad + reg.delta * w * x) / bw
 
 
 @dataclass(frozen=True)
@@ -265,6 +266,8 @@ def run(
     # ridge's Psi stays (delta/2) ||x||_w^2 whichever ESO runs
     betas = beta * eso.factors
     w = pw.w
+    # the curvature of each coordinate's step model (prox_steps)
+    bw = (betas + reg.sigma_psi) * w
 
     spec = SamplingSpec(n=int(active.size), tau=cfg.tau, seed=cfg.seed)
     iters_per_epoch = -(-active.size // cfg.tau)
@@ -325,7 +328,7 @@ def run(
         epochs_run += 1
         traces = epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs
         steps, k = _run_epoch(
-            state, loss.columns(block), betas[block], w[block], reg, stop, traces
+            state, loss.columns(block), bw[block], w[block], reg, stop, traces
         )
         updates += steps
         # a stop is confirmed once the epoch's gather is released; a
@@ -334,7 +337,7 @@ def run(
         if val is not None and not val <= target:
             rest = block[k + 1:]
             updates += _run_epoch(
-                state, loss.columns(rest), betas[rest], w[rest], reg, None, traces
+                state, loss.columns(rest), bw[rest], w[rest], reg, None, traces
             )[0]
             val = None
         if val is None and traces:
@@ -370,45 +373,69 @@ class _Stop(NamedTuple):
 
 
 def _run_epoch(
-    state, batches, bb: np.ndarray, wb: np.ndarray, reg: Regularizer,
+    state, spans, bw: np.ndarray, wb: np.ndarray, reg: Regularizer,
     stop: _Stop | None, traced: bool,
 ) -> tuple[int, int | None]:
-    """One batched step per ColumnBatch of batches, each from a state
-    refreshed first if it asks; returns the coordinate updates taken, and
-    the index of the step after which the running value reached the
-    target, or None if the batches ran out.
+    """Step through the ColumnSpans spans one wave at a time, each wave
+    from a state refreshed first if it asks; returns the coordinate
+    updates taken, and the index of the iteration after which the
+    running value reached the target, or None if the spans ran out.
 
-    bb and wb hold the betas and the weights of the epoch's block, one
-    row per batch.  The epoch's last step is not followed by a refresh
+    bw and wb hold the curvatures and the weights of the epoch's block,
+    one row per iteration.  A wave's iterations share no row, so each
+    reads only what no earlier one of the wave wrote: the wave gathers
+    the state once (SmoothState.wave) and only the gradients'
+    normaliser, the prox and lse_acc run per iteration
+    (SmoothState.steps).  A wave ends early where a step leaves the
+    state asking for a refresh; the rest of it is gathered anew after
+    the refresh.  The epoch's last step is not followed by a refresh
     check: the trace refresh or the next epoch's first check sees the
     same x.
 
     With stop, once the steps since the last check touched stop.cost
     entries (so after every step where a check is O(1)), the running
-    value is read, which writes nothing to the state; at most
+    value is read, which writes nothing to the state: lse_acc and
+    staleness are current after every step, and a check that reads x or
+    r (stop.cost > 0) lands the wave's steps first.  At most
     stop.target, it ends the epoch, for run to confirm.  A traced
     epoch's last step is not checked: its trace point sees the same x.
     """
-    updates = 0
-    touched = 0
-    last = len(bb) - 1 if traced else len(bb)
+    updates = touched = k0 = 0  # k0: the epoch's iterations before the span
+    last = len(bw) - 1 if traced else len(bw)
+
+    def prox(g, x, t):
+        return prox_steps(g, x, bw[k0 + t], wb[k0 + t], reg)
+
+    def check(wave, t):
+        nonlocal touched
+        if k0 + t >= last:
+            return False
+        touched += ptr[t + 1] - ptr[t]
+        if touched < stop.cost:
+            return False
+        touched = 0
+        if stop.cost:  # the check reads x or r
+            state.land(wave)
+        # NaN, while the state cannot say, is never at most the target
+        return stop.running() <= stop.target
+
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (cols, beta, w) in enumerate(zip(batches, bb, wb)):
-            if state.needs_recompute():
-                state.recompute()
-            g, seen = state.gradients(cols)
-            h = prox_steps(g, seen.x, beta, w, reg)
-            state.apply_steps(cols, h, seen)
-            updates += h.size
-            if stop is not None and k < last:
-                touched += cols.rows.size
-                if touched >= stop.cost:
-                    touched = 0
-                    # NaN, while the state cannot say, is never at most the target
-                    if stop.running() <= stop.target:
-                        return updates, k
+        for span in spans:
+            ptr, waves = span.ptr, span.waves
+            for a, b in zip(waves, waves[1:]):
+                while a < b:
+                    if state.needs_recompute():
+                        state.recompute()
+                    t, hit = state.steps(state.wave(span, a, b), prox,
+                                         None if stop is None else check)
+                    updates += (t - a) * bw.shape[1]
+                    if hit:
+                        return updates, k0 + t - 1
+                    a = t
+            k0 += len(ptr) - 1
+            span = None  # released before the next span is gathered
     return updates, None
 
 

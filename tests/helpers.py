@@ -4,11 +4,11 @@ The oracles check the solver's stepsize factors from outside their
 derivation: an exact intersection moment of tau-nice sampling, the
 largest row overlap of a column set, a power-iteration operator norm,
 and a brute-force search for the worst direction of a p = 1 ESO.  The helpers drive the batched kernel (SmoothedLoss.columns,
-SmoothState.gradients and apply_steps, prox_steps) one coordinate at
-a time, through a one-column batch, as run's epoch does: inside its
-errstate, with apply_steps taking the Snapshot that gradients took of
-the same state; replay drives it through run's epochs with no target
-check, for a given number of iterations.  load_svmlight_reference is
+SmoothState.wave and steps, prox_steps) one coordinate at a time,
+through a one-iteration wave over a one-column span, as run's epoch
+does: inside its errstate; replay drives it through run's epochs with
+no target check, for a given number of iterations, one iteration per
+wave.  load_svmlight_reference is
 the svmlight loader as a loop over lines and tokens of decoded text,
 the reference for the array-at-once load_svmlight.  row_layout derives
 A by rows from the stored columns, with one stable sort of col_rows;
@@ -32,38 +32,46 @@ KERNEL_ERRSTATE = dict(over="ignore", invalid="ignore")
 
 
 def column(loss, i):
-    """Column i alone, as a one-selection ColumnBatch."""
+    """Column i alone, as a one-selection ColumnSpan."""
     return next(loss.columns(np.array([[i]])))
 
 
-def gradient(st, i):
-    """Derivative of f_mu along coordinate i, from the maintained state."""
+def _one_step(st, i, prox):
+    """Iteration [i] as a one-iteration wave, with steps prox(g, x, t)."""
     with np.errstate(**KERNEL_ERRSTATE):
-        return float(st.gradients(column(st.loss, i))[0][0])
+        st.steps(st.wave(column(st.loss, i), 0, 1), prox)
+
+
+def gradient(st, i):
+    """Derivative of f_mu along coordinate i, from the maintained state:
+    the gradient a zero step, which changes nothing, is taken from."""
+    seen = []
+    _one_step(st, i, lambda g, x, t: seen.append(float(g[0])) or np.zeros(1))
+    return seen[0]
 
 
 def prox(grad, x, beta, w, reg):
-    """prox_steps for one coordinate."""
-    return float(prox_steps(np.array([grad]), np.array([x]), beta, np.array([w]), reg)[0])
+    """prox_steps for one coordinate, with run's curvature (beta + reg.sigma_psi) * w."""
+    bw = np.array([(beta + reg.sigma_psi) * w])
+    return float(prox_steps(np.array([grad]), np.array([x]), bw, np.array([w]), reg)[0])
 
 
 def step(st, i, h):
-    """x_i += h through apply_steps, keeping r and lse_acc in sync."""
-    cols = column(st.loss, i)
-    with np.errstate(**KERNEL_ERRSTATE):
-        st.apply_steps(cols, np.array([h], dtype=np.float64), st.gradients(cols)[1])
+    """x_i += h through the kernel, keeping r and lse_acc in sync."""
+    _one_step(st, i, lambda g, x, t: np.array([h], dtype=np.float64))
 
 
 def replay(loss, reg, cfg, iterations):
     """The state after the first iterations of run(loss.pd, loss, reg,
-    cfg), taken with no target check: run's betas, draws and gathers,
-    its refresh before any step that asks, and its recompute at each
-    traced epoch end."""
+    cfg), taken with no target check and one iteration per wave: run's
+    betas, draws and gathers, its refresh before any step that asks, and
+    its recompute at each traced epoch end."""
     pd = loss.pd
     dw = dual_weights(pd, loss.kind)
     pw = primal_weights(pd, dw)
     eso = select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau)
     betas = eso.beta_prime / (loss_constants(loss.kind, pd)[0] * loss.mu) * eso.factors
+    bw = (betas + reg.sigma_psi) * pw.w
     active = np.flatnonzero(pw.active)
     spec = SamplingSpec(n=active.size, tau=cfg.tau, seed=cfg.seed)
     per_epoch = -(-active.size // cfg.tau)
@@ -72,11 +80,12 @@ def replay(loss, reg, cfg, iterations):
     while iterations > 0:
         block = active[draw(spec, epoch * per_epoch, per_epoch)][:iterations]
         with np.errstate(**KERNEL_ERRSTATE):
-            for cols, beta, w in zip(loss.columns(block), betas[block], pw.w[block]):
-                if st.needs_recompute():
-                    st.recompute()
-                g, seen = st.gradients(cols)
-                st.apply_steps(cols, prox_steps(g, seen.x, beta, w, reg), seen)
+            for span in loss.columns(block):
+                for t, ids in enumerate(span.ids):
+                    if st.needs_recompute():
+                        st.recompute()
+                    st.steps(st.wave(span, t, t + 1),
+                             lambda g, x, _, i=ids: prox_steps(g, x, bw[i], pw.w[i], reg))
         iterations -= len(block)
         epoch += 1
         if iterations > 0 and (epoch % cfg.trace_every == 0 or epoch == cfg.max_epochs):

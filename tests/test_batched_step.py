@@ -2,12 +2,13 @@
 
 The functions prefixed _ref_ are that loop: one gradient per selected
 coordinate from the frozen state, one scalar prox each, then the steps
-applied one column at a time in ascending order.  The batched kernel
-(SmoothedLoss.columns, SmoothState.gradients, prox_steps,
-SmoothState.apply_steps, handed the Snapshot gradients took) must
-reproduce it bit for bit, sign of zero included: solver traces are
-pinned exactly.  The kernel steps through a block of rounds drawn and
-gathered at once, as run does an epoch; _ref_columns is the
+applied one column at a time in ascending order, each column's terms of
+lse_acc taken at the residuals the earlier ones moved and added in one
+dot per iteration.  The batched kernel (SmoothedLoss.columns,
+SmoothState.wave and steps, prox_steps) must reproduce it bit for bit,
+sign of zero included: solver traces are pinned exactly.  The kernel
+steps through a block of rounds drawn and gathered at once, one wave of
+row-disjoint rounds at a time, as run does an epoch; _ref_columns is the
 one-selection gather that block replaces.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 import pytest
 
 from helpers import KERNEL_ERRSTATE, gradient, prox, row_lens, step
-from spcdm import problem
+from spcdm import problem, solver
 from spcdm.eso import dual_weights, primal_weights, select_eso
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
@@ -35,10 +36,10 @@ def _ref_partial_gradient(st, i):
         return 0.0
     loss = st.loss
     if loss.kind == "l1":
-        z = np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0)
-    else:
-        z = np.exp((st.r[rows] - st.fmu) / loss.mu) / (loss.denom * st.lse_acc)
-    return float(np.dot(vals, z))
+        return float(np.dot(vals, np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0)))
+    # the dot of the exponentials, then the normaliser
+    s = float(np.dot(vals, np.exp((st.r[rows] - st.fmu) / loss.mu)))
+    return s / (loss.denom * st.lse_acc)
 
 
 def _ref_prox_step(grad, x, beta, w, reg):
@@ -56,20 +57,30 @@ def _ref_prox_step(grad, x, beta, w, reg):
 
 
 def _ref_apply_update(st, i, h):
-    if h == 0.0:
-        return
+    """x_i += h, with r and staleness; returns column i's terms of
+    lse_acc: the exponentials of its rows' residuals, as earlier columns
+    moved them, and expm1 of its terms of r over mu (of -0.0 for a zero
+    step, which changes nothing)."""
     loss = st.loss
     rows, vals = loss.pd.col(i)
-    st.x[i] += h
-    old = st.r[rows]
-    new = old + vals * h
-    if loss.kind != "l1":
-        shift = (new - st.fmu) / loss.mu
-        shift_old = (old - st.fmu) / loss.mu
-        with np.errstate(over="ignore"):
-            st.lse_acc += float(np.exp(shift).sum() - np.exp(shift_old).sum()) / loss.denom
-    st.r[rows] = new
-    st.staleness += 1
+    d = vals * h if h != 0.0 else np.full(rows.size, -0.0)
+    with np.errstate(over="ignore"):
+        terms = (np.exp((st.r[rows] - st.fmu) / loss.mu), np.expm1(d / loss.mu))
+    if h != 0.0:
+        st.x[i] += h
+        st.r[rows] = st.r[rows] + d
+        st.staleness += 1
+    return terms
+
+
+def _ref_steps(st, ids, hs):
+    """The steps hs on the columns ids, one at a time, as one iteration:
+    lse_acc takes the columns' terms in one dot."""
+    terms = [_ref_apply_update(st, int(i), h) for i, h in zip(ids, hs)]
+    if st.loss.kind != "l1" and terms:
+        e, em = (np.concatenate(t) for t in zip(*terms))
+        with np.errstate(over="ignore", invalid="ignore"):
+            st.lse_acc += float(np.dot(e, em)) / st.loss.denom
 
 
 def _ref_iteration(st, ids, beta, w, reg):
@@ -77,8 +88,7 @@ def _ref_iteration(st, ids, beta, w, reg):
     hs = [_ref_prox_step(_ref_partial_gradient(st, int(i)), st.x[i],
                          beta[i] if np.ndim(beta) else beta, w[i], reg)
           for i in ids]
-    for i, h in zip(ids, hs):
-        _ref_apply_update(st, int(i), h)
+    _ref_steps(st, ids, hs)
     return hs
 
 
@@ -205,35 +215,59 @@ def _first_difference(a, b):
     return None
 
 
+def _waves(state, span, prox, check=None):
+    """run's epoch over one span: its planned waves, each from a state
+    refreshed first if it asks, cut where a step asks for a refresh;
+    yields (a, b) for each wave taken, once it landed."""
+    for a, b in zip(span.waves, span.waves[1:]):
+        while a < b:
+            if state.needs_recompute():
+                state.recompute()
+            with np.errstate(**KERNEL_ERRSTATE):
+                t, _ = state.steps(state.wave(span, a, b), prox, check)
+            yield a, t
+            a = t
+
+
 def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
     """Step two copies of one state (from _setup), reference and batched,
-    through one block of iters rounds drawn and gathered at once; (first
-    difference or None, zero steps, box-clipped steps, iterations with a
-    row shared by two selected columns, iterations with a row shared by
-    three or more)."""
+    through one block of iters rounds drawn and gathered at once, the
+    batched one a wave at a time; (first difference or None, zero steps,
+    box-clipped steps, iterations with a row shared by two selected
+    columns, iterations with a row shared by three or more, waves of
+    more than one iteration).  The states are compared after every wave,
+    the steps after every iteration."""
     ref, new = init_state(loss), init_state(loss)
     spec = SamplingSpec(n=active.size, tau=tau, seed=11)
-    zeros = clipped = shared = chained = 0
-    for cols in loss.columns(active[draw(spec, 0, iters)]):
-        ids = cols.ids
-        hs = _ref_iteration(ref, ids, beta, w, reg)
-        with np.errstate(**KERNEL_ERRSTATE):
-            g, seen = new.gradients(cols)
-            h = prox_steps(g, seen.x, beta, w[ids], reg)
-            new.apply_steps(cols, h, seen)
-        if not _same_bits(hs, h):
-            return "h", zeros, clipped, shared, chained
-        zeros += int(np.count_nonzero(h == 0.0))
-        clipped += int(np.count_nonzero((new.x[ids] == reg.lo) | (new.x[ids] == reg.hi)))
-        shared += int(np.unique(cols.rows).size < cols.rows.size)
-        chained += int(np.bincount(cols.rows).max(initial=0) >= 3)
-        diff = _first_difference(ref, new)
-        if diff is not None:
-            return diff, zeros, clipped, shared, chained
-        if ref.needs_recompute():
-            ref.recompute()
-            new.recompute()
-    return None, zeros, clipped, shared, chained
+    zeros = clipped = shared = chained = long = 0
+    bw = (beta + reg.sigma_psi) * w
+    taken = []
+
+    def prox(g, x, t):
+        ids = span.ids[t]
+        taken.append(prox_steps(g, x, bw[ids], w[ids], reg))
+        return taken[-1]
+
+    for span in loss.columns(active[draw(spec, 0, iters)]):
+        for a, b in _waves(new, span, prox):
+            if ref.needs_recompute():
+                ref.recompute()
+            long += b - a > 1
+            for t, h in zip(range(a, b), taken):
+                ids = span.ids[t]
+                hs = _ref_iteration(ref, ids, beta, w, reg)
+                if not _same_bits(hs, h):
+                    return "h", zeros, clipped, shared, chained, long
+                zeros += int(np.count_nonzero(h == 0.0))
+                clipped += int(np.count_nonzero((ref.x[ids] == reg.lo) | (ref.x[ids] == reg.hi)))
+                rows = np.concatenate([loss.pd.col(int(i))[0] for i in ids])
+                shared += int(np.unique(rows).size < rows.size)
+                chained += int(np.bincount(rows).max(initial=0) >= 3)
+            taken.clear()
+            diff = _first_difference(ref, new)
+            if diff is not None:
+                return diff, zeros, clipped, shared, chained, long
+    return None, zeros, clipped, shared, chained, long
 
 
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
@@ -241,7 +275,7 @@ def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
 @pytest.mark.parametrize("app,mu", APPS)
 def test_batched_step_matches_per_coordinate_loop(app, mu, reg_name, tau):
     reg = REGS[reg_name]
-    diff, zeros, clipped, shared, chained = _compare_states(*_setup(app, mu), reg, tau)
+    diff, zeros, clipped, shared, chained, long = _compare_states(*_setup(app, mu), reg, tau)
     assert diff is None, f"{diff} differs"
     if reg_name == "l1":
         assert zeros > 0  # the soft threshold produced zero steps
@@ -249,6 +283,8 @@ def test_batched_step_matches_per_coordinate_loop(app, mu, reg_name, tau):
         assert clipped > 0
     if tau == N_ACTIVE:
         assert shared > 0 and chained > 0
+    if tau == 1:
+        assert long > 0  # waves of several rounds
 
 
 def _no_length_groups(*args):
@@ -262,10 +298,12 @@ def test_column_regular_steps_match_the_loop_without_length_groups(monkeypatch, 
                                                                    reg_name, tau):
     setup = _setup(app, mu, _regular_instance(5))
     monkeypatch.setattr(problem, "_length_groups", _no_length_groups)
-    diff, zeros, clipped, shared, chained = _compare_states(*setup, REGS[reg_name], tau)
+    diff, zeros, clipped, shared, chained, long = _compare_states(*setup, REGS[reg_name], tau)
     assert diff is None, f"{diff} differs"
     if tau == N_ACTIVE:
         assert shared > 0 and chained > 0
+    if tau == 1:
+        assert long > 0
 
 
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
@@ -307,18 +345,18 @@ def test_run_matches_the_loop_across_mid_epoch_accumulator_refreshes(monkeypatch
     loss, _, _ = _setup("linf", 0.25)
     cfg = SolverConfig(tau=3, seed=4, max_epochs=5, beta_formula=0.01)
     iterations, refreshed_at = [0], []
-    apply_steps, recompute = SmoothState.apply_steps, SmoothState.recompute
+    recompute = SmoothState.recompute
 
-    def counted_apply_steps(self, cols, h, seen):
+    def counted_prox_steps(*args):
         iterations[0] += 1
-        apply_steps(self, cols, h, seen)
+        return prox_steps(*args)
 
     def logged_recompute(self):
         if not LSE_ACC_LO <= self.lse_acc <= LSE_ACC_HI:
             refreshed_at.append(iterations[0])
         recompute(self)
 
-    monkeypatch.setattr(SmoothState, "apply_steps", counted_apply_steps)
+    monkeypatch.setattr(solver, "prox_steps", counted_prox_steps)
     monkeypatch.setattr(SmoothState, "recompute", logged_recompute)
     report = run(loss.pd, loss, REGS["none"], cfg)
     monkeypatch.undo()
@@ -338,7 +376,7 @@ def test_one_element_calls_match_the_loop():
         h = prox(g, float(new.x[i]), 0.9, 1.0, REGS["l1"])
         assert _same_bits(h, _ref_prox_step(g, float(ref.x[i]), 0.9, 1.0, REGS["l1"]))
         step(new, int(i), 0.5)
-        _ref_apply_update(ref, int(i), 0.5)
+        _ref_steps(ref, [i], [0.5])
         assert _first_difference(ref, new) is None
     assert _same_bits(new.full_gradient(),
                       [_ref_partial_gradient(ref, i) for i in range(loss.pd.n)])
@@ -348,29 +386,42 @@ def test_prox_steps_keeps_the_scalar_zero_signs():
     grad = np.array([0.0, -0.0, 1e-3, -1e-3, 0.5, 7.0, -7.0])
     for reg in list(REGS.values()) + [Regularizer.box(0.0, 1.0), Regularizer.box(-1.0, -0.0)]:
         for x in (0.0, -0.0, 0.02):
-            h = prox_steps(grad, np.full(grad.size, x), 1.3, np.full(grad.size, 2.0), reg)
+            bw = np.full(grad.size, (1.3 + reg.sigma_psi) * 2.0)
+            h = prox_steps(grad, np.full(grad.size, x), bw, np.full(grad.size, 2.0), reg)
             assert _same_bits(h, [_ref_prox_step(g, x, 1.3, 2.0, reg) for g in grad])
+
+
+def _selections(span):
+    """The span's selections one at a time: ids, column lengths, rows,
+    vals, length groups, shared-row pairs and width."""
+    tau = span.ids.shape[1]
+    for t, ids in enumerate(span.ids):
+        at = slice(span.ptr[t], span.ptr[t + 1])
+        yield (ids, span.lens[t * tau:(t + 1) * tau], span.rows[at], span.vals[at],
+               span.groups[t], span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]],
+               span.width[t])
 
 
 @pytest.mark.parametrize("tau", [1, 4, N_ACTIVE + 1])
 def test_block_gather_matches_one_gather_per_selection(tau):
     pd = _instance(1)  # column 3 is empty: it has no length group
     block = draw(SamplingSpec(n=pd.n, tau=tau, seed=2), 0, 40)
-    batches = list(pd.columns(block))
-    assert len(batches) == len(block)
+    selections = [sel for span in pd.columns(block) for sel in _selections(span)]
+    assert len(selections) == len(block)
     shared = 0
-    for ids, cols in zip(block, batches):
-        lens, rows, vals, groups, pairs = _ref_columns(pd, ids)
-        assert np.array_equal(cols.ids, ids) and np.array_equal(cols.lens, lens)
-        assert np.array_equal(cols.rows, rows) and np.array_equal(cols.vals, vals)
-        if cols.width:  # the kernel reshapes; no groups are built
-            assert cols.groups == []
+    for want, (ids, lens, rows, vals, groups, pairs, width) in zip(block, selections):
+        ref_lens, ref_rows, ref_vals, ref_groups, ref_pairs = _ref_columns(pd, want)
+        assert np.array_equal(ids, want) and np.array_equal(lens, ref_lens)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(vals, ref_vals)
+        if width:  # the kernel reshapes; no groups are built
+            assert groups == []
         else:
-            assert [(s.tolist(), i.tolist()) for s, i in cols.groups] == [
-                (s.tolist(), i.tolist()) for s, i in groups]
-        assert cols.shared.shape == pairs.shape and np.array_equal(cols.shared, pairs)
-        one_length = len(groups) == 1 and groups[0][0].size == ids.size
-        assert cols.width == (groups[0][1].shape[1] if one_length else 0)
+            assert [(s.tolist(), i.tolist()) for s, i in groups] == [
+                (s.tolist(), i.tolist()) for s, i in ref_groups]
+        assert pairs.dtype == np.int64
+        assert pairs.shape == ref_pairs.shape and np.array_equal(pairs, ref_pairs)
+        one_length = len(ref_groups) == 1 and ref_groups[0][0].size == want.size
+        assert width == (ref_groups[0][1].shape[1] if one_length else 0)
         shared += pairs.size > 0
     assert (shared > 0) == (tau > 1)  # one column shares no row with itself
 
@@ -380,72 +431,71 @@ def test_rows_shared_by_three_columns_chain_their_pairs():
     rows = [0, 2, 0, 1, 0, 2, 3, 1, 3]
     cols = [0, 0, 1, 1, 2, 2, 2, 3, 4]
     pd = ProblemData.from_coo(4, 5, rows, cols, np.arange(1.0, 10.0), np.zeros(4))
-    first, second = pd.columns(np.array([[0, 1, 2, 3], [1, 2, 3, 4]]))
+    span = next(pd.columns(np.array([[0, 1, 2, 3], [1, 2, 3, 4]])))
+    first, second = _selections(span)
     # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at
     # 0, 2, 3; column 3 at 1.  Row 0's three entries chain: (0, 2), (2, 4)
-    assert first.shared.tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]]
-    assert first.width == 0 and [s.tolist() for s, _ in first.groups] == [[3], [0, 1], [2]]
+    assert first[5].tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]]
+    assert first[6] == 0 and [s.tolist() for s, _ in first[4]] == [[3], [0, 1], [2]]
     # entries 0..6: column 1 at rows 0, 1; column 2 at 0, 2, 3; column 3 at 1; column 4 at 3
-    assert second.shared.tolist() == [[0, 1, 4], [2, 5, 6]]
+    assert second[5].tolist() == [[0, 1, 4], [2, 5, 6]]
+    # the second selection shares rows with the first: two waves
+    assert span.waves == [0, 1, 2]
 
 
 @pytest.mark.parametrize("instance", [_instance, _regular_instance])
 def test_shared_rows_fall_back_to_a_stable_argsort_past_int64(instance):
-    # _instance's selections hold differing numbers of entries, so their
-    # keys are int64 and sorted at once; _regular_instance's hold equally
-    # many, so at pd.m their keys are int32, sorted each alone
+    # the planner's keys are (row << b) | position, b the bit width of the
+    # span's entry count: int32 at pd.m, int64 with the rows spread by
+    # stride, and past int64 at huge, where a stable argsort of the rows
+    # gives the same order.  Pairs and waves must not change.
     pd = instance(1)
-    batches = list(pd.columns(draw(SamplingSpec(n=pd.n, tau=pd.n - 1, seed=2), 0, 40)))
-    rows = np.concatenate([cols.rows for cols in batches])
-    ptr = np.cumsum([0] + [cols.rows.size for cols in batches])
-    count, b = len(batches), rows.size.bit_length()
-    size = rows.size // count
-    assert np.all(np.diff(ptr) == size) == (instance is _regular_instance)
-    assert pd.m << size.bit_length() < 1 << 31
-    # rows spread by stride keep their order and their ties: spread, the
-    # int32 keys would overflow and the packed int64 keys fit; at huge
-    # only (selection, row) does
-    stride = 1 << (31 - size.bit_length())
-    huge = (1 << 62) // count
-    assert (int(rows.max()) * stride) << size.bit_length() >= 1 << 31
-    assert (count * pd.m * stride) << b < 1 << 63
-    assert count * huge < 1 << 63 < (count * huge) << b
+    span = next(pd.columns(draw(SamplingSpec(n=pd.n, tau=pd.n - 1, seed=2), 0, 40)))
+    rows, ptr = span.rows, np.array(span.ptr)
+    b = rows.size.bit_length()
+    assert pd.m << b < 1 << 31
+    stride = 1 << (32 - b)
+    huge = (1 << (64 - b)) + 1
+    assert 1 << 31 <= (pd.m * stride) << b <= 1 << 63 < huge << b
+    want = problem._plan(rows, ptr, pd.m)
+    assert want[0].shape[1] > 0 and len(want[2]) > 2
     for spread, m in ((stride, pd.m * stride), (1, huge)):
-        got = list(problem._shared_rows(rows * spread, ptr, m))
-        assert len(got) == count and sum(pairs.shape[1] for pairs in got) > 0
-        for pairs, cols in zip(got, batches):
-            assert pairs.dtype == cols.shared.dtype == np.int64
-            assert pairs.shape == cols.shared.shape and np.array_equal(pairs, cols.shared)
+        pairs, pair_ptr, waves = problem._plan(rows * spread, ptr, m)
+        assert pairs.dtype == want[0].dtype == np.int64
+        assert np.array_equal(pairs, want[0]) and pair_ptr == want[1] and waves == want[2]
 
 
 def test_columns_gathers_in_column_order():
     pd = _instance(1)
     ids = np.array([0, 1, 2, 3, 5, 9])
-    cols = next(pd.columns(ids[None]))
-    assert np.array_equal(cols.rows, np.concatenate([pd.col(int(i))[0] for i in ids]))
-    assert np.array_equal(cols.vals, np.concatenate([pd.col(int(i))[1] for i in ids]))
-    assert np.array_equal(cols.lens, pd.col_nnz()[ids])
+    span = next(pd.columns(ids[None]))
+    assert np.array_equal(span.rows, np.concatenate([pd.col(int(i))[0] for i in ids]))
+    assert np.array_equal(span.vals, np.concatenate([pd.col(int(i))[1] for i in ids]))
+    assert np.array_equal(span.lens, pd.col_nnz()[ids])
     seen = {}
-    for sel, idx in cols.groups:
-        assert idx.shape == (sel.size, cols.lens[sel[0]])
+    for sel, idx in span.groups[0]:
+        assert idx.shape == (sel.size, span.lens[sel[0]])
         for s, row in zip(sel, idx):
-            seen[int(s)] = cols.rows[row].tolist()
+            seen[int(s)] = span.rows[row].tolist()
     assert seen == {s: pd.col(int(ids[s]))[0].tolist() for s in range(ids.size) if ids[s] != EMPTY_COL}
     assert next(pd.columns(np.empty((1, 0), dtype=np.int64))).rows.size == 0
 
 
-_gradients = SmoothState.gradients
+_wave = SmoothState.wave
 
 
-def _bincount_gradients(self, cols):
-    g, seen = _gradients(self, cols)
-    loss = self.loss
-    if loss.kind == "l1":
-        z = np.clip(seen.r / cols.row_data, -1.0, 1.0)
+def _bincount_wave(self, span, a, b):
+    """The wave with each column's s summed by np.bincount, in entry order."""
+    wave = _wave(self, span, a, b)
+    at = slice(span.ptr[a], span.ptr[b])
+    if self.loss.kind == "l1":
+        z = np.clip(wave.r / span.row_data[at], -1.0, 1.0)
     else:
-        z = seen.e / (loss.denom * self.lse_acc)
-    seg = np.repeat(np.arange(cols.ids.size), cols.lens)
-    return np.bincount(seg, weights=cols.vals * z, minlength=cols.ids.size), seen
+        z = wave.e
+    lens = span.lens[a * span.ids.shape[1]:b * span.ids.shape[1]]
+    seg = np.repeat(np.arange(lens.size), lens)
+    wave.s = np.bincount(seg, weights=span.vals[at] * z, minlength=lens.size)
+    return wave
 
 
 def _mutant(func, name, *edits):
@@ -462,63 +512,60 @@ def _mutant(func, name, *edits):
     return namespace[name]
 
 
-def _apply_steps_mutant(name, line, replacement):
-    return _mutant(SmoothState.apply_steps, name, (line, replacement))
-
-
 # the exponential variants' lse_acc without the replay of a row's
-# earlier terms, then with it but with the gathered old exponential at
-# the replayed entries
-_no_fixup = _apply_steps_mutant("_no_fixup", "old[dst] = old[src] + d[src]", "pass")
-_old_exp_reused = _apply_steps_mutant(
-    "_old_exp_reused", "e_old[dst] = np.exp((old[dst] - self.fmu) / self.mu)", "pass")
+# earlier terms, then with it but with the gathered exponential at the
+# replayed entries
+_no_fixup = _mutant(SmoothState.steps, "_no_fixup", ("old[dst] = old[src] + d[src]", "pass"))
+_old_exp_reused = _mutant(
+    SmoothState.steps, "_old_exp_reused", ("et[dst] = np.exp((old[dst] - fmu) / mu)", "pass"))
 # r written by assignment when rows are shared: l1 replays no terms, so a
 # row keeps only its last column's term.  (linf and adaboost replay them
 # for lse_acc, so old + d at a row's last entry is what np.add.at gives,
 # and numpy assigns a repeated index in order: there the mutant is
 # equivalent.)
-_r_assigned = _apply_steps_mutant(
-    "_r_assigned", "np.add.at(self.r, cols.rows, d)", "self.r[cols.rows] = old + d")
+_r_assigned = _mutant(
+    SmoothState.land, "_r_assigned",
+    ("np.add.at(self.r, rows, d)",
+     "self.r[rows] = wave.r[ptr[a] - ptr[first]:ptr[b] - ptr[first]] + d"))
 
 
 def _no_shared_rows(rows, ptr, m):
-    """The epoch pass with its shared-row marks lost."""
-    for _ in range(ptr.size - 1):
-        yield np.zeros((2, 0), dtype=np.int64)
+    """The planner with its shared-row marks lost."""
+    _, pair_ptr, waves = _plan(rows, ptr, m)
+    return np.zeros((2, 0), dtype=np.int64), [0] * len(pair_ptr), waves
 
 
-# the shared rows from (selection, row) keys without the position, sorted
-# by an unstable argsort: a row's entries may come out in any order, so a
-# pair may run from a later column to an earlier one (l1 reads only
-# whether there are pairs)
+_plan = problem._plan
+# the keys sorted by an unstable argsort of the rows alone: a row's
+# entries may come out in any order, so a pair may run from a later
+# column to an earlier one (l1 reads only whether there are pairs)
 _unstable_shared_rows = _mutant(
-    problem._shared_rows, "_unstable_shared_rows",
-    ("if np.all(sizes == size) and m << b < 1 << 31:", "if False:"),
-    ("if (count * m) << b <= _INT64_MAX:", "if False:"),
-    ('key.argsort(kind="stable")', 'key.argsort(kind="quicksort")'))
+    problem._plan, "_unstable_shared_rows",
+    ("if m << b <= _INT64_MAX:", "if False:"),
+    ('rows.argsort(kind="stable")', 'rows.argsort(kind="quicksort")'))
 
 
 @pytest.mark.parametrize("app,mu", [("adaboost", 1.0), ("linf", 0.25)])
 def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app, mu):
-    monkeypatch.setattr(problem, "_shared_rows", _no_shared_rows)
+    monkeypatch.setattr(problem, "_plan", _no_shared_rows)
     diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
     assert diff is not None
 
 
 @pytest.mark.parametrize("app,mu", [("adaboost", 1.0), ("linf", 0.25)])
 def test_comparison_catches_shared_rows_from_an_unstable_sort(monkeypatch, app, mu):
-    monkeypatch.setattr(problem, "_shared_rows", _unstable_shared_rows)
+    monkeypatch.setattr(problem, "_plan", _unstable_shared_rows)
     diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
     assert diff is not None
 
 
 @pytest.mark.parametrize("attr,mutant,app,mu", [
-    ("gradients", _bincount_gradients, "l1", 0.3),
-    ("apply_steps", _no_fixup, "adaboost", 1.0),
-    ("apply_steps", _no_fixup, "linf", 0.25),
-    ("apply_steps", _old_exp_reused, "adaboost", 1.0),
-    ("apply_steps", _old_exp_reused, "linf", 0.25),
-    ("apply_steps", _r_assigned, "l1", 0.3),
+    ("wave", _bincount_wave, "l1", 0.3),
+    ("steps", _no_fixup, "adaboost", 1.0),
+    ("steps", _no_fixup, "linf", 0.25),
+    ("steps", _old_exp_reused, "adaboost", 1.0),
+    ("steps", _old_exp_reused, "linf", 0.25),
+    ("land", _r_assigned, "l1", 0.3),
 ])
 def test_comparison_catches_mutants(monkeypatch, attr, mutant, app, mu):
     monkeypatch.setattr(SmoothState, attr, mutant)

@@ -3,7 +3,8 @@
 The passes (load_svmlight's column layout, ProblemData.columns, the
 residual, the l1 row norms, the primal weights and the column-local
 factors) split along whole columns, rows or selections (problem._spans),
-so the split must not change a single bit: under a budget of 1 or 7
+so the split must not change a single bit (a run's waves end at its
+spans' ends, so they follow the budget, and its iterates must not): under a budget of 1 or 7
 entries, where every pass splits, the results are compared bit for bit,
 sign of zero included, with the default budget's.  The memory the split
 saves is pinned in bytes traced by tracemalloc, never in seconds.
@@ -43,8 +44,19 @@ def _raw() -> ProblemData:
     return ProblemData.from_coo(m, n, r, c, vals, rng.choice([-1.0, 1.0], m))
 
 
+def _selections(span):
+    """The span's selections one at a time: rows, vals, column lengths,
+    shared-row pairs, width, length groups and row_data."""
+    tau = span.ids.shape[1]
+    for t in range(len(span.ptr) - 1):
+        at = slice(span.ptr[t], span.ptr[t + 1])
+        yield (span.rows[at], span.vals[at], span.lens[t * tau:(t + 1) * tau],
+               span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]], span.width[t],
+               span.groups[t], None if span.row_data is None else span.row_data[at])
+
+
 def _outcome(app: str, tau: int) -> dict:
-    """Everything the budget could touch: the gathered batches of one
+    """Everything the budget could touch: the gathered selections of one
     epoch's block, the run's trace, updates and final x, w, the local
     factors, the row norms and the residual at an x holding 0.0 and -0.0."""
     mu, reg = APPS[app]
@@ -52,8 +64,8 @@ def _outcome(app: str, tau: int) -> dict:
     loss = make_loss(working, app, mu)
     n = working.n
     ids = draw(SamplingSpec(n=n, tau=tau, seed=4), 0, -(-n // tau))
-    batches = [(b.rows, b.vals, b.lens, b.shared, b.width, b.groups, b.row_data)
-               for b in loss.columns(ids)]
+    # per selection: the spans, and with them the waves, follow the budget
+    batches = [sel for span in loss.columns(ids) for sel in _selections(span)]
     report = run(working, loss, reg, SolverConfig(tau=tau, seed=4, max_epochs=3))
     x = report.final_x.copy()
     x[::3], x[1::5] = 0.0, -0.0

@@ -68,11 +68,14 @@ def _ref_full_gradient(st):
     g = np.empty(loss.pd.n)
     for i in range(loss.pd.n):
         rows, vals = loss.pd.col(i)
-        if loss.kind == "l1":
-            z = np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0)
+        if not rows.size:
+            g[i] = 0.0
+        elif loss.kind == "l1":
+            g[i] = np.dot(vals, np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0))
         else:
-            z = np.exp((st.r[rows] - st.fmu) / loss.mu) / (loss.denom * st.lse_acc)
-        g[i] = np.dot(vals, z) if rows.size else 0.0
+            # the dot of the exponentials, then the normaliser
+            s = np.dot(vals, np.exp((st.r[rows] - st.fmu) / loss.mu))
+            g[i] = s / (loss.denom * st.lse_acc)
     return g
 
 

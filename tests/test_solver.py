@@ -470,13 +470,17 @@ def test_state_value_is_nan_where_the_accumulator_cannot_say(acc):
 @pytest.mark.parametrize("acc", [0.0, -1.0, math.inf])
 def test_out_of_band_accumulator_skips_the_check(monkeypatch, acc):
     loss, reg, tau = _stop_case("linf")
-    apply_steps = SmoothState.apply_steps
+    value = SmoothState.value
 
-    def spoiled(self, cols, h, seen):
-        apply_steps(self, cols, h, seen)
-        self.lse_acc = acc  # the next step's refresh rebuilds it from x
+    def spoiled(self):
+        # a check after a step (staleness > 0; a trace point reads the
+        # state right after a recompute) finds lse_acc out of band: the
+        # next step's refresh rebuilds it from x
+        if self.staleness:
+            self.lse_acc = acc
+        return value(self)
 
-    monkeypatch.setattr(SmoothState, "apply_steps", spoiled)
+    monkeypatch.setattr(SmoothState, "value", spoiled)
     evals = _count_evaluations(monkeypatch)
     free = run(loss.pd, loss, reg, SolverConfig(tau=tau, seed=2, max_epochs=8))
     target = free.objective_trace[2][1]
