@@ -388,10 +388,10 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
     else:
         pos = rows.argsort(kind="stable")
         key = rows[pos]
-    dup = np.flatnonzero(key[1:] == key[:-1])
+    dup = key[1:] == key[:-1]
     del key
-    earlier, later = pos[dup], pos[dup + 1]
-    del pos
+    earlier, later = pos[:-1][dup], pos[1:][dup]
+    del pos, dup
     sel = np.arange(count, dtype=np.int32).repeat(np.diff(ptr))  # each entry's selection
     t0, t1 = sel[earlier], sel[later]
     del sel

@@ -17,6 +17,7 @@ from spcdm.smoothing import (
     prepare_problem,
     value_from_residual,
 )
+from spcdm.solver import Regularizer, SolverConfig, run
 
 
 def _loss(app, pd, mu):
@@ -190,6 +191,33 @@ def test_incremental_value_tracks_evaluate():
             assert st.value() == pytest.approx(ref, rel=1e-9, abs=1e-12)
         step(st, 0, 0.0)  # no-op leaves staleness alone
         assert st.value() == pytest.approx(evaluate(loss, st.x), rel=1e-9)
+
+
+@pytest.mark.parametrize("app,mu,bound", [("linf", 0.1, None), ("adaboost", 1.0, 1.5e-15)])
+def test_running_value_drifts_from_a_fresh_evaluation_by_rounding_only(monkeypatch, app, mu,
+                                                                       bound):
+    # lse_acc takes each iteration's change as sum e'_j * expm1(d_j / mu),
+    # which does not cancel.  At every epoch end, before the refresh,
+    # fmu + mu*log(lse_acc) stays within 2 ulps of the fresh evaluation
+    # for linf and 1.5e-15 for adaboost, whose values lie near 0; the old
+    # difference of sums, sum exp(new) - sum exp(old), drifted by up to 2
+    # ulps and 1.7e-15 on these runs
+    drift = []
+    recompute = SmoothState.recompute
+
+    def checked(self):
+        if self.staleness:
+            fresh = evaluate(self.loss, self.x)
+            drift.append(abs(self.value() - fresh) / (bound or 2 * np.spacing(abs(fresh))))
+        recompute(self)
+
+    monkeypatch.setattr(SmoothState, "recompute", checked)
+    for tau in (1, 8):
+        for seed in range(3):
+            working = prepare_problem(synth_problem(400, 300, 5, seed=seed), app)
+            run(working, make_loss(working, app, mu), Regularizer.none(),
+                SolverConfig(tau=tau, seed=seed, max_epochs=8))
+    assert len(drift) == 48 and max(drift) <= 1.0, max(drift)
 
 
 def test_recompute_idempotent_and_resets():
