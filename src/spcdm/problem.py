@@ -355,25 +355,18 @@ def _length_groups(starts: np.ndarray, lens: np.ndarray, it: np.ndarray, count: 
 
 
 def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
-    """The rows shared inside selections and the waves of a span: its
-    selections t hold the entries ptr[t]:ptr[t+1] of rows, row indices
-    below m.
-
-    Returns (pairs, pair_ptr, waves).  pairs[:, pair_ptr[t]:pair_ptr[t+1]]
-    are selection t's (earlier, next) positions within the selection of
-    entries whose row several of its columns hold, in row then position
-    order.  waves are the starts of the span's waves, then count: a wave
-    is a maximal run of consecutive selections no two of which share a
-    row, so each starts at the first selection that shares a row with
-    one of the current wave's.
+    """(pairs, pair_ptr, waves) of a span whose selections t hold the
+    entries ptr[t]:ptr[t+1] of rows, row indices below m (ColumnSpan).
+    A wave is a maximal run of consecutive selections no two of which
+    share a row: each starts at the first selection that shares a row
+    with one of the current wave's.
 
     One sort of unique keys, row then position in the span, finds both:
     unique, so any sort gives the stable order, and neighbours in it
     that hold one row are an earlier and the next entry of that row.
     The keys are (row << b) | position, b the bit width of the entry
-    count, in int32 where m << b fits it and in int64 otherwise; where
-    they would overflow int64, a stable argsort of the rows gives the
-    same order.
+    count, in int32 where they fit and int64 otherwise; past int64, a
+    stable argsort of the rows gives the same order.
     """
     count = ptr.size - 1
     b = rows.size.bit_length()
@@ -390,10 +383,10 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
         key = rows[pos]
     dup = key[1:] == key[:-1]
     del key
-    earlier, later = pos[:-1][dup], pos[1:][dup]
+    earlier, later = np.compress(dup, pos[:-1]), np.compress(dup, pos[1:])
     del pos, dup
     sel = np.arange(count, dtype=np.int32).repeat(np.diff(ptr))  # each entry's selection
-    t0, t1 = sel[earlier], sel[later]
+    t0, t1 = sel.take(earlier), sel.take(later)
     del sel
     inside = t0 == t1
     label = t1[inside]
@@ -415,19 +408,16 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
 
 
 class ColumnSpan(NamedTuple):
-    """The columns of a run of consecutive selections (ProblemData.columns),
-    gathered at once.
+    """The columns of consecutive selections, gathered at once.
 
     ids is the (count, tau) block of column ids, lens their lengths,
     flat, and ptr (a list) where each selection starts in rows and vals,
-    which hold the columns' entries concatenated in the order of ids,
-    each column's in storage order.  width[t] is k when every column of
-    selection t has the same k > 0 entries, else 0: then groups[t] is
-    _segments over the selection's entries, (positions in the selection,
-    index into its entries) per column length; it is empty where width
-    is set.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]] holds selection t's
-    entries that several of its columns hold: (earlier, next) positions
-    within the selection, in row order and then column order.  waves
+    the columns' entries in the order of ids, each column's in storage
+    order.  width[t] is k when every column of selection t has k > 0
+    entries, else 0; then groups[t] is _segments over the selection's
+    entries, and empty otherwise.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
+    are the (earlier, next) positions within selection t of entries
+    whose row several of its columns hold, by row, then column.  waves
     are the starts of the span's waves, then count (_plan).  row_data
     holds a per-row array gathered along with rows, if any.
     """

@@ -155,24 +155,24 @@ def nonsmooth_value(loss: SmoothedLoss, x: np.ndarray) -> float:
 
 @dataclass(eq=False, slots=True)
 class Wave:
-    """Iterations of a ColumnSpan no two of which share a row, and what
-    they read of the state, gathered once (SmoothState.wave): x at their
-    columns, r at their entries, for the exponential variants e =
-    exp((r - fmu) / mu) there (None for l1), and s, each column's vals @ e
-    (for l1 its gradient).  first is the wave's first iteration, where
-    those start; a is the first iteration whose steps are not written
-    back yet, and hs and ds hold the steps and the terms they add to r
-    of the iterations taken since (SmoothState.land)."""
+    """Iterations first, ... of a ColumnSpan that share no row, and what
+    they read of the state (SmoothState.wave): x at their columns, r at
+    their entries, e = exp((r - fmu) / mu) and vals / mu there (None for
+    l1), and each column's s = vals @ e (for l1 its gradient).  The steps
+    of iterations a, ... not yet landed are in hs, and in hrs repeated
+    along their entries; kept of them are not zero."""
 
     span: ColumnSpan
     first: int
     x: np.ndarray
     r: np.ndarray
     e: np.ndarray | None
+    am: np.ndarray | None
     s: np.ndarray
     a: int = 0
+    kept: int = 0
     hs: list = field(default_factory=list)
-    ds: list = field(default_factory=list)
+    hrs: list = field(default_factory=list)
 
 
 @dataclass
@@ -182,9 +182,9 @@ class SmoothState:
     fmu caches f_mu(x) as of the last recompute, and mu the loss's mu,
     both as 0-d arrays, which ufuncs take faster than Python floats.  For
     the exponential variants, lse_acc tracks the mean of exp((r_j -
-    fmu)/mu), which is exactly 1 right after a recompute and drifts
-    multiplicatively as updates land; the current value is
-    fmu + mu*log(lse_acc).
+    fmu)/mu), which is exactly 1 right after a recompute and takes each
+    iteration's change as sum e_j * expm1(d_j/mu), which does not cancel
+    (steps); the current value is fmu + mu*log(lse_acc).
     """
 
     loss: SmoothedLoss
@@ -213,20 +213,16 @@ class SmoothState:
 
     def wave(self, span: ColumnSpan, a: int, b: int) -> Wave:
         """The Wave of iterations a, ..., b - 1 of span, which must share no
-        row: what they read of the state, gathered once.
-
-        Each column's s is one dot, vals @ e, batched as 1-by-k @ k-by-1
-        products over the wave when its selections share a width k, else
-        per selection, by length groups where it has none.  An exponential
-        that overflows is inf, which trips needs_recompute; run's epoch
-        holds the errstate that keeps it quiet.
-        """
+        row.  Each s is one dot, batched as 1-by-k @ k-by-1 products over
+        the wave when its selections share a width k, else per selection
+        (by length groups where it has none).  An exponential that
+        overflows is inf, which trips needs_recompute."""
         ptr, tau = span.ptr, span.ids.shape[1]
         at = slice(ptr[a], ptr[b])
         r = self.r[span.rows[at]]
         vals = span.vals[at]
         if self.loss.kind == "l1":
-            e = None
+            e = am = None
             # np.clip(q, -1, 1), without np.clip's Python-level wrapper
             z = np.minimum(np.maximum(r / span.row_data[at], -1.0), 1.0)
         else:
@@ -234,9 +230,9 @@ class SmoothState:
             e /= self.mu
             np.exp(e, out=e)
             z = e
-        widths = span.width[a:b]
-        k = widths[0]
-        if k and widths.count(k) == len(widths):
+            am = vals / self.mu
+        k = span.width[a]
+        if k and (b == a + 1 or span.width[a:b].count(k) == b - a):
             s = (vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
         else:
             s = np.zeros((b - a) * tau)
@@ -247,7 +243,7 @@ class SmoothState:
                     s[c:c + tau] = (v.reshape(-1, 1, k) @ zt.reshape(-1, k, 1)).ravel()
                 for sel, idx in span.groups[t]:
                     s[c + sel] = (v[idx][:, None, :] @ zt[idx][:, :, None]).ravel()
-        return Wave(span, a, self.x[span.ids[a:b].ravel()], r, e, s, a)
+        return Wave(span, a, self.x[span.ids[a:b].ravel()], r, e, am, s, a)
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives: every column as one selection."""
@@ -255,62 +251,53 @@ class SmoothState:
         return s if self.loss.kind == "l1" else s / (self.loss.denom * self.lse_acc)
 
     def steps(self, wave: Wave, prox, check=None) -> tuple[int, bool]:
-        """Take the iterations of wave from wave.a on in turn, and land
-        them; returns the iteration after the last one taken, and whether
-        check ended the wave.
+        """Take the iterations of wave from wave.a on in turn and land them;
+        returns the iteration after the last one taken, and whether check
+        ended the wave, which also ends where a step asks for a refresh.
 
-        Iteration t's gradients are its columns' s / (denom * lse_acc),
-        from the current lse_acc (s itself for l1), and its steps h =
-        prox(g, x, t), x at its columns; its columns must be distinct and
-        ascending.  The result is that of applying the steps one column
-        at a time in that order: zero steps change nothing and do not
-        count toward staleness, and each row takes its terms in ascending
-        column order.  lse_acc takes the iteration's terms e'_j *
-        expm1(d_j / mu) in one dot, d_j its entries' terms of r, where
-        e'_j is e_j but at an entry whose row an earlier column moved:
-        there it is the exponential of the moved residual.  lse_acc and
-        staleness are current after every step, where check(wave, t), if
-        given, is called; true, it ends the wave.  The wave also ends
-        early where a step leaves the state asking for a refresh.
+        Iteration t's gradients are its columns' s / (denom * lse_acc)
+        (s for l1) and its steps h = prox(g, x, t); its columns must be
+        distinct and ascending.  As if the steps landed one column at a
+        time: zero steps change nothing and do not count toward
+        staleness, and lse_acc takes the sum of e'_j * expm1(h a_j / mu)
+        over the iteration's entries in one dot, e'_j the exponential
+        of the residual as earlier columns moved it.  lse_acc and
+        staleness are current when check(wave, t), if given, runs.
         """
         span, a, first = wave.span, wave.a, wave.first
-        ptr, tau, width, lens, vals = span.ptr, span.ids.shape[1], span.width, span.lens, span.vals
+        ptr, tau, width, lens = span.ptr, span.ids.shape[1], span.width, span.lens
         pairs, pair_ptr = span.pairs, span.pair_ptr
-        s, x, e, hs, ds = wave.s, wave.x, wave.e, wave.hs, wave.ds
+        s, x, e, am, hs, hrs = wave.s, wave.x, wave.e, wave.am, wave.hs, wave.hrs
         fmu, mu, denom, p0 = self.fmu, self.mu, self.loss.denom, ptr[first]
         b = first + x.size // tau
-        norm = np.array(1.0)  # denom * lse_acc, 0-d: ufuncs take it faster than a float
+        # denom * lse_acc, 0-d: ufuncs take it faster than a float
+        norm = None if e is None else np.array(1.0)
         c = (a - first) * tau
         for t in range(a, b):
-            lo, hi = ptr[t], ptr[t + 1]
             g = s[c:c + tau]
             if e is not None:
                 norm[()] = denom * self.lse_acc
                 g = g / norm
             h = prox(g, x[c:c + tau], t)
             c += tau
-            k = width[t] or lens[t * tau:(t + 1) * tau]
-            d = vals[lo:hi] * h.repeat(k)
             kept = np.count_nonzero(h)
-            if kept < tau:
-                # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
-                keep = h != 0.0
-                h = np.where(keep, h, -0.0)
-                d = np.where(keep.repeat(k), d, -0.0)
-            hs.append(h)
-            ds.append(d)
+            wave.kept += kept
             self.staleness += kept
+            hr = h.repeat(width[t] or lens[t * tau:(t + 1) * tau])
+            hs.append(h if kept == tau else np.where(h != 0.0, h, -0.0))
+            hrs.append(hr)
             if e is not None:
-                et = e[lo - p0:hi - p0]
+                at = slice(ptr[t] - p0, ptr[t + 1] - p0)
+                et = e[at]
                 if pair_ptr[t + 1] > pair_ptr[t]:
                     # a row several columns share: each sees the terms of the earlier ones
-                    old = wave.r[lo - p0:hi - p0]
+                    old, d = wave.r[at], span.vals[ptr[t]:ptr[t + 1]] * hr
                     shared = pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
                     for src, dst in zip(*shared.tolist()):
                         old[dst] = old[src] + d[src]
                     dst = shared[1]
                     et[dst] = np.exp((old[dst] - fmu) / mu)
-                em = d / mu
+                em = am[at] * hr
                 np.expm1(em, out=em)
                 self.lse_acc += float(et.dot(em)) / denom
             if check is not None and check(wave, t):
@@ -322,27 +309,31 @@ class SmoothState:
         return t + 1, False
 
     def land(self, wave: Wave) -> None:
-        """Write r and x for the iterations of wave taken since it last
-        landed.  They share no row, so r takes each row's terms in
-        ascending column order: np.add.at adds in CSC order where a row
-        repeats inside an iteration, and r is assigned otherwise."""
+        """Write r and x for the steps of wave not yet landed: np.add.at
+        adds in CSC order where a row repeats inside an iteration, so each
+        row takes its terms by ascending column; r is assigned otherwise."""
         if not wave.hs:
             return
         span, first, a = wave.span, wave.first, wave.a
         b = a + len(wave.hs)
-        h, d = (wave.hs[0], wave.ds[0]) if b == a + 1 else (
-            np.concatenate(wave.hs), np.concatenate(wave.ds))
+        h, hr = ((wave.hs[0], wave.hrs[0]) if b == a + 1 else
+                 (np.concatenate(wave.hs), np.concatenate(wave.hrs)))
         ptr, tau = span.ptr, span.ids.shape[1]
-        rows = span.rows[ptr[a]:ptr[b]]
+        at = slice(ptr[a], ptr[b])
+        d = span.vals[at] * hr
+        if wave.kept < h.size:
+            # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
+            d = np.where(hr != 0.0, d, -0.0)
+        rows = span.rows[at]
         if span.pair_ptr[b] > span.pair_ptr[a]:
             np.add.at(self.r, rows, d)
         else:
             self.r[rows] = wave.r[ptr[a] - ptr[first]:ptr[b] - ptr[first]] + d
         c = (a - first) * tau
         self.x[span.ids[a:b].ravel()] = wave.x[c:c + h.size] + h
-        wave.a = b
+        wave.a, wave.kept = b, 0
         wave.hs.clear()
-        wave.ds.clear()
+        wave.hrs.clear()
 
     def needs_recompute(self) -> bool:
         """Staleness policy: refresh every n updates, or as soon as the

@@ -1,31 +1,30 @@
 """Parallel coordinate descent on a smoothed loss plus a separable regularizer.
 
 Each iteration draws a uniform tau-subset of active coordinates and takes
-one batched step over it: all tau gradients from a frozen snapshot of the
-state (SmoothState.gradients), one vectorised prox (prox_steps), then one
-application of the nonzero steps (SmoothState.apply_steps).  The batch
-reproduces, bit for bit, computing every step from the snapshot and then
-applying the steps one coordinate at a time in ascending order, so reruns
-with the same seed give identical traces.
+one batched step over it: all tau gradients from the state as the
+iteration starts, one vectorised prox (prox_steps), then the nonzero
+steps applied.  The batch reproduces, bit for bit, computing every step
+from that state and then applying the steps one coordinate at a time in
+ascending order, so reruns with the same seed give identical traces.
 
 Which coordinates an iteration visits depends on the seed and the round
 alone, so run draws an epoch's subsets in one call (draw with count) and
-gathers their columns in one pass (SmoothedLoss.columns on the block);
-only the gradient, prox and update steps run per iteration.  A refresh
-in mid-epoch changes the state, never the subsets or the columns; a
-target check in mid-epoch reads the state and never writes it.
-
-A step gathers what it reads of the state once, and exponentiates each
-residual once.  SmoothState.gradients gathers x and r at the selected
-columns, and for the exponential losses exp((r - fmu)/mu), and returns
-them as a Snapshot beside the gradients.  apply_steps takes that
-Snapshot: it exponentiates only the new residuals, plus the old ones at
-entries whose row an earlier selected column moved, and writes r and x
-by assignment; only when two selected columns share a row does it add
-into r with np.add.at.  What depends on no state is done once per
+gathers their columns in spans of whole iterations (SmoothedLoss.columns
+on the block), with no state read.  A span's iterations run in waves:
+maximal runs of consecutive iterations no two of which touch the same
+row (problem._plan).  No iteration of a wave reads a row or a
+coordinate that an earlier one wrote, so SmoothState.wave gathers x, r
+and exp((r - fmu)/mu) and takes each column's dot with the exponentials
+once per wave; SmoothState.steps runs per iteration only what couples
+them, the normaliser lse_acc of the exponential losses (nothing for
+l1): the gradients' division by it, the prox, and its update, one dot of
+e * expm1(h a / mu); r and x are written once per wave (SmoothState.land).
+A refresh in mid-epoch cuts the wave and changes the state, never the
+subsets or the columns; a target check in mid-epoch reads the state and
+never writes it.  What depends on no state is done once per run or
 epoch: the np.errstate that lets an overflow to inf (needs_recompute's
-signal) pass quietly, the betas and weights of the block, l1's Huber
-thresholds at the block's rows, and each selection's common column
+signal) pass quietly, each coordinate's curvature beta * w, l1's Huber
+thresholds at the gathered rows, and each selection's common column
 length, which lets a step reshape its entries in place of gathering
 them.
 """
@@ -116,13 +115,11 @@ def prox_steps(
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    bw is the model's curvature in h, (beta + reg.sigma_psi) * w, as run
-    computes it once per run: beta * w, but for ridge, whose Psi adds
-    delta * w to it; w is read by ridge only.  Every bw must be positive
-    and finite, as run's active weights make them: the quadratic term is
-    what makes the parallel update safe.  max and min keep Python's
-    choice on ties, so a zero step has the sign the scalar formula gives
-    it.
+    bw is the model's curvature (beta + reg.sigma_psi) * w, as run computes
+    it once; w is read by ridge only.  Every bw must be positive and
+    finite, as run's active weights make them: the quadratic term is what
+    makes the parallel update safe.  max and min keep Python's choice on
+    ties, so a zero step has the sign the scalar formula gives it.
     """
     if reg.kind == "none":
         return -grad / bw
@@ -376,31 +373,28 @@ def _run_epoch(
     state, spans, bw: np.ndarray, wb: np.ndarray, reg: Regularizer,
     stop: _Stop | None, traced: bool,
 ) -> tuple[int, int | None]:
-    """Step through the ColumnSpans spans one wave at a time, each wave
-    from a state refreshed first if it asks; returns the coordinate
-    updates taken, and the index of the iteration after which the
-    running value reached the target, or None if the spans ran out.
+    """Step through the ColumnSpans spans one wave at a time, each from a
+    state refreshed first if it asks; returns the coordinate updates
+    taken, and the index of the iteration after which the running value
+    reached the target, or None if the spans ran out.
 
     bw and wb hold the curvatures and the weights of the epoch's block,
-    one row per iteration.  A wave's iterations share no row, so each
-    reads only what no earlier one of the wave wrote: the wave gathers
-    the state once (SmoothState.wave) and only the gradients'
-    normaliser, the prox and lse_acc run per iteration
-    (SmoothState.steps).  A wave ends early where a step leaves the
-    state asking for a refresh; the rest of it is gathered anew after
-    the refresh.  The epoch's last step is not followed by a refresh
-    check: the trace refresh or the next epoch's first check sees the
-    same x.
+    one row per iteration.  A wave's iterations share no row, so none
+    reads what an earlier one wrote: the wave gathers the state once
+    (SmoothState.wave), and only the gradients' normaliser, the prox and
+    lse_acc run per iteration (SmoothState.steps).  A wave cut by a
+    refresh is gathered anew after it.  The epoch's last step is not
+    followed by a refresh check: the trace refresh or the next epoch's
+    first check sees the same x.
 
     With stop, once the steps since the last check touched stop.cost
     entries (so after every step where a check is O(1)), the running
-    value is read, which writes nothing to the state: lse_acc and
-    staleness are current after every step, and a check that reads x or
-    r (stop.cost > 0) lands the wave's steps first.  At most
+    value is read, which writes nothing to the state; a check that reads
+    x or r (stop.cost > 0) lands the wave's steps first.  At most
     stop.target, it ends the epoch, for run to confirm.  A traced
     epoch's last step is not checked: its trace point sees the same x.
     """
-    updates = touched = k0 = 0  # k0: the epoch's iterations before the span
+    touched = k0 = 0  # k0: the epoch's iterations before the span
     last = len(bw) - 1 if traced else len(bw)
 
     def prox(g, x, t):
@@ -428,15 +422,13 @@ def _run_epoch(
                 while a < b:
                     if state.needs_recompute():
                         state.recompute()
-                    t, hit = state.steps(state.wave(span, a, b), prox,
+                    a, hit = state.steps(state.wave(span, a, b), prox,
                                          None if stop is None else check)
-                    updates += (t - a) * bw.shape[1]
-                    if hit:
-                        return updates, k0 + t - 1
-                    a = t
+                    if hit:  # every iteration takes tau steps
+                        return (k0 + a) * bw.shape[1], k0 + a - 1
             k0 += len(ptr) - 1
             span = None  # released before the next span is gathered
-    return updates, None
+    return bw.size, None
 
 
 def _check_convex_case_formula(formula):

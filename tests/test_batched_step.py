@@ -59,16 +59,15 @@ def _ref_prox_step(grad, x, beta, w, reg):
 def _ref_apply_update(st, i, h):
     """x_i += h, with r and staleness; returns column i's terms of
     lse_acc: the exponentials of its rows' residuals, as earlier columns
-    moved them, and expm1 of its terms of r over mu (of -0.0 for a zero
-    step, which changes nothing)."""
+    moved them, and expm1(vals / mu * h), its terms of r over mu (zero
+    for a zero step, which changes nothing else)."""
     loss = st.loss
     rows, vals = loss.pd.col(i)
-    d = vals * h if h != 0.0 else np.full(rows.size, -0.0)
     with np.errstate(over="ignore"):
-        terms = (np.exp((st.r[rows] - st.fmu) / loss.mu), np.expm1(d / loss.mu))
+        terms = (np.exp((st.r[rows] - st.fmu) / loss.mu), np.expm1(vals / loss.mu * h))
     if h != 0.0:
         st.x[i] += h
-        st.r[rows] = st.r[rows] + d
+        st.r[rows] = st.r[rows] + vals * h
         st.staleness += 1
     return terms
 
