@@ -155,12 +155,12 @@ def nonsmooth_value(loss: SmoothedLoss, x: np.ndarray) -> float:
 
 @dataclass(eq=False, slots=True)
 class Wave:
-    """Iterations first, ... of a ColumnSpan that share no row, and what
-    they read of the state (SmoothState.wave): x at their columns, r at
-    their entries, e = exp((r - fmu) / mu) and vals / mu there (None for
-    l1), and each column's s = vals @ e (for l1 its gradient).  The steps
-    of iterations a, ... not yet landed are in hs, and in hrs repeated
-    along their entries; kept of them are not zero."""
+    """A run of a ColumnSpan's iterations, from first on, that share no
+    row, and what they read of the state (SmoothState.wave): x at their
+    columns, r at their entries, e = exp((r - fmu) / mu) and vals / mu
+    there (None for l1), and each column's s = vals @ e (for l1 its
+    gradient).  The steps of iterations a, ... not yet landed are in hs,
+    and in hrs repeated along their entries; kept of them are not zero."""
 
     span: ColumnSpan
     first: int
