@@ -38,56 +38,45 @@ class ProblemData:
         return self.col_rows[lo:hi], self.col_vals[lo:hi]
 
     def columns(
-        self, ids: np.ndarray, row_data: np.ndarray | None = None
+        self, ids: np.ndarray, row_data: np.ndarray | None = None, levels: bool = False
     ) -> "Iterator[ColumnSpan]":
         """The columns of the (count, tau) block ids, one selection per row:
         an iterator over ColumnSpans of consecutive whole selections,
         gathered lazily, one pass per span (_spans).
 
-        Each span builds only what the step kernel reads.  Length groups
-        are built only for the selections without a width (columns of
-        differing lengths), from one stable sort keyed on (selection,
-        column length); when every selection has a width, as at tau = 1
-        or on a column-regular matrix, there is no such sort.  The shared
-        rows and the waves come from one sort per span (_plan).  A per-row
-        array row_data is gathered along: the span's row_data is
-        row_data[rows].
+        Each span builds only what the step kernel reads.  The shared rows
+        and the waves, or with levels the level schedule (Levels), come
+        from one sort per span (_plan).  A per-row array row_data is
+        gathered along: the span's row_data is row_data[rows].
         """
         lens = self._col_lens[ids]
         ptr = np.zeros(ids.shape[0] + 1, dtype=np.int64)  # where each selection's entries start
         np.cumsum(lens.sum(axis=1), out=ptr[1:])
-        return (self._gather(ids[a:b], lens[a:b], ptr[a:b + 1] - ptr[a], row_data)
+        return (self._gather(ids[a:b], lens[a:b], ptr[a:b + 1] - ptr[a], row_data, levels)
                 for a, b in _spans(ptr))
 
-    def _gather(self, ids, lens, ptr, row_data) -> "ColumnSpan":
+    def _gather(self, ids, lens, ptr, row_data, levels) -> "ColumnSpan":
         """The ColumnSpan of the (count, tau) block ids, whose columns have
         lengths lens and whose selections start at ptr, from one gather."""
-        count, tau = ids.shape
         flat = lens.ravel()
-        ends = flat.cumsum()
-        offsets = ends - flat  # where each column starts in the concatenation
-        rows, vals = self._entries(ids.ravel(), flat, offsets)
-        width = lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)
-        ragged = np.flatnonzero(width == 0)
-        groups = [[]] * count
-        if ragged.size:
-            it = np.arange(ragged.size).repeat(tau)
-            starts = offsets.reshape(count, tau)[ragged] - ptr[ragged, None]
-            for t, g in zip(ragged.tolist(), _length_groups(
-                    starts.ravel(), lens[ragged].ravel(), it, ragged.size)):
-                groups[t] = g
-        pairs, pair_ptr, waves = _plan(rows, ptr, self.m)
-        return ColumnSpan(ids, flat, ptr.tolist(), rows, vals, width.tolist(), groups,
-                          pairs, pair_ptr, waves, None if row_data is None else row_data[rows])
+        width = (lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)).tolist()
+        uniform = width[0] if width.count(width[0]) == len(width) else 0
+        rows, vals = self._entries(ids.ravel(), flat)
+        pairs, pair_ptr, plan = _plan(rows, ptr, self.m, flat if levels else None)
+        if levels:  # the entries in the order the levels step them
+            plan, order = Levels.of(plan, flat, uniform)
+            vals, rows = vals[order], rows.take(order, out=order, mode="clip")
+        return ColumnSpan(ids, flat, ptr.tolist(), rows, vals, width, pairs, pair_ptr,
+                          None if levels else plan, None if row_data is None else row_data[rows],
+                          plan if levels else None)
 
-    def _entries(
-        self, ids: np.ndarray, lens: np.ndarray, offsets: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and values of the columns ids concatenated, column ids[j]'s
-        lens[j] entries starting at offsets[j]."""
-        pos = (self.col_ptr[ids] - offsets).repeat(lens)
-        pos += np.arange(pos.size)
-        return self.col_rows[pos], self.col_vals[pos]
+    def _entries(self, ids, lens) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and values of the columns ids, of lengths lens,
+        concatenated: 16 bytes an entry at the peak (_ranges)."""
+        pos = _ranges(self.col_ptr[ids], lens)
+        vals = self.col_vals[pos]
+        # clip only spares take the copy of out that its default mode makes
+        return self.col_rows.take(pos, out=pos, mode="clip"), vals
 
     @functools.cached_property
     def _col_lens(self) -> np.ndarray:
@@ -306,6 +295,22 @@ def _drop_zeros(ptr: np.ndarray, idx: np.ndarray, vals: np.ndarray):
     return kept[ptr], idx[keep], vals[keep]
 
 
+def _ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The ranges [starts[j], starts[j] + lens[j]) concatenated (int64): at
+    least k ranges all k long by one add per offset, else ones with jumps, summed."""
+    if lens.size and 0 < lens[0] <= lens.size and (lens == lens[0]).all():
+        out = np.empty((lens.size, lens[0]), dtype=np.int64)
+        for j in range(lens[0]):
+            np.add(starts, j, out=out[:, j])
+        return out.ravel()
+    # an empty range would start the next: dropped (starts is overwritten)
+    starts, lens = (starts, lens) if lens.all() else (starts[lens > 0], lens[lens > 0])
+    starts[1:] -= starts[:-1] + lens[:-1] - 1  # from the last of the range before
+    out = np.ones(int(lens.sum()), dtype=np.int64)
+    out[lens.cumsum() - lens] = starts
+    return np.cumsum(out, out=out)
+
+
 def row_sparsity(pd: ProblemData) -> int:
     """omega, the largest number of nonzeros in a row."""
     return int(pd._row_lens.max(initial=0))
@@ -319,47 +324,20 @@ def _segments(ptr: np.ndarray) -> list:
     C-contiguous, so a reduction along axis 1 runs in each segment's order.
     """
     lens = ptr[1:] - ptr[:-1]
-    return next(_length_groups(ptr[:-1], lens, np.zeros(lens.size, dtype=np.int64), 1))
+    order = lens.argsort(kind="stable")
+    return [(ids, ptr[ids][:, None] + np.arange(lens[ids[0]]))
+            for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
+            if ids.size and lens[ids[0]]]
 
 
-def _length_groups(starts: np.ndarray, lens: np.ndarray, it: np.ndarray, count: int):
-    """_segments for segments given by their starts and lengths, split by
-    the nondecreasing labels it: an iterator over labels 0, ..., count - 1
-    giving each one's (positions within the label, index) groups.
-
-    One stable sort keyed on (label, length) orders all segments at once;
-    each group's index is a slice of one (segments of length k, k) array.
-    """
-    width = int(lens.max(initial=0)) + 1
-    key = it * width + lens
-    order = key.argsort(kind="stable")
-    key = key[order]
-    # runs of one (label, length) in the sorted order: start, size, and
-    # where the run starts among the segments of its length
-    new_run = np.ones(key.size, dtype=bool)
-    new_run[1:] = key[1:] != key[:-1]
-    first = np.flatnonzero(new_run)
-    size = np.diff(np.append(first, key.size))
-    run_it, run_k = np.divmod(key[first], width)
-    sel = order - np.searchsorted(it, np.arange(count))[it[order]]  # position within the label
-    slens = lens[order]
-    idx, at = {}, np.zeros(first.size, dtype=np.int64)
-    for k in sorted(set(run_k.tolist())):
-        of_k = run_k == k
-        at[of_k] = size[of_k].cumsum() - size[of_k]
-        idx[k] = starts[order[slens == k]][:, None] + np.arange(k)
-    runs = list(zip(run_k.tolist(), first.tolist(), (first + size).tolist(), at.tolist()))
-    bounds = np.searchsorted(run_it, np.arange(count + 1)).tolist()
-    return ([(sel[a:b], idx[k][c : c + b - a]) for k, a, b, c in runs[p:q] if k]
-            for p, q in zip(bounds, bounds[1:]))
-
-
-def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
+def _plan(rows: np.ndarray, ptr: np.ndarray, m: int, lens: np.ndarray | None = None):
     """(pairs, pair_ptr, waves) of a span whose selections t hold the
     entries ptr[t]:ptr[t+1] of rows, row indices below m (ColumnSpan).
     A wave is a maximal run of consecutive selections no two of which
     share a row: each starts at the first selection that shares a row
-    with one of the current wave's.
+    with one of the current wave's.  Given lens, the span's column
+    lengths, each step's level (_levels) replaces the waves, and pairs and
+    pair_ptr, which l1 never reads, are None.
 
     One sort of unique keys, row then position in the span, finds both:
     unique, so any sort gives the stable order, and neighbours in it
@@ -389,6 +367,9 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
     t0, t1 = sel.take(earlier), sel.take(later)
     del sel
     inside = t0 == t1
+    if lens is not None:
+        del t0, t1
+        return None, None, _levels(earlier, later, inside, lens)
     label = t1[inside]
     order = label.argsort(kind="stable")
     label = label[order]
@@ -407,18 +388,83 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int):
     return pairs, pair_ptr, waves
 
 
+def _levels(earlier: np.ndarray, later: np.ndarray, inside: np.ndarray,
+            lens: np.ndarray) -> np.ndarray:
+    """Each column step's level (lens: the span's column lengths), one
+    above those of earlier selections' steps sharing a row with it, by
+    Kahn's algorithm, a frontier a level, over each entry's next entry on
+    its row ((earlier, later), inside where one selection holds both).
+    Steps of one selection that share a row are merged (_merge) into one."""
+    size = lens.size
+    col = np.arange(size, dtype=np.int32).repeat(lens)  # each entry's column (as sel in _plan)
+    comp = _merge(col[earlier[inside]], col[later[inside]], size)
+    col = col[later]
+    # each entry's next reader on its row, or size, a step never ready
+    nxt = np.full(int(lens.sum()), size, dtype=np.int32)
+    nxt[earlier[~inside]] = comp[col[~inside]]
+    waiting = np.bincount(nxt, minlength=size + 1)  # entries to step before each
+    waiting[size] = nxt.size + 1
+    merged = np.flatnonzero(comp != np.arange(size))  # stepped with comp[merged]
+    waiting[merged] = -1
+    start, level = lens.cumsum() - lens, np.zeros(size, dtype=np.int64)
+    for depth in range(size):
+        frontier = np.flatnonzero(waiting == 0)
+        if not frontier.size:
+            break
+        frontier = np.append(frontier, merged[waiting[comp[merged]] == 0])
+        waiting[frontier] = -1
+        level[frontier] = depth
+        np.subtract.at(waiting, nxt[_ranges(start[frontier], lens[frontier])], 1)
+    return level
+
+
+def _merge(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """Each of size columns' smallest in its component, pairs (a[i], b[i])
+    joining them: minima spread until every pair agrees (a few passes)."""
+    comp = np.arange(size, dtype=a.dtype)
+    while not np.array_equal(comp[a], comp[b]):
+        low = np.minimum(comp[a], comp[b])
+        np.minimum.at(comp, a, low)
+        np.minimum.at(comp, b, low)
+    return comp
+
+
+class Levels(NamedTuple):
+    """A span's level schedule (_levels): key, each column step's level
+    times the column count plus its column, ascending; eptr[p], where
+    position p's entries start in the span, which takes them in key's
+    order (of's second value); width, every column's length, or 0."""
+
+    key: np.ndarray
+    eptr: np.ndarray
+    width: int
+
+    @classmethod
+    def of(cls, level: np.ndarray, lens: np.ndarray, width: int):
+        order = _stable_order(level, int(level.max(initial=0)) + 1)
+        eptr = np.zeros(lens.size + 1, dtype=np.int64)
+        np.cumsum(lens[order], out=eptr[1:])
+        eorder = _ranges((lens.cumsum() - lens)[order], lens[order])
+        return cls(level[order] * lens.size + order, eptr, width), eorder
+
+    def groups(self, c0: int, c1: int):
+        """(lo, hi): each level's steps of columns c0, ..., c1 - 1, if any."""
+        base = np.arange(0, self.key[-1] + 1, self.eptr.size - 1) if self.key.size else self.key
+        lo, hi = self.key.searchsorted(base + c0), self.key.searchsorted(base + c1)
+        return zip(lo[hi > lo].tolist(), hi[hi > lo].tolist())
+
+
 class ColumnSpan(NamedTuple):
     """The columns of consecutive selections, gathered at once.
 
-    ids is the (count, tau) block of column ids, lens their lengths,
-    flat, and ptr (a list) where each selection starts in rows and vals,
-    the columns' entries in the order of ids, each column's in storage
-    order.  width[t] is k when every column of selection t has k > 0
-    entries, else 0; then groups[t] is _segments over the selection's
-    entries, and empty otherwise.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
-    are the (earlier, next) positions within selection t of entries
-    whose row several of its columns hold, by row, then column.  waves
-    are the starts of the span's waves, then count (_plan).  row_data
+    ids is the (count, tau) block of column ids, lens their lengths, flat,
+    ptr (a list) the entries before each selection, and rows and vals the
+    columns' entries in the order of ids (with levels, of levels.key), each
+    column's in storage order.  width[t] is k when every column of selection
+    t has k > 0 entries, else 0.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]] are
+    the (earlier, next) positions within selection t of entries whose row
+    several of its columns hold, by row, then column.  waves are the starts
+    of the span's waves, then count, or levels its Levels (_plan).  row_data
     holds a per-row array gathered along with rows, if any.
     """
 
@@ -428,11 +474,11 @@ class ColumnSpan(NamedTuple):
     rows: np.ndarray
     vals: np.ndarray
     width: list
-    groups: list
-    pairs: np.ndarray
-    pair_ptr: list
-    waves: list
+    pairs: np.ndarray | None
+    pair_ptr: list | None
+    waves: list | None
     row_data: np.ndarray | None = None
+    levels: Levels | None = None
 
 
 # Bytes read per block of whole lines: a block's temporaries (arrays over

@@ -51,19 +51,10 @@ def draw(spec: SamplingSpec, round: int, count: int | None = None) -> np.ndarray
         raise ValueError("rounds must be below 2**128")
     if not 0 <= int(spec.seed) < 1 << 128:
         raise ValueError("seed must satisfy 0 <= seed < 2**128")
-    n, tau = spec.n, spec.tau
-    out = np.empty((rows, tau), dtype=np.int64)
-    fresh = np.ones(rows, dtype=bool)
-    if count is not None and n < 1 << 32:  # integers' 64-bit path is not replayed
+    out, fresh = np.empty((rows, spec.tau), dtype=np.int64), np.ones(rows, dtype=bool)
+    if count is not None and spec.n < 1 << 32:  # integers' 64-bit path is not replayed
         offsets, fresh = _offsets(spec, round, rows)
-        # distinct offsets, each at or past tau or equal to its own k: no swap
-        # writes a slot a later one reads, so the subset is the offsets
-        srt = np.sort(offsets, axis=1)
-        plain = ((offsets >= tau) | (offsets == np.arange(tau))).all(axis=1) & ~fresh
-        plain &= (srt[:, 1:] != srt[:, :-1]).all(axis=1)
-        out[plain] = srt[plain]
-        for t in np.flatnonzero(~plain & ~fresh).tolist():
-            out[t] = _shuffle(offsets[t].tolist())
+        out = _shuffle(offsets)
     for t in np.flatnonzero(fresh).tolist():
         out[t] = _fresh_round(spec, round + t)
     return out if count is not None else out[0]
@@ -73,63 +64,83 @@ def _fresh_round(spec: SamplingSpec, round: int) -> np.ndarray:
     """The round-th subset by definition: the k-th offset, uniform on
     [k, n), from a freshly built Philox(key=seed, counter=round << 128)."""
     gen = np.random.Generator(np.random.Philox(key=int(spec.seed), counter=round << 128))
-    return _shuffle(gen.integers(np.arange(spec.tau, dtype=np.int64), spec.n).tolist())
+    return _shuffle(gen.integers(np.arange(spec.tau, dtype=np.int64), spec.n)[None])[0]
 
 
-def _shuffle(offsets: list) -> np.ndarray:
-    """The sorted picks of a partial Fisher-Yates shuffle that swaps slot k
-    with slot offsets[k], over a virtual identity array."""
-    swap: dict[int, int] = {}
-    out = []
-    for k, j in enumerate(offsets):
-        ak = swap.get(k, k)
-        aj = swap.get(j, j)
-        out.append(aj)
-        swap[j] = ak
-        swap[k] = aj
-    out.sort()
-    return np.array(out, dtype=np.int64)
+def _shuffle(offsets: np.ndarray, first: np.ndarray | None = None) -> np.ndarray:
+    """The sorted picks of partial Fisher-Yates shuffles over a virtual
+    identity array, one per row of the (count, tau) offsets: step k swaps
+    slots k and offsets[:, k], in every row at once.  A row touches at
+    most 2 tau slots, each a cell of its table: slot k < tau cell k, where
+    the k-th pick ends, and offset k past tau cell tau + first[:, k], the
+    first k naming it.  Taking that to be k is exact unless a row names an
+    offset past tau twice, which shows as a repeated pick."""
+    count, tau = offsets.shape
+    cols = offsets.T.copy()  # a row's offsets, cells and picks go down a column
+    at = np.where(cols < tau, cols, tau + (np.arange(tau)[:, None] if first is None else first.T))
+    at = at * count + np.arange(count)
+    table = np.concatenate((np.broadcast_to(np.arange(tau)[:, None], cols.shape), cols))
+    flat, picks = table.reshape(-1), np.empty_like(cols)
+    for k in range(tau):  # no later step reads cell k
+        picks[k] = flat[at[k]]
+        flat[at[k]] = table[k]
+    out = picks.T.copy()
+    out.sort(axis=1)
+    twice = np.zeros(count, dtype=bool)
+    twice[(np.flatnonzero(out.ravel()[1:] == out.ravel()[:-1]) + 1) // tau] = first is None
+    if twice.any():  # one stable sort of the rows' offsets: the first k naming each
+        off = offsets[twice]
+        key = (off + np.arange(off.shape[0])[:, None] * (int(off.max()) + 1)).ravel()
+        order = key.argsort(kind="stable")
+        run = np.where(np.diff(key[order], prepend=-1) != 0, np.arange(key.size), 0)
+        first = np.empty_like(order)
+        first[order] = order[np.maximum.accumulate(run)] % tau
+        out[twice] = _shuffle(off, first.reshape(off.shape))
+    return out
 
 
 _U64 = (1 << 64) - 1
 
 
 # Philox4x64-10 (Salmon et al., SC'11): multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _mulhilo(m: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low 64-bit words of the 128-bit products m * x, the
     high word summed from the 32-bit halves of both factors."""
-    mh, ml = np.uint64(m >> 32), np.uint64(m & 0xFFFFFFFF)
+    mh, ml = m >> _S32, m & _LO32
     xh, xl = x >> _S32, x & _LO32
-    ll, lh, hl = xl * ml, xl * mh, xh * ml
-    carry = ((ll >> _S32) + (lh & _LO32) + (hl & _LO32)) >> _S32
-    return xh * mh + (lh >> _S32) + (hl >> _S32) + carry, x * np.uint64(m)
+    mid = xl * mh
+    mid += (xl * ml) >> _S32  # below 2**64, as is xh * ml + (mid & _LO32)
+    hi = (xh * ml + (mid & _LO32)) >> _S32
+    hi += mid >> _S32
+    hi += xh * mh
+    return hi, x * m
 
 
 def _philox_words(seed: int, round: int, count: int, blocks: int) -> np.ndarray:
     """The first 4 * blocks 64-bit outputs of Philox(key=seed, counter=r << 128)
     for r = round, ..., round + count - 1, one row per round.
 
-    Such a generator's b-th block is the bijection of counter
-    (b + 1, 0, r mod 2**64, r >> 64), so every round is one pass.
+    Such a generator's b-th block is the bijection of counter (b + 1, 0,
+    r mod 2**64, r >> 64), so every round is one pass (words 0, 2 stacked).
     """
     r = np.arange(count, dtype=np.uint64)[:, None]
     lo = np.uint64(round & _U64) + r  # wraps past 2**64: carry into the high word
-    c = [np.arange(1, blocks + 1, dtype=np.uint64), np.uint64(0), lo,
-         np.uint64(round >> 64) + (lo < r)]
-    k0, k1 = seed & _U64, seed >> 64
+    mul, odd = np.stack(np.broadcast_arrays(
+        np.arange(1, blocks + 1, dtype=np.uint64), np.uint64(0), lo,
+        np.uint64(round >> 64) + (lo < r))).reshape(2, 2, count, blocks).swapaxes(0, 1)
+    key = np.array([seed & _U64, seed >> 64], dtype=np.uint64)[:, None, None]
     for i in range(10):
         if i:
-            k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c[2])
-        c = [hi1 ^ c[1] ^ np.uint64(k0), lo1, hi0 ^ c[3] ^ np.uint64(k1), lo0]
-    return np.stack(np.broadcast_arrays(*c), axis=-1).reshape(count, 4 * blocks)
+            key = key + _PHILOX_W
+        hi, lo = _mulhilo(_PHILOX_M, mul)
+        mul, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return np.stack((mul[0], odd[0], mul[1], odd[1]), axis=-1).reshape(count, 4 * blocks)
 
 
 def _offsets(spec: SamplingSpec, round: int, count: int) -> tuple[np.ndarray, np.ndarray]:

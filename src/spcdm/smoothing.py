@@ -9,10 +9,10 @@ l1        per-row Huber smoothing of |r_j| with threshold mu * v_j**2,
 adaboost  log of the mean exponential of label-scaled rows; this loss is
           already the mu = 1 smoothing of max_j b_j (Ax)_j, so mu is fixed.
 
-A SmoothState carries x, the residual r = Ax - b of the working system,
-and for the exponential variants a normalization accumulator that lets
-a batch of coordinate updates run in O(nnz of their columns) without
-touching the other rows.
+A SmoothState carries x, the residual r = Ax - b, and for the exponential
+variants a normalization accumulator, so a step costs O(nnz of its
+column).  It takes a group of steps none of which reads what another
+writes at once: a wave of iterations, or one of l1's levels (Wave).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .problem import ColumnSpan, ProblemData, _spans, stack_linf
+from .problem import ColumnSpan, ProblemData, _segments, _spans, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -51,10 +51,10 @@ class SmoothedLoss:
         """Row count normalizing the mean exponential."""
         return self.pd.m
 
-    def columns(self, ids: np.ndarray) -> Iterator[ColumnSpan]:
+    def columns(self, ids: np.ndarray, levels: bool = False) -> Iterator[ColumnSpan]:
         """pd.columns on the (count, tau) block ids, each span carrying
         the per-row data SmoothState.wave reads: huber_a[rows] for l1."""
-        return self.pd.columns(ids, self.huber_a)
+        return self.pd.columns(ids, self.huber_a, levels)
 
 
 def prepare_problem(pd: ProblemData, app: str) -> ProblemData:
@@ -155,21 +155,29 @@ def nonsmooth_value(loss: SmoothedLoss, x: np.ndarray) -> float:
 
 @dataclass(eq=False, slots=True)
 class Wave:
-    """A run of a ColumnSpan's iterations, from first on, that share no
-    row, and what they read of the state (SmoothState.wave): x at their
-    columns, r at their entries, e = exp((r - fmu) / mu) and vals / mu
-    there (None for l1), and each column's s = vals @ e (for l1 its
-    gradient).  The steps of iterations a, ... not yet landed are in hs,
-    and in hrs repeated along their entries; kept of them are not zero."""
+    """Column steps of a ColumnSpan none of which reads what another
+    writes (iterations first, ..., end - 1, or with both None a level's),
+    and what they read (SmoothState.wave): cols selects their columns, ids,
+    rows and vals are theirs; x, r, e = exp((r - fmu) / mu) and vals / mu
+    (None for l1), and each column's s = vals @ e (for l1 its gradient).
+    Of the steps taken, the first a columns' and ea entries' have landed,
+    the rest are in hs, and repeated along their entries in hrs; kept of
+    them are not zero."""
 
     span: ColumnSpan
-    first: int
+    first: int | None
+    end: int | None
+    cols: slice | np.ndarray
+    ids: np.ndarray
+    rows: np.ndarray
+    vals: np.ndarray
     x: np.ndarray
     r: np.ndarray
     e: np.ndarray | None
     am: np.ndarray | None
     s: np.ndarray
     a: int = 0
+    ea: int = 0
     kept: int = 0
     hs: list = field(default_factory=list)
     hrs: list = field(default_factory=list)
@@ -211,127 +219,121 @@ class SmoothState:
             return math.nan
         return float(self.fmu) + self.loss.mu * math.log(acc)
 
-    def wave(self, span: ColumnSpan, a: int, b: int) -> Wave:
+    def wave(self, span: ColumnSpan, a: int, b: int, leveled: bool = False) -> Wave:
         """The Wave of iterations a, ..., b - 1 of span, which must share no
-        row.  Each s is one dot, batched as 1-by-k @ k-by-1 products over
-        the wave when its selections share a width k, else per selection
-        (by length groups where it has none).  An exponential that
-        overflows is inf, which trips needs_recompute."""
-        ptr, tau = span.ptr, span.ids.shape[1]
-        at = slice(ptr[a], ptr[b])
-        r = self.r[span.rows[at]]
-        vals = span.vals[at]
+        row, or with leveled, of the steps at positions a, ..., b - 1 of
+        span.levels, which must be one level's.  Each s is one dot,
+        batched as 1-by-k @ k-by-1 products over the columns of each
+        length k (_segments), at once where they share one.  An
+        exponential that overflows is inf, which trips needs_recompute."""
+        if leveled:
+            lv, first, end, k = span.levels, None, None, span.levels.width
+            cols, ents = lv.key[a:b] % span.lens.size, slice(lv.eptr[a], lv.eptr[b])
+        else:
+            tau, first, end = span.ids.shape[1], a, b
+            cols, ents = slice(a * tau, b * tau), slice(span.ptr[a], span.ptr[b])
+            k = span.width[a] if span.width[a:b].count(span.width[a]) == b - a else 0
+        rows, vals = span.rows[ents], span.vals[ents]
+        r = self.r[rows]
         if self.loss.kind == "l1":
             e = am = None
             # np.clip(q, -1, 1), without np.clip's Python-level wrapper
-            z = np.minimum(np.maximum(r / span.row_data[at], -1.0), 1.0)
+            z = np.minimum(np.maximum(r / span.row_data[ents], -1.0), 1.0)
         else:
             e = r - self.fmu
             e /= self.mu
             np.exp(e, out=e)
             z = e
             am = vals / self.mu
-        k = span.width[a]
-        if k and (b == a + 1 or span.width[a:b].count(k) == b - a):
+        if k:
             s = (vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
         else:
-            s = np.zeros((b - a) * tau)
-            for t in range(a, b):
-                c, q = (t - a) * tau, slice(ptr[t] - ptr[a], ptr[t + 1] - ptr[a])
-                v, zt, k = vals[q], z[q], span.width[t]
-                if k:
-                    s[c:c + tau] = (v.reshape(-1, 1, k) @ zt.reshape(-1, k, 1)).ravel()
-                for sel, idx in span.groups[t]:
-                    s[c + sel] = (v[idx][:, None, :] @ zt[idx][:, :, None]).ravel()
-        return Wave(span, a, self.x[span.ids[a:b].ravel()], r, e, am, s, a)
+            lens = span.lens[cols]
+            s = np.zeros(lens.size)
+            for sel, idx in _segments(np.append(0, lens.cumsum())):
+                s[sel] = (vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
+        ids = span.ids.reshape(-1)[cols]
+        return Wave(span, first, end, cols, ids, rows, vals, self.x[ids], r, e, am, s)
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives: every column as one selection."""
         s = self.wave(next(self.loss.columns(np.arange(self.loss.pd.n)[None])), 0, 1).s
         return s if self.loss.kind == "l1" else s / (self.loss.denom * self.lse_acc)
 
-    def steps(self, wave: Wave, prox, check=None) -> tuple[int, bool]:
-        """Take the iterations of wave from wave.a on in turn and land them;
-        returns the iteration after the last one taken, and whether check
+    def steps(self, wave: Wave, prox, check=None) -> tuple[int | None, bool]:
+        """Take the steps of wave and land them; returns the iteration after
+        the last one taken (end, None for a level's), and whether check
         ended the wave, which also ends where a step asks for a refresh.
 
-        Iteration t's gradients are its columns' s / (denom * lse_acc)
-        (s for l1) and its steps h = prox(g, x, t); its columns must be
-        distinct and ascending.  As if the steps landed one column at a
-        time: zero steps change nothing and do not count toward
-        staleness, and lse_acc takes the sum of e'_j * expm1(h a_j / mu)
-        over the iteration's entries in one dot, e'_j the exponential
-        of the residual as earlier columns moved it.  lse_acc and
-        staleness are current when check(wave, t), if given, runs.
+        l1 has no normaliser: its steps are one h = prox(s, x, cols), and
+        its caller cuts waves where a refresh or a check can fall.
+        Otherwise iteration t's gradients are s / (denom * lse_acc) and its
+        steps h = prox(g, x, cols), cols its columns (distinct, ascending).
+        As if the steps landed one column at a time: zero steps change
+        nothing, nor count toward staleness, and lse_acc takes the sum of
+        e'_j * expm1(h a_j / mu) over the iteration's entries in one dot,
+        e'_j the exponential of the residual as earlier columns moved it.
+        lse_acc and staleness are current when check(wave, t) runs.
         """
-        span, a, first = wave.span, wave.a, wave.first
+        span, first, s, x, e = wave.span, wave.first, wave.s, wave.x, wave.e
+        if e is None:
+            self._take(wave, prox(s, x, wave.cols), span.lens[wave.cols])
+            self.land(wave)
+            return wave.end, False
         ptr, tau, width, lens = span.ptr, span.ids.shape[1], span.width, span.lens
         pairs, pair_ptr = span.pairs, span.pair_ptr
-        s, x, e, am, hs, hrs = wave.s, wave.x, wave.e, wave.am, wave.hs, wave.hrs
-        fmu, mu, denom, p0 = self.fmu, self.mu, self.loss.denom, ptr[first]
-        b = first + x.size // tau
+        am, fmu, mu, denom, p0 = wave.am, self.fmu, self.mu, self.loss.denom, ptr[first]
         # denom * lse_acc, 0-d: ufuncs take it faster than a float
-        norm = None if e is None else np.array(1.0)
-        c = (a - first) * tau
-        for t in range(a, b):
-            g = s[c:c + tau]
-            if e is not None:
-                norm[()] = denom * self.lse_acc
-                g = g / norm
-            h = prox(g, x[c:c + tau], t)
-            c += tau
-            kept = np.count_nonzero(h)
-            wave.kept += kept
-            self.staleness += kept
-            hr = h.repeat(width[t] or lens[t * tau:(t + 1) * tau])
-            hs.append(h if kept == tau else np.where(h != 0.0, h, -0.0))
-            hrs.append(hr)
-            if e is not None:
-                at = slice(ptr[t] - p0, ptr[t + 1] - p0)
-                et = e[at]
-                if pair_ptr[t + 1] > pair_ptr[t]:
-                    # a row several columns share: each sees the terms of the earlier ones
-                    old, d = wave.r[at], span.vals[ptr[t]:ptr[t + 1]] * hr
-                    shared = pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
-                    for src, dst in zip(*shared.tolist()):
-                        old[dst] = old[src] + d[src]
-                    dst = shared[1]
-                    et[dst] = np.exp((old[dst] - fmu) / mu)
-                em = am[at] * hr
-                np.expm1(em, out=em)
-                self.lse_acc += float(et.dot(em)) / denom
+        norm = np.array(1.0)
+        for t in range(first, wave.end):
+            c, at = (t - first) * tau, slice(ptr[t] - p0, ptr[t + 1] - p0)
+            norm[()] = denom * self.lse_acc
+            h = prox(s[c:c + tau] / norm, x[c:c + tau], slice(t * tau, (t + 1) * tau))
+            hr = self._take(wave, h, width[t] or lens[t * tau:(t + 1) * tau])
+            et = e[at]
+            if pair_ptr[t + 1] > pair_ptr[t]:
+                # a row several columns share: each sees the terms of the earlier ones
+                old, d = wave.r[at], wave.vals[at] * hr
+                shared = pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
+                for src, dst in zip(*shared.tolist()):
+                    old[dst] = old[src] + d[src]
+                dst = shared[1]
+                et[dst] = np.exp((old[dst] - fmu) / mu)
+            em = am[at] * hr
+            np.expm1(em, out=em)
+            self.lse_acc += float(et.dot(em)) / denom
             if check is not None and check(wave, t):
                 self.land(wave)
                 return t + 1, True
-            if t + 1 < b and self.needs_recompute():
+            if t + 1 < wave.end and self.needs_recompute():
                 break
         self.land(wave)
         return t + 1, False
 
+    def _take(self, wave: Wave, h: np.ndarray, counts) -> np.ndarray:
+        """Record the steps h of columns of counts entries; h repeated along them."""
+        kept = np.count_nonzero(h)
+        wave.kept += kept
+        self.staleness += kept
+        wave.hs.append(h if kept == h.size else np.where(h != 0.0, h, -0.0))
+        wave.hrs.append(h.repeat(counts))
+        return wave.hrs[-1]
+
     def land(self, wave: Wave) -> None:
-        """Write r and x for the steps of wave not yet landed: np.add.at
-        adds in CSC order where a row repeats inside an iteration, so each
-        row takes its terms by ascending column; r is assigned otherwise."""
+        """Write r and x for the steps of wave not yet landed: np.add.at adds
+        in order, so a repeated row takes its terms by ascending column."""
         if not wave.hs:
             return
-        span, first, a = wave.span, wave.first, wave.a
-        b = a + len(wave.hs)
-        h, hr = ((wave.hs[0], wave.hrs[0]) if b == a + 1 else
+        h, hr = ((wave.hs[0], wave.hrs[0]) if len(wave.hs) == 1 else
                  (np.concatenate(wave.hs), np.concatenate(wave.hrs)))
-        ptr, tau = span.ptr, span.ids.shape[1]
-        at = slice(ptr[a], ptr[b])
-        d = span.vals[at] * hr
+        c, at = wave.a, slice(wave.ea, wave.ea + hr.size)
+        d = wave.vals[at] * hr
         if wave.kept < h.size:
             # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
             d = np.where(hr != 0.0, d, -0.0)
-        rows = span.rows[at]
-        if span.pair_ptr[b] > span.pair_ptr[a]:
-            np.add.at(self.r, rows, d)
-        else:
-            self.r[rows] = wave.r[ptr[a] - ptr[first]:ptr[b] - ptr[first]] + d
-        c = (a - first) * tau
-        self.x[span.ids[a:b].ravel()] = wave.x[c:c + h.size] + h
-        wave.a, wave.kept = b, 0
+        np.add.at(self.r, wave.rows[at], d)
+        self.x[wave.ids[c:c + h.size]] = wave.x[c:c + h.size] + h
+        wave.a, wave.ea, wave.kept = c + h.size, at.stop, 0
         wave.hs.clear()
         wave.hrs.clear()
 

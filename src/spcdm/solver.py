@@ -8,29 +8,20 @@ from that state and then applying the steps one coordinate at a time in
 ascending order, so reruns with the same seed give identical traces.
 
 Which coordinates an iteration visits depends on the seed and the round
-alone, so run draws an epoch's subsets in one call (draw with count) and
-gathers their columns in spans of whole iterations (SmoothedLoss.columns
-on the block), with no state read.  A span's iterations run in waves:
-maximal runs of consecutive iterations no two of which touch the same
-row (problem._plan).  No iteration of a wave reads a row or a
-coordinate that an earlier one wrote, so SmoothState.wave gathers x, r
-and exp((r - fmu)/mu) and takes each column's dot with the exponentials
-once per wave; SmoothState.steps runs per iteration only what couples
-them, the normaliser lse_acc of the exponential losses (nothing for
-l1): the gradients' division by it, the prox, and its update, one dot of
-e * expm1(h a / mu); r and x are written once per wave (SmoothState.land).
-A refresh in mid-epoch cuts the wave and changes the state, never the
-subsets or the columns; a target check in mid-epoch reads the state and
-never writes it.  What depends on no state is done once per run or
-epoch: the np.errstate that lets an overflow to inf (needs_recompute's
-signal) pass quietly, each coordinate's curvature beta * w, l1's Huber
-thresholds at the gathered rows, and each selection's common column
-length, which lets a step reshape its entries in place of gathering
-them.
+alone, so run draws an epoch's subsets at once and gathers their columns
+in spans (SmoothedLoss.columns), with no state read.  A span's steps run
+in groups none of whose steps reads what another writes, each gathered,
+stepped and landed at once (SmoothState.wave, steps and land): waves of
+iterations that share no row for the exponential losses, which take
+per iteration only their normaliser lse_acc, and for l1, which has
+none, levels (problem.Levels): a step waits only for the earlier steps
+that share a row with it, so one prox takes a level's steps from many
+iterations.  A refresh or a target check in mid-epoch cuts a group.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import time
@@ -111,28 +102,27 @@ class Regularizer:
 
 
 def prox_steps(
-    grad: np.ndarray, x: np.ndarray, bw: np.ndarray, w: np.ndarray, reg: Regularizer
+    grad: np.ndarray, x: np.ndarray, nbw: np.ndarray, w: np.ndarray, reg: Regularizer
 ) -> np.ndarray:
     """Exact minimizers h of grad*h + (beta*w/2)*h^2 + Psi_i(x + h), elementwise.
 
-    bw is the model's curvature (beta + reg.sigma_psi) * w, as run computes
-    it once; w is read by ridge only.  Every bw must be positive and
-    finite, as run's active weights make them: the quadratic term is what
-    makes the parallel update safe.  max and min keep Python's choice on
-    ties, so a zero step has the sign the scalar formula gives it.
+    nbw is the curvature negated, -(beta + reg.sigma_psi) * w, as run
+    computes it once (IEEE division is exact up to sign); w is read by
+    ridge only.  Every curvature must be positive and finite, as run's
+    active weights make them: the quadratic term is what makes the
+    parallel update safe.  max and min keep Python's choice on ties, so a
+    zero step has the sign the scalar formula gives it.
     """
     if reg.kind == "none":
-        return -grad / bw
+        return grad / nbw
+    if reg.kind == "ridge":  # gradient of the quadratic model plus delta*w*(x+h) vanishes
+        return (grad + reg.delta * w * x) / nbw
+    u = x + grad / nbw
     if reg.kind == "l1":
-        u = x - grad / bw
-        shrunk = np.abs(u) - reg.lam / bw
+        shrunk = np.abs(u) + reg.lam / nbw
         return np.copysign(np.where(0.0 > shrunk, 0.0, shrunk), u) - x
-    if reg.kind == "box":
-        u = x - grad / bw
-        u = np.where(reg.lo > u, reg.lo, u)
-        return np.where(reg.hi < u, reg.hi, u) - x
-    # ridge: gradient of the quadratic model plus delta*w*(x+h) vanishes
-    return -(grad + reg.delta * w * x) / bw
+    u = np.where(reg.lo > u, reg.lo, u)  # box
+    return np.where(reg.hi < u, reg.hi, u) - x
 
 
 @dataclass(frozen=True)
@@ -263,8 +253,8 @@ def run(
     # ridge's Psi stays (delta/2) ||x||_w^2 whichever ESO runs
     betas = beta * eso.factors
     w = pw.w
-    # the curvature of each coordinate's step model (prox_steps)
-    bw = (betas + reg.sigma_psi) * w
+    # the curvature of each coordinate's step model, negated (prox_steps)
+    nbw = -(betas + reg.sigma_psi) * w
 
     spec = SamplingSpec(n=int(active.size), tau=cfg.tau, seed=cfg.seed)
     iters_per_epoch = -(-active.size // cfg.tau)
@@ -324,18 +314,13 @@ def run(
         block = sel if all_active else active[sel]
         epochs_run += 1
         traces = epochs_run % cfg.trace_every == 0 or epochs_run == cfg.max_epochs
-        steps, k = _run_epoch(
-            state, loss.columns(block), bw[block], w[block], reg, stop, traces
-        )
+        steps, k = _run_epoch(state, block, nbw, w, reg, stop, traces)
         updates += steps
         # a stop is confirmed once the epoch's gather is released; a
         # refuted check disarms the rest of the epoch, gathered anew
         val = None if k is None else stop.fresh()
         if val is not None and not val <= target:
-            rest = block[k + 1:]
-            updates += _run_epoch(
-                state, loss.columns(rest), bw[rest], w[rest], reg, None, traces
-            )[0]
+            updates += _run_epoch(state, block[k + 1:], nbw, w, reg, None, traces)[0]
             val = None
         if val is None and traces:
             state.recompute()
@@ -370,35 +355,29 @@ class _Stop(NamedTuple):
 
 
 def _run_epoch(
-    state, spans, bw: np.ndarray, wb: np.ndarray, reg: Regularizer,
+    state, block: np.ndarray, nbw: np.ndarray, w: np.ndarray, reg: Regularizer,
     stop: _Stop | None, traced: bool,
 ) -> tuple[int, int | None]:
-    """Step through the ColumnSpans spans one wave at a time, each from a
-    state refreshed first if it asks; returns the coordinate updates
-    taken, and the index of the iteration after which the running value
-    reached the target, or None if the spans ran out.
+    """Step through the (count, tau) block of column ids, gathered in
+    spans, from a state refreshed first where it asks; returns the
+    coordinate updates taken, and the index of the iteration after which
+    the running value reached the target, or None if the block ran out.
 
-    bw and wb hold the curvatures and the weights of the epoch's block,
-    one row per iteration.  A wave's iterations share no row, so none
-    reads what an earlier one wrote: the wave gathers the state once
-    (SmoothState.wave), and only the gradients' normaliser, the prox and
-    lse_acc run per iteration (SmoothState.steps).  A wave cut by a
-    refresh is gathered anew after it.  The epoch's last step is not
-    followed by a refresh check: the trace refresh or the next epoch's
-    first check sees the same x.
-
-    With stop, once the steps since the last check touched stop.cost
-    entries (so after every step where a check is O(1)), the running
-    value is read, which writes nothing to the state; a check that reads
-    x or r (stop.cost > 0) lands the wave's steps first.  At most
-    stop.target, it ends the epoch, for run to confirm.  A traced
-    epoch's last step is not checked: its trace point sees the same x.
+    nbw and w hold every coordinate's negated curvature and weight.  The
+    exponential losses step a wave at a time, cut where a step asks for a
+    refresh; l1 steps level by level (Levels) through segments of
+    iterations cut where a check falls, at a known count of entries, or
+    where staleness could reach n at tau steps an iteration.  With stop,
+    once the steps since the last check touched stop.cost entries (so
+    after every step where a check is O(1)), the running value is read,
+    which writes nothing to the state, after the steps land if it reads x
+    or r (stop.cost > 0).  At most stop.target, it ends the epoch, for
+    run to confirm.  A traced epoch's last step is neither checked nor
+    followed by a refresh check: its trace point sees the same x.
     """
+    count, tau = block.shape
     touched = k0 = 0  # k0: the epoch's iterations before the span
-    last = len(bw) - 1 if traced else len(bw)
-
-    def prox(g, x, t):
-        return prox_steps(g, x, bw[k0 + t], wb[k0 + t], reg)
+    last = count - 1 if traced else count
 
     def check(wave, t):
         nonlocal touched
@@ -416,8 +395,14 @@ def _run_epoch(
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
     with np.errstate(over="ignore", invalid="ignore"):
-        for span in spans:
-            ptr, waves = span.ptr, span.waves
+        for span in state.loss.columns(block, levels=state.loss.kind == "l1"):
+            ptr, ids = span.ptr, span.ids.ravel()
+            nbws, ws = nbw[ids], w[ids]
+
+            def prox(g, x, cols):
+                return prox_steps(g, x, nbws[cols], ws[cols], reg)
+
+            waves = span.waves or ()
             for a, b in zip(waves, waves[1:]):
                 while a < b:
                     if state.needs_recompute():
@@ -425,10 +410,26 @@ def _run_epoch(
                     a, hit = state.steps(state.wave(span, a, b), prox,
                                          None if stop is None else check)
                     if hit:  # every iteration takes tau steps
-                        return (k0 + a) * bw.shape[1], k0 + a - 1
-            k0 += len(ptr) - 1
+                        return (k0 + a) * tau, k0 + a - 1
+            a, end = 0, len(ptr) - 1
+            while span.levels is not None and a < end:
+                if state.needs_recompute():
+                    state.recompute()
+                b = min(end, a + (state.loss.pd.n - state.staleness + tau - 1) // tau)
+                # the first iteration after which a check falls
+                t = end if stop is None else bisect.bisect_left(
+                    ptr, ptr[a] + stop.cost - touched, a + 1) - 1
+                due = t < b and k0 + t < last
+                b = t + 1 if due else b
+                touched = 0 if due else touched + ptr[b] - ptr[a]
+                for lo, hi in span.levels.groups(a * tau, b * tau):
+                    state.steps(state.wave(span, lo, hi, leveled=True), prox)
+                a = b
+                if due and stop.running() <= stop.target:
+                    return (k0 + b) * tau, k0 + b - 1
+            k0 += end
             span = None  # released before the next span is gathered
-    return bw.size, None
+    return block.size, None
 
 
 def _check_convex_case_formula(formula):

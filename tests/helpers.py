@@ -52,8 +52,8 @@ def gradient(st, i):
 
 def prox(grad, x, beta, w, reg):
     """prox_steps for one coordinate, with run's curvature (beta + reg.sigma_psi) * w."""
-    bw = np.array([(beta + reg.sigma_psi) * w])
-    return float(prox_steps(np.array([grad]), np.array([x]), bw, np.array([w]), reg)[0])
+    nbw = np.array([-(beta + reg.sigma_psi) * w])
+    return float(prox_steps(np.array([grad]), np.array([x]), nbw, np.array([w]), reg)[0])
 
 
 def step(st, i, h):
@@ -71,7 +71,7 @@ def replay(loss, reg, cfg, iterations):
     pw = primal_weights(pd, dw)
     eso = select_eso(cfg.beta_formula, pd, pw, p=dw.p, tau=cfg.tau)
     betas = eso.beta_prime / (loss_constants(loss.kind, pd)[0] * loss.mu) * eso.factors
-    bw = (betas + reg.sigma_psi) * pw.w
+    nbw = -(betas + reg.sigma_psi) * pw.w
     active = np.flatnonzero(pw.active)
     spec = SamplingSpec(n=active.size, tau=cfg.tau, seed=cfg.seed)
     per_epoch = -(-active.size // cfg.tau)
@@ -85,7 +85,7 @@ def replay(loss, reg, cfg, iterations):
                     if st.needs_recompute():
                         st.recompute()
                     st.steps(st.wave(span, t, t + 1),
-                             lambda g, x, _, i=ids: prox_steps(g, x, bw[i], pw.w[i], reg))
+                             lambda g, x, _, i=ids: prox_steps(g, x, nbw[i], pw.w[i], reg))
         iterations -= len(block)
         epoch += 1
         if iterations > 0 and (epoch % cfg.trace_every == 0 or epoch == cfg.max_epochs):

@@ -7,9 +7,11 @@ lse_acc taken at the residuals the earlier ones moved and added in one
 dot per iteration.  The batched kernel (SmoothedLoss.columns,
 SmoothState.wave and steps, prox_steps) must reproduce it bit for bit,
 sign of zero included: solver traces are pinned exactly.  The kernel
-steps through a block of rounds drawn and gathered at once, one wave of
-row-disjoint rounds at a time, as run does an epoch; _ref_columns is the
-one-selection gather that block replaces.
+steps through a block of rounds drawn and gathered at once, as run does
+an epoch: one wave of row-disjoint rounds at a time for the exponential
+losses, and for l1 level by level, each level's steps in one prox, the
+steps still compared with the loop's one iteration at a time;
+_ref_columns is the one-selection gather that block replaces.
 """
 
 import inspect
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 
 from helpers import KERNEL_ERRSTATE, gradient, prox, row_lens, step
-from spcdm import problem, solver
+from spcdm import problem, smoothing, solver
 from spcdm.eso import dual_weights, primal_weights, select_eso
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
@@ -217,42 +219,64 @@ def _first_difference(a, b):
 def _waves(state, span, prox, check=None):
     """run's epoch over one span: its planned waves, each from a state
     refreshed first if it asks, cut where a step asks for a refresh;
-    yields (a, b) for each wave taken, once it landed."""
+    yields (a, b, whether the wave held several iterations) for each wave
+    taken, once it landed."""
     for a, b in zip(span.waves, span.waves[1:]):
         while a < b:
             if state.needs_recompute():
                 state.recompute()
             with np.errstate(**KERNEL_ERRSTATE):
                 t, _ = state.steps(state.wave(span, a, b), prox, check)
-            yield a, t
+            yield a, t, t - a > 1
             a = t
+
+
+def _levels(state, span, prox):
+    """run's epoch over one span gathered with levels: segments of
+    iterations, each from a state refreshed first if it asks, cut where
+    staleness could reach n, their levels taken in order; yields (a, b,
+    whether a level held several iterations' steps) for each segment,
+    once it landed."""
+    tau, a, end = span.ids.shape[1], 0, len(span.ptr) - 1
+    while a < end:
+        if state.needs_recompute():
+            state.recompute()
+        b = min(end, a + (state.loss.pd.n - state.staleness + tau - 1) // tau)
+        groups = list(span.levels.groups(a * tau, b * tau))
+        for lo, hi in groups:
+            with np.errstate(**KERNEL_ERRSTATE):
+                state.steps(state.wave(span, lo, hi, leveled=True), prox)
+        yield a, b, bool(len(groups) < b - a)
+        a = b
 
 
 def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
     """Step two copies of one state (from _setup), reference and batched,
     through one block of iters rounds drawn and gathered at once, the
-    batched one a wave at a time; (first difference or None, zero steps,
-    box-clipped steps, iterations with a row shared by two selected
-    columns, iterations with a row shared by three or more, waves of
-    more than one iteration).  The states are compared after every wave,
-    the steps after every iteration."""
+    batched one as run steps it: l1 level by level (_levels), the others
+    a wave at a time; (first difference or None, zero steps, box-clipped
+    steps, iterations with a row shared by two selected columns,
+    iterations with a row shared by three or more, waves or levels that
+    held more than one iteration).  The states are compared after every
+    wave or segment of levels, the steps of each iteration in order."""
     ref, new = init_state(loss), init_state(loss)
     spec = SamplingSpec(n=active.size, tau=tau, seed=11)
     zeros = clipped = shared = chained = long = 0
-    bw = (beta + reg.sigma_psi) * w
-    taken = []
+    nbw = -(beta + reg.sigma_psi) * w
 
-    def prox(g, x, t):
-        ids = span.ids[t]
-        taken.append(prox_steps(g, x, bw[ids], w[ids], reg))
-        return taken[-1]
+    def prox(g, x, cols):
+        ids = span.ids.ravel()[cols]
+        taken[cols] = prox_steps(g, x, nbw[ids], w[ids], reg)
+        return taken[cols]
 
-    for span in loss.columns(active[draw(spec, 0, iters)]):
-        for a, b in _waves(new, span, prox):
+    leveled = loss.kind == "l1"
+    for span in loss.columns(active[draw(spec, 0, iters)], levels=leveled):
+        taken = np.full(span.lens.size, np.nan)  # each column's step, once taken
+        for a, b, several in (_levels if leveled else _waves)(new, span, prox):
             if ref.needs_recompute():
                 ref.recompute()
-            long += b - a > 1
-            for t, h in zip(range(a, b), taken):
+            long += several
+            for t, h in zip(range(a, b), taken[a * tau:b * tau].reshape(b - a, tau)):
                 ids = span.ids[t]
                 hs = _ref_iteration(ref, ids, beta, w, reg)
                 if not _same_bits(hs, h):
@@ -262,7 +286,6 @@ def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
                 rows = np.concatenate([loss.pd.col(int(i))[0] for i in ids])
                 shared += int(np.unique(rows).size < rows.size)
                 chained += int(np.bincount(rows).max(initial=0) >= 3)
-            taken.clear()
             diff = _first_difference(ref, new)
             if diff is not None:
                 return diff, zeros, clipped, shared, chained, long
@@ -286,8 +309,8 @@ def test_batched_step_matches_per_coordinate_loop(app, mu, reg_name, tau):
         assert long > 0  # waves of several rounds
 
 
-def _no_length_groups(*args):
-    raise AssertionError("_length_groups called for selections with a width")
+def _no_segments(*args):
+    raise AssertionError("_segments called for columns of one length")
 
 
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
@@ -296,7 +319,7 @@ def _no_length_groups(*args):
 def test_column_regular_steps_match_the_loop_without_length_groups(monkeypatch, app, mu,
                                                                    reg_name, tau):
     setup = _setup(app, mu, _regular_instance(5))
-    monkeypatch.setattr(problem, "_length_groups", _no_length_groups)
+    monkeypatch.setattr(smoothing, "_segments", _no_segments)
     diff, zeros, clipped, shared, chained, long = _compare_states(*setup, REGS[reg_name], tau)
     assert diff is None, f"{diff} differs"
     if tau == N_ACTIVE:
@@ -385,20 +408,19 @@ def test_prox_steps_keeps_the_scalar_zero_signs():
     grad = np.array([0.0, -0.0, 1e-3, -1e-3, 0.5, 7.0, -7.0])
     for reg in list(REGS.values()) + [Regularizer.box(0.0, 1.0), Regularizer.box(-1.0, -0.0)]:
         for x in (0.0, -0.0, 0.02):
-            bw = np.full(grad.size, (1.3 + reg.sigma_psi) * 2.0)
-            h = prox_steps(grad, np.full(grad.size, x), bw, np.full(grad.size, 2.0), reg)
+            nbw = np.full(grad.size, -(1.3 + reg.sigma_psi) * 2.0)
+            h = prox_steps(grad, np.full(grad.size, x), nbw, np.full(grad.size, 2.0), reg)
             assert _same_bits(h, [_ref_prox_step(g, x, 1.3, 2.0, reg) for g in grad])
 
 
 def _selections(span):
     """The span's selections one at a time: ids, column lengths, rows,
-    vals, length groups, shared-row pairs and width."""
+    vals, shared-row pairs and width."""
     tau = span.ids.shape[1]
     for t, ids in enumerate(span.ids):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (ids, span.lens[t * tau:(t + 1) * tau], span.rows[at], span.vals[at],
-               span.groups[t], span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]],
-               span.width[t])
+               span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]], span.width[t])
 
 
 @pytest.mark.parametrize("tau", [1, 4, N_ACTIVE + 1])
@@ -408,15 +430,10 @@ def test_block_gather_matches_one_gather_per_selection(tau):
     selections = [sel for span in pd.columns(block) for sel in _selections(span)]
     assert len(selections) == len(block)
     shared = 0
-    for want, (ids, lens, rows, vals, groups, pairs, width) in zip(block, selections):
+    for want, (ids, lens, rows, vals, pairs, width) in zip(block, selections):
         ref_lens, ref_rows, ref_vals, ref_groups, ref_pairs = _ref_columns(pd, want)
         assert np.array_equal(ids, want) and np.array_equal(lens, ref_lens)
         assert np.array_equal(rows, ref_rows) and np.array_equal(vals, ref_vals)
-        if width:  # the kernel reshapes; no groups are built
-            assert groups == []
-        else:
-            assert [(s.tolist(), i.tolist()) for s, i in groups] == [
-                (s.tolist(), i.tolist()) for s, i in ref_groups]
         assert pairs.dtype == np.int64
         assert pairs.shape == ref_pairs.shape and np.array_equal(pairs, ref_pairs)
         one_length = len(ref_groups) == 1 and ref_groups[0][0].size == want.size
@@ -434,10 +451,9 @@ def test_rows_shared_by_three_columns_chain_their_pairs():
     first, second = _selections(span)
     # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at
     # 0, 2, 3; column 3 at 1.  Row 0's three entries chain: (0, 2), (2, 4)
-    assert first[5].tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]]
-    assert first[6] == 0 and [s.tolist() for s, _ in first[4]] == [[3], [0, 1], [2]]
+    assert first[4].tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]] and first[5] == 0
     # entries 0..6: column 1 at rows 0, 1; column 2 at 0, 2, 3; column 3 at 1; column 4 at 3
-    assert second[5].tolist() == [[0, 1, 4], [2, 5, 6]]
+    assert second[4].tolist() == [[0, 1, 4], [2, 5, 6]]
     # the second selection shares rows with the first: two waves
     assert span.waves == [0, 1, 2]
 
@@ -470,30 +486,25 @@ def test_columns_gathers_in_column_order():
     span = next(pd.columns(ids[None]))
     assert np.array_equal(span.rows, np.concatenate([pd.col(int(i))[0] for i in ids]))
     assert np.array_equal(span.vals, np.concatenate([pd.col(int(i))[1] for i in ids]))
-    assert np.array_equal(span.lens, pd.col_nnz()[ids])
-    seen = {}
-    for sel, idx in span.groups[0]:
-        assert idx.shape == (sel.size, span.lens[sel[0]])
-        for s, row in zip(sel, idx):
-            seen[int(s)] = span.rows[row].tolist()
-    assert seen == {s: pd.col(int(ids[s]))[0].tolist() for s in range(ids.size) if ids[s] != EMPTY_COL}
+    assert np.array_equal(span.lens, pd.col_nnz()[ids]) and span.width == [0]
     assert next(pd.columns(np.empty((1, 0), dtype=np.int64))).rows.size == 0
 
 
 _wave = SmoothState.wave
 
 
-def _bincount_wave(self, span, a, b):
+def _bincount_wave(self, span, a, b, leveled=False):
     """The wave with each column's s summed by np.bincount, in entry order."""
-    wave = _wave(self, span, a, b)
-    at = slice(span.ptr[a], span.ptr[b])
+    wave = _wave(self, span, a, b, leveled)
+    ptr = span.levels.eptr if leveled else span.ptr
+    at = slice(ptr[a], ptr[b])
     if self.loss.kind == "l1":
         z = np.clip(wave.r / span.row_data[at], -1.0, 1.0)
     else:
         z = wave.e
-    lens = span.lens[a * span.ids.shape[1]:b * span.ids.shape[1]]
+    lens = span.lens[wave.cols]
     seg = np.repeat(np.arange(lens.size), lens)
-    wave.s = np.bincount(seg, weights=span.vals[at] * z, minlength=lens.size)
+    wave.s = np.bincount(seg, weights=wave.vals * z, minlength=lens.size)
     return wave
 
 
@@ -524,13 +535,12 @@ _old_exp_reused = _mutant(
 # equivalent.)
 _r_assigned = _mutant(
     SmoothState.land, "_r_assigned",
-    ("np.add.at(self.r, rows, d)",
-     "self.r[rows] = wave.r[ptr[a] - ptr[first]:ptr[b] - ptr[first]] + d"))
+    ("np.add.at(self.r, wave.rows[at], d)", "self.r[wave.rows[at]] = wave.r[at] + d"))
 
 
-def _no_shared_rows(rows, ptr, m):
+def _no_shared_rows(rows, ptr, m, lens=None):
     """The planner with its shared-row marks lost."""
-    _, pair_ptr, waves = _plan(rows, ptr, m)
+    _, pair_ptr, waves = _plan(rows, ptr, m, lens)
     return np.zeros((2, 0), dtype=np.int64), [0] * len(pair_ptr), waves
 
 
@@ -555,6 +565,18 @@ def test_comparison_catches_a_block_gather_without_shared_rows(monkeypatch, app,
 def test_comparison_catches_shared_rows_from_an_unstable_sort(monkeypatch, app, mu):
     monkeypatch.setattr(problem, "_plan", _unstable_shared_rows)
     diff, *_ = _compare_states(*_setup(app, mu), REGS["none"], N_ACTIVE)
+    assert diff is not None
+
+
+def _one_level(rows, ptr, m, lens):
+    """The level planner with every step at level 0: a span is one level."""
+    return *_plan(rows, ptr, m, lens)[:2], np.zeros(lens.size, dtype=np.int64)
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_comparison_catches_levels_that_ignore_conflicts(monkeypatch, tau):
+    monkeypatch.setattr(problem, "_plan", _one_level)
+    diff, *_ = _compare_states(*_setup("l1", 0.3), REGS["none"], tau)
     assert diff is not None
 
 

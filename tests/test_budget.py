@@ -46,13 +46,13 @@ def _raw() -> ProblemData:
 
 def _selections(span):
     """The span's selections one at a time: rows, vals, column lengths,
-    shared-row pairs, width, length groups and row_data."""
+    shared-row pairs, width and row_data."""
     tau = span.ids.shape[1]
     for t in range(len(span.ptr) - 1):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (span.rows[at], span.vals[at], span.lens[t * tau:(t + 1) * tau],
                span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]], span.width[t],
-               span.groups[t], None if span.row_data is None else span.row_data[at])
+               None if span.row_data is None else span.row_data[at])
 
 
 def _outcome(app: str, tau: int) -> dict:
@@ -127,20 +127,16 @@ def test_every_pass_gives_the_same_bits_under_a_tiny_budget(reference, budget, a
         for a, b in zip(g[:4], w[:4]):
             assert_same_array(a, b)
         assert g[4] == w[4]
-        assert len(g[5]) == len(w[5])
-        for (gs, gi), (ws, wi) in zip(g[5], w[5]):
-            assert_same_array(gs, ws)
-            assert_same_array(gi, wi)
-        assert (g[6] is None) == (w[6] is None)
-        if w[6] is not None:
-            assert_same_array(g[6], w[6])
+        assert (g[5] is None) == (w[5] is None)
+        if w[5] is not None:
+            assert_same_array(g[5], w[5])
 
 
 def test_the_instance_has_ragged_selections_and_shared_rows(reference):
     # what the gather's split must keep: selections without a width and
     # rows that several columns of a selection hold
     batches = reference["adaboost", 8]["batches"]
-    assert any(width == 0 for *_, width, _, _ in batches)
+    assert any(width == 0 for *_, width, _ in batches)
     assert any(shared.size for _, _, _, shared, *_ in batches)
 
 
@@ -191,6 +187,34 @@ def test_traced_memory_is_the_matrix_plus_one_budget(tmp_path, monkeypatch, k):
     assert working.nnz == m * k
     assert load_peak <= 32 * working.nnz, load_peak / working.nnz
     assert run_peak <= 8 * 8 * (m + n) + 96 * problem._BUDGET, run_peak
+
+
+@pytest.mark.parametrize("k", [2, 20])
+def test_a_gather_holds_16_bytes_an_entry(k):
+    # ProblemData._entries puts the positions of the gathered entries in
+    # one array, gathers the values through it and then the rows into it:
+    # at the peak it holds the 16 bytes an entry it returns (a second
+    # array of positions made it 24) and at most 20 bytes a column,
+    # through a sum per offset where every column is k long, and a
+    # running sum where the lengths differ (1 to k, the ragged layout).
+    m, n = 8000, 40000 // k
+    cols = np.arange(n).repeat(k)
+    rows = (cols + np.tile(np.arange(k) * (m // k), n)) % m
+    for keep in (np.ones(cols.size, dtype=bool), np.tile(np.arange(k), n) <= cols % k):
+        pd = ProblemData.from_coo(m, n, rows[keep], cols[keep], np.ones(keep.sum()), np.zeros(m))
+        ids = np.random.default_rng(0).integers(0, n, 20000)
+        lens = pd.col_nnz()[ids]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            got = pd._entries(ids, lens)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        pos = np.concatenate([np.arange(pd.col_ptr[i], pd.col_ptr[i + 1]) for i in ids.tolist()])
+        assert_same_array(got[0], pd.col_rows[pos])
+        assert_same_array(got[1], pd.col_vals[pos])
+        assert peak <= 16 * pos.size + 20 * ids.size, (peak - 16 * pos.size) / ids.size
 
 
 def _rows_of_k(m: int, n: int, k: int) -> ProblemData:

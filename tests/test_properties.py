@@ -59,7 +59,7 @@ def test_prox_steps_meet_the_optimality_conditions(coords, beta, reg):
     # h minimises g*h + (beta*w/2)*h^2 + Psi_i(x + h): zero is in the
     # subdifferential, to rounding relative to the terms' size
     g, x, w = (np.array(c) for c in zip(*coords))
-    h = prox_steps(g, x, (beta + reg.sigma_psi) * w, w, reg)
+    h = prox_steps(g, x, -(beta + reg.sigma_psi) * w, w, reg)
     u = x + h
     slope = g + beta * w * h  # derivative of the smooth part
     tol = 1e-9 * (np.abs(g) + beta * w * (np.abs(h) + np.abs(x)) + 1.0)
