@@ -442,8 +442,7 @@ class Levels(NamedTuple):
     @classmethod
     def of(cls, level: np.ndarray, lens: np.ndarray, width: int):
         order = _stable_order(level, int(level.max(initial=0)) + 1)
-        eptr = np.zeros(lens.size + 1, dtype=np.int64)
-        np.cumsum(lens[order], out=eptr[1:])
+        eptr = np.append(0, lens[order].cumsum())
         eorder = _ranges((lens.cumsum() - lens)[order], lens[order])
         return cls(level[order] * lens.size + order, eptr, width), eorder
 

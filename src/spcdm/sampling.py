@@ -74,17 +74,18 @@ def _shuffle(offsets: np.ndarray, first: np.ndarray | None = None) -> np.ndarray
     most 2 tau slots, each a cell of its table: slot k < tau cell k, where
     the k-th pick ends, and offset k past tau cell tau + first[:, k], the
     first k naming it.  Taking that to be k is exact unless a row names an
-    offset past tau twice, which shows as a repeated pick."""
+    offset past tau twice, which shows as a repeated pick.  A row's offsets,
+    cells and picks go down a column, in uint32 where they fit (half the memory)."""
     count, tau = offsets.shape
-    cols = offsets.T.copy()  # a row's offsets, cells and picks go down a column
+    cols = offsets.T.astype(np.uint32 if offsets.max(initial=0) < 1 << 32 else np.int64)
     at = np.where(cols < tau, cols, tau + (np.arange(tau)[:, None] if first is None else first.T))
     at = at * count + np.arange(count)
-    table = np.concatenate((np.broadcast_to(np.arange(tau)[:, None], cols.shape), cols))
+    table = np.concatenate((np.tile(np.arange(tau, dtype=cols.dtype)[:, None], count), cols))
     flat, picks = table.reshape(-1), np.empty_like(cols)
     for k in range(tau):  # no later step reads cell k
         picks[k] = flat[at[k]]
         flat[at[k]] = table[k]
-    out = picks.T.copy()
+    out = picks.T.astype(np.int64)
     out.sort(axis=1)
     twice = np.zeros(count, dtype=bool)
     twice[(np.flatnonzero(out.ravel()[1:] == out.ravel()[:-1]) + 1) // tau] = first is None
