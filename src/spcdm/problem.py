@@ -373,7 +373,7 @@ def _plan(rows: np.ndarray, ptr: np.ndarray, m: int, lens: np.ndarray | None = N
     label = t1[inside]
     order = label.argsort(kind="stable")
     label = label[order]
-    pairs = np.stack((earlier[inside][order], later[inside][order])) - ptr[label]
+    pairs = np.stack((earlier[inside][order], later[inside][order]), axis=1, dtype=np.int64)
     pair_ptr = np.searchsorted(label, np.arange(count + 1)).tolist()
     # the latest earlier selection that shares a row with each selection
     # (ufunc.at is fast only where its array and operands share a dtype)
@@ -460,11 +460,12 @@ class ColumnSpan(NamedTuple):
     ptr (a list) the entries before each selection, and rows and vals the
     columns' entries in the order of ids (with levels, of levels.key), each
     column's in storage order.  width[t] is k when every column of selection
-    t has k > 0 entries, else 0.  pairs[:, pair_ptr[t]:pair_ptr[t + 1]] are
-    the (earlier, next) positions within selection t of entries whose row
-    several of its columns hold, by row, then column.  waves are the starts
-    of the span's waves, then count, or levels its Levels (_plan).  row_data
-    holds a per-row array gathered along with rows, if any.
+    t has k > 0 entries, else 0.  The rows pair_ptr[t]:pair_ptr[t + 1] of
+    pairs are the (earlier, next) positions in the span of selection t's
+    entries whose row several of its columns hold, by row, then column.
+    waves are the starts of the span's waves, then count, or levels its
+    Levels (_plan).  row_data holds a per-row array gathered along with
+    rows, if any.
     """
 
     ids: np.ndarray

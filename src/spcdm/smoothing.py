@@ -12,7 +12,10 @@ adaboost  log of the mean exponential of label-scaled rows; this loss is
 A SmoothState carries x, the residual r = Ax - b, and for the exponential
 variants a normalization accumulator, so a step costs O(nnz of its
 column).  It takes a group of steps none of which reads what another
-writes at once: a wave of iterations, or one of l1's levels (Wave).
+writes at once: a wave of iterations, or one of l1's levels (Wave).  In
+a wave only the accumulator chains the iterations, and SmoothState.steps
+solves for it in vectorised passes over the whole wave, exact bit for
+bit.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ KINDS = ("linf", "l1", "adaboost")
 # accumulator band outside which incremental exponentials lose accuracy
 LSE_ACC_LO = 1e-6
 LSE_ACC_HI = 1e6
+_BELOW_LO = math.nextafter(LSE_ACC_LO, 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,11 +162,11 @@ class Wave:
     """Column steps of a ColumnSpan none of which reads what another
     writes (iterations first, ..., end - 1, or with both None a level's),
     and what they read (SmoothState.wave): cols selects their columns, ids,
-    rows and vals are theirs; x, r, e = exp((r - fmu) / mu) and vals / mu
+    rows and vals are theirs, and counts their lengths (one k they all
+    share, or each its own); x, r, e = exp((r - fmu) / mu) and vals / mu
     (None for l1), and each column's s = vals @ e (for l1 its gradient).
-    Of the steps taken, the first a columns' and ea entries' have landed,
-    the rest are in hs, and repeated along their entries in hrs; kept of
-    them are not zero."""
+    steps fills h with the steps and d with the change each brings to r
+    along its entries, which come first to last in the order of cols."""
 
     span: ColumnSpan
     first: int | None
@@ -171,28 +175,26 @@ class Wave:
     ids: np.ndarray
     rows: np.ndarray
     vals: np.ndarray
+    counts: int | np.ndarray
     x: np.ndarray
     r: np.ndarray
     e: np.ndarray | None
     am: np.ndarray | None
     s: np.ndarray
-    a: int = 0
-    ea: int = 0
-    kept: int = 0
-    hs: list = field(default_factory=list)
-    hrs: list = field(default_factory=list)
+    h: np.ndarray | None = None
+    d: np.ndarray | None = None
 
 
 @dataclass
 class SmoothState:
     """Mutable iterate state: x, residual, and normalization bookkeeping.
 
-    fmu caches f_mu(x) as of the last recompute, and mu the loss's mu,
-    both as 0-d arrays, which ufuncs take faster than Python floats.  For
-    the exponential variants, lse_acc tracks the mean of exp((r_j -
-    fmu)/mu), which is exactly 1 right after a recompute and takes each
-    iteration's change as sum e_j * expm1(d_j/mu), which does not cancel
-    (steps); the current value is fmu + mu*log(lse_acc).
+    fmu caches f_mu(x) as of the last recompute, mu the loss's mu and
+    denom its denom, as 0-d arrays, which ufuncs take faster than Python
+    numbers.  For the exponential variants, lse_acc tracks the mean of
+    exp((r_j - fmu)/mu), which is exactly 1 right after a recompute and
+    takes each iteration's change as sum e_j * expm1(d_j/mu), which does
+    not cancel (steps); the current value is fmu + mu*log(lse_acc).
     """
 
     loss: SmoothedLoss
@@ -202,9 +204,11 @@ class SmoothState:
     lse_acc: float
     staleness: int
     mu: np.ndarray = field(init=False, repr=False)
+    denom: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.mu = np.array(self.loss.mu)
+        self.denom = np.array(float(self.loss.denom))
 
     def value(self) -> float:
         """f_mu at x from the maintained state: O(m) for l1, O(1) in
@@ -218,6 +222,19 @@ class SmoothState:
         if not LSE_ACC_LO <= acc <= LSE_ACC_HI:
             return math.nan
         return float(self.fmu) + self.loss.mu * math.log(acc)
+
+    def acc_bound(self, target: float) -> float:
+        """A bound on lse_acc above which value() exceeds target, for the
+        exponential variants: exp((target - fmu)/mu + margin).  The margin,
+        2**-48 * ((|fmu| + |target|)/mu + 32), covers the rounding of
+        fmu + mu*log(lse_acc) in the band (|log| < 14), of the bound's own
+        arithmetic and of exp with room to spare, so a value at most target
+        always has lse_acc at most the bound."""
+        fmu, mu = float(self.fmu), self.loss.mu
+        z = (target - fmu) / mu + 2.0**-48 * ((abs(fmu) + abs(target)) / mu + 32)
+        # NaN only for target -inf, which no value reaches; past the band
+        # (z > 14) every lse_acc the state tracks is below the bound
+        return 0.0 if math.isnan(z) else math.exp(min(z, 709.0))
 
     def wave(self, span: ColumnSpan, a: int, b: int, leveled: bool = False) -> Wave:
         """The Wave of iterations a, ..., b - 1 of span, which must share no
@@ -245,97 +262,154 @@ class SmoothState:
             np.exp(e, out=e)
             z = e
             am = vals / self.mu
+        counts = k or span.lens[cols]
         if k:
             s = (vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
         else:
-            lens = span.lens[cols]
-            s = np.zeros(lens.size)
-            for sel, idx in _segments(np.append(0, lens.cumsum())):
+            s = np.zeros(counts.size)
+            for sel, idx in _segments(np.append(0, counts.cumsum())):
                 s[sel] = (vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
         ids = span.ids.reshape(-1)[cols]
-        return Wave(span, first, end, cols, ids, rows, vals, self.x[ids], r, e, am, s)
+        return Wave(span, first, end, cols, ids, rows, vals, counts, self.x[ids], r, e, am, s)
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives: every column as one selection."""
         s = self.wave(next(self.loss.columns(np.arange(self.loss.pd.n)[None])), 0, 1).s
         return s if self.loss.kind == "l1" else s / (self.loss.denom * self.lse_acc)
 
-    def steps(self, wave: Wave, prox, check=None) -> tuple[int | None, bool]:
+    def steps(self, wave: Wave, prox, bound: float = -math.inf) -> tuple[int | None, bool]:
         """Take the steps of wave and land them; returns the iteration after
-        the last one taken (end, None for a level's), and whether check
-        ended the wave, which also ends where a step asks for a refresh.
+        the last one taken (end, None for a level's), and whether lse_acc
+        there is at most bound (see acc_bound), which also ends the wave,
+        as does a step that asks for a refresh.
 
         l1 has no normaliser: its steps are one h = prox(s, x, cols), and
         its caller cuts waves where a refresh or a check can fall.
-        Otherwise iteration t's gradients are s / (denom * lse_acc) and its
-        steps h = prox(g, x, cols), cols its columns (distinct, ascending).
-        As if the steps landed one column at a time: zero steps change
-        nothing, nor count toward staleness, and lse_acc takes the sum of
-        e'_j * expm1(h a_j / mu) over the iteration's entries in one dot,
-        e'_j the exponential of the residual as earlier columns moved it.
-        lse_acc and staleness are current when check(wave, t) runs.
+        Otherwise iteration t's gradients are s / (denom * A_t) and its
+        steps h = prox(g, x, cols), cols its columns (distinct, ascending),
+        where A_t is lse_acc as t starts, and A_t+1 = A_t + dot / denom,
+        with dot the sum of e'_j * expm1(h a_j / mu) over t's entries, e'_j
+        the exponential of the residual as earlier columns moved it: as if
+        the steps landed one column at a time.  Zero steps change nothing,
+        nor count toward staleness.
+
+        Only A chains the iterations, so the wave takes them in sweeps: a
+        pass takes every iteration from c on at once from guesses of A_t
+        (lse_acc, then the last pass's), the dots as one stacked matmul
+        (what ndarray.dot gives, bit for bit) and the A_t as one cumsum
+        (np.add.accumulate), which adds in turn as += does.  A pass reads
+        the exact A_c, so its iterations are exact up to the first whose
+        guess it does not reproduce bit for bit, where the next pass
+        starts: at most one pass an iteration, and one for a wave of one
+        iteration.  The wave ends after the first iteration whose A_t+1
+        leaves [LSE_ACC_LO, LSE_ACC_HI], is at most bound or brings
+        staleness to n (counted once, over the steps taken).  The passes
+        go on past such an A_t only from guesses inside that range (none
+        divides by zero), so a guess reproduced needs no other check.
         """
-        span, first, s, x, e = wave.span, wave.first, wave.s, wave.x, wave.e
+        span, first, end, s, x, e = wave.span, wave.first, wave.end, wave.s, wave.x, wave.e
         if e is None:
-            self._take(wave, prox(s, x, wave.cols), span.lens[wave.cols])
-            self.land(wave)
-            return wave.end, False
-        ptr, tau, width, lens = span.ptr, span.ids.shape[1], span.width, span.lens
-        pairs, pair_ptr = span.pairs, span.pair_ptr
-        am, fmu, mu, denom, p0 = wave.am, self.fmu, self.mu, self.loss.denom, ptr[first]
-        # denom * lse_acc, 0-d: ufuncs take it faster than a float
-        norm = np.array(1.0)
-        for t in range(first, wave.end):
-            c, at = (t - first) * tau, slice(ptr[t] - p0, ptr[t + 1] - p0)
-            norm[()] = denom * self.lse_acc
-            h = prox(s[c:c + tau] / norm, x[c:c + tau], slice(t * tau, (t + 1) * tau))
-            hr = self._take(wave, h, width[t] or lens[t * tau:(t + 1) * tau])
-            et = e[at]
-            if pair_ptr[t + 1] > pair_ptr[t]:
-                # a row several columns share: each sees the terms of the earlier ones
-                old, d = wave.r[at], wave.vals[at] * hr
-                shared = pairs[:, pair_ptr[t]:pair_ptr[t + 1]]
-                for src, dst in zip(*shared.tolist()):
-                    old[dst] = old[src] + d[src]
-                dst = shared[1]
-                et[dst] = np.exp((old[dst] - fmu) / mu)
-            em = am[at] * hr
+            wave.h = prox(s, x, wave.cols)
+            wave.d = wave.vals * wave.h.repeat(wave.counts)
+            self.land(wave, wave.h.size, wave.d.size)
+            return end, False
+        ptr, tau, pairs, pair_ptr = span.ptr, span.ids.shape[1], span.pairs, span.pair_ptr
+        am, counts, fmu, mu, denom = wave.am, wave.counts, self.fmu, self.mu, self.denom
+        n, p0, count = self.loss.pd.n, ptr[first], end - first
+        k = tau * counts if isinstance(counts, int) else 0  # each iteration's entries, if one count
+        # the range: lo < A_t <= LSE_ACC_HI, in the band (LSE_ACC_LO <= a is
+        # a > _BELOW_LO) and above bound.  The first pass reads lse_acc for
+        # every A_t, which it checks against lse_acc if that is in range
+        lo = max(bound, _BELOW_LO)
+        acc = np.empty(count + 1)  # A_t as iteration t starts, then the last's end
+        acc[0] = ac = self.lse_acc  # ac: A_c, a float
+        # denom * A_t for each column's iteration: one float in the first pass
+        norm, guess = self.loss.denom * ac, ac if lo < ac <= LSE_ACC_HI else math.nan
+        vals, h, d, c = wave.vals, None, None, 0
+        while True:
+            c0, pc = c * tau, ptr[first + c]
+            at = pc - p0
+            hc = prox(s[c0:] / norm, x[c0:], slice((first + c) * tau, end * tau))
+            hr = hc.repeat(counts if k else counts[c0:])
+            dc = vals[at:] * hr
+            if c:
+                h[c0:], d[at:] = hc, dc
+            else:
+                h, d = hc, dc
+            em = am[at:] * hr
             np.expm1(em, out=em)
-            self.lse_acc += float(et.dot(em)) / denom
-            if check is not None and check(wave, t):
-                self.land(wave)
-                return t + 1, True
-            if t + 1 < wave.end and self.needs_recompute():
+            et = e[at:]
+            a, b = pair_ptr[first + c], pair_ptr[end]
+            if b > a:
+                # a row several columns share: each sees the terms of the
+                # earlier ones, from the gathered r, along the row's chain
+                # of pairs (a Jacobi sweep for each link of the longest)
+                src_dst = pairs[a:b] - pc
+                src, dst = src_dst[:, 0], src_dst[:, 1]
+                dsrc = dc[src]
+                old = wave.r[at:][src] + dsrc
+                if b - a > 1:  # a chain takes two pairs or more
+                    link = run = src[1:] == dst[:-1]
+                    while np.count_nonzero(run):
+                        old[1:] = np.where(link, old[:-1] + dsrc[1:], old[1:])
+                        run = run[1:] & run[:-1]
+                old -= fmu
+                old /= mu
+                et[dst] = np.exp(old, out=old)
+            j = count - c - 1
+            if not j:  # one iteration: the same dot and add, as floats (waves of
+                # one iteration are most of adaboost's, where the batch's calls cost more)
+                acc[count] = v = ac + float(et.dot(em)) / self.loss.denom
+            else:
+                if k:
+                    q = (et.reshape(-1, 1, k) @ em.reshape(-1, k, 1)).ravel()
+                else:
+                    q = np.zeros(count - c)
+                    for sel, idx in _segments(np.array(ptr[first + c:end + 1]) - pc):
+                        q[sel] = (et[idx][:, None, :] @ em[idx][:, :, None]).ravel()
+                tail = acc[c:]  # A_c, then A_c+1, ..., A_count
+                np.divide(q, denom, out=tail[1:])
+                np.add.accumulate(tail, out=tail)
+                # the first A_t its guess did not reproduce, or A_count: exact
+                stop = tail[1:-1] != guess
+                j = int(stop.argmax()) if stop.any() else j
+                v = float(acc[c + j + 1])
+            if not lo < v <= LSE_ACC_HI:  # the wave ends after iteration c + j
+                t, due = c + j + 1, v <= bound
                 break
-        self.land(wave)
-        return t + 1, False
+            c, ac = c + j + 1, v
+            if c == count:
+                t, due = count, False
+                break
+            # the next pass reads this one's A_t, kept in range
+            guess = np.minimum(acc[c:count], LSE_ACC_HI)
+            np.maximum(guess, math.nextafter(lo, math.inf), out=guess)
+            norm, guess = (denom * guess).repeat(tau), guess[1:]
+        if self.staleness + t * tau >= n:
+            # the first iteration after which staleness reaches n
+            kept = np.count_nonzero(h[:t * tau].reshape(t, tau), axis=1).cumsum()
+            stale = int(kept.searchsorted(n - self.staleness)) + 1
+            if stale < t:
+                t, due = stale, False
+        wave.h, wave.d = h, d
+        self.land(wave, t * tau, ptr[first + t] - p0)
+        self.lse_acc = float(acc[t])
+        return first + t, due
 
-    def _take(self, wave: Wave, h: np.ndarray, counts) -> np.ndarray:
-        """Record the steps h of columns of counts entries; h repeated along them."""
+    def land(self, wave: Wave, c: int, ec: int) -> None:
+        """Write r and x for the first c steps of wave, of ec entries: np.add.at
+        adds in order, so a repeated row takes its terms by ascending column."""
+        h, d = wave.h[:c], wave.d[:ec]
         kept = np.count_nonzero(h)
-        wave.kept += kept
-        self.staleness += kept
-        wave.hs.append(h if kept == h.size else np.where(h != 0.0, h, -0.0))
-        wave.hrs.append(h.repeat(counts))
-        return wave.hrs[-1]
-
-    def land(self, wave: Wave) -> None:
-        """Write r and x for the steps of wave not yet landed: np.add.at adds
-        in order, so a repeated row takes its terms by ascending column."""
-        if not wave.hs:
-            return
-        h, hr = ((wave.hs[0], wave.hrs[0]) if len(wave.hs) == 1 else
-                 (np.concatenate(wave.hs), np.concatenate(wave.hrs)))
-        c, at = wave.a, slice(wave.ea, wave.ea + hr.size)
-        d = wave.vals[at] * hr
-        if wave.kept < h.size:
+        if kept < c:
             # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
-            d = np.where(hr != 0.0, d, -0.0)
-        np.add.at(self.r, wave.rows[at], d)
-        self.x[wave.ids[c:c + h.size]] = wave.x[c:c + h.size] + h
-        wave.a, wave.ea, wave.kept = c + h.size, at.stop, 0
-        wave.hs.clear()
-        wave.hrs.clear()
+            nonzero = h != 0.0
+            h = np.where(nonzero, h, -0.0)
+            counts = wave.counts
+            d = np.where(nonzero.repeat(counts if isinstance(counts, int) else counts[:c]), d, -0.0)
+        np.add.at(self.r, wave.rows[:ec], d)
+        self.x[wave.ids[:c]] = wave.x[:c] + h
+        self.staleness += kept
 
     def needs_recompute(self) -> bool:
         """Staleness policy: refresh every n updates, or as soon as the

@@ -12,11 +12,14 @@ alone, so run draws an epoch's subsets at once and gathers their columns
 in spans (SmoothedLoss.columns), with no state read.  A span's steps run
 in groups none of whose steps reads what another writes, each gathered,
 stepped and landed at once (SmoothState.wave, steps and land): waves of
-iterations that share no row for the exponential losses, which take
-per iteration only their normaliser lse_acc, and for l1, which has
-none, levels (problem.Levels): a step waits only for the earlier steps
-that share a row with it, so one prox takes a level's steps from many
-iterations.  A refresh or a target check in mid-epoch cuts a group.
+iterations that share no row for the exponential losses, whose
+normaliser lse_acc, the one thing that chains them, steps solves for in
+a few vectorised passes over the wave, and for l1, which has none,
+levels (problem.Levels): a step waits only for the earlier steps that
+share a row with it, so one prox takes a level's steps from many
+iterations.  A refresh or a target check in mid-epoch cuts a group; a
+check that reads lse_acc alone falls only where the state says the
+target may have been reached (SmoothState.acc_bound).
 """
 
 from __future__ import annotations
@@ -364,69 +367,65 @@ def _run_epoch(
     the running value reached the target, or None if the block ran out.
 
     nbw and w hold every coordinate's negated curvature and weight.  The
-    exponential losses step a wave at a time, cut where a step asks for a
-    refresh; l1 steps level by level (Levels) through segments of
-    iterations cut where a check falls, at a known count of entries, or
-    where staleness could reach n at tau steps an iteration.  With stop,
-    once the steps since the last check touched stop.cost entries (so
-    after every step where a check is O(1)), the running value is read,
-    which writes nothing to the state, after the steps land if it reads x
-    or r (stop.cost > 0).  At most stop.target, it ends the epoch, for
-    run to confirm.  A traced epoch's last step is neither checked nor
-    followed by a refresh check: its trace point sees the same x.
+    exponential losses step a wave at a time, which ends where a step
+    asks for a refresh; l1 steps level by level (Levels) through segments
+    of iterations that end where staleness could reach n at tau steps an
+    iteration.  With stop, the running value is read, which writes
+    nothing to the state, after the steps land, and at most stop.target
+    it ends the epoch, for run to confirm.  A check that reads x or r
+    (stop.cost > 0) falls once the steps since the last one touched
+    stop.cost entries, a known count, so a wave or a segment ends there.
+    One that reads lse_acc alone would fall after every iteration; it is
+    made where SmoothState.steps ends a wave because the value may have
+    reached the target (acc_bound): nowhere else can it.  A traced
+    epoch's last step is neither checked nor followed by a refresh
+    check: its trace point sees the same x.
     """
     count, tau = block.shape
+    n = state.loss.pd.n
+    cost = -1 if stop is None else stop.cost  # -1: no check
     touched = k0 = 0  # k0: the epoch's iterations before the span
     last = count - 1 if traced else count
-
-    def check(wave, t):
-        nonlocal touched
-        if k0 + t >= last:
-            return False
-        touched += ptr[t + 1] - ptr[t]
-        if touched < stop.cost:
-            return False
-        touched = 0
-        if stop.cost:  # the check reads x or r
-            state.land(wave)
-        # NaN, while the state cannot say, is never at most the target
-        return stop.running() <= stop.target
-
+    bound, fmu = -math.inf, None  # state.acc_bound(stop.target) at fmu, for cost 0
     # an exponential that overflows to inf, and the NaN of inf - inf,
     # are needs_recompute's signal, not errors
     with np.errstate(over="ignore", invalid="ignore"):
         for span in state.loss.columns(block, levels=state.loss.kind == "l1"):
-            ptr, ids = span.ptr, span.ids.ravel()
+            ptr, ids, waves = span.ptr, span.ids.ravel(), span.waves
             nbws, ws = nbw[ids], w[ids]
 
             def prox(g, x, cols):
                 return prox_steps(g, x, nbws[cols], ws[cols], reg)
 
-            waves = span.waves or ()
-            for a, b in zip(waves, waves[1:]):
-                while a < b:
-                    if state.needs_recompute():
-                        state.recompute()
-                    a, hit = state.steps(state.wave(span, a, b), prox,
-                                         None if stop is None else check)
-                    if hit:  # every iteration takes tau steps
-                        return (k0 + a) * tau, k0 + a - 1
             a, end = 0, len(ptr) - 1
-            while span.levels is not None and a < end:
+            while a < end:
                 if state.needs_recompute():
                     state.recompute()
-                b = min(end, a + (state.loss.pd.n - state.staleness + tau - 1) // tau)
-                # the first iteration after which a check falls
-                t = end if stop is None else bisect.bisect_left(
-                    ptr, ptr[a] + stop.cost - touched, a + 1) - 1
-                due = t < b and k0 + t < last
-                b = t + 1 if due else b
-                touched = 0 if due else touched + ptr[b] - ptr[a]
-                for lo, hi in span.levels.groups(a * tau, b * tau):
-                    state.steps(state.wave(span, lo, hi, leveled=True), prox)
-                a = b
-                if due and stop.running() <= stop.target:
-                    return (k0 + b) * tau, k0 + b - 1
+                if waves is None:
+                    b = min(end, a + (n - state.staleness + tau - 1) // tau)
+                else:
+                    b = waves[bisect.bisect_right(waves, a)]
+                due = False
+                if cost > 0:
+                    # the first iteration after which a check falls
+                    t = bisect.bisect_left(ptr, ptr[a] + cost - touched, a + 1) - 1
+                    due = t < b and k0 + t < last
+                    b = t + 1 if due else b
+                if waves is None:
+                    for lo, hi in span.levels.groups(a * tau, b * tau):
+                        state.steps(state.wave(span, lo, hi, leveled=True), prox)
+                    t = b
+                else:
+                    if not cost and state.fmu is not fmu:
+                        bound, fmu = state.acc_bound(stop.target), state.fmu
+                    t, hit = state.steps(state.wave(span, a, b), prox, bound)
+                    due = hit or due and t == b
+                if cost > 0:
+                    touched = 0 if due else touched + ptr[t] - ptr[a]
+                a = t
+                # NaN, while the state cannot say, is never at most the target
+                if due and k0 + t <= last and stop.running() <= stop.target:
+                    return (k0 + t) * tau, k0 + t - 1
             k0 += end
             span = None  # released before the next span is gathered
     return block.size, None

@@ -8,7 +8,9 @@ SmoothState.wave and steps, prox_steps) one coordinate at a time,
 through a one-iteration wave over a one-column span, as run's epoch
 does: inside its errstate; replay drives it through run's epochs with
 no target check, for a given number of iterations, one iteration per
-wave.  load_svmlight_reference is
+wave.  steps_reference is SmoothState.steps for the exponential losses
+as a loop over the wave's iterations, the reference for its sweeps.
+load_svmlight_reference is
 the svmlight loader as a loop over lines and tokens of decoded text,
 the reference for the array-at-once load_svmlight.  row_layout derives
 A by rows from the stored columns, with one stable sort of col_rows;
@@ -17,6 +19,7 @@ triplets, row_slices and row_lens read A through it.
 
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -59,6 +62,44 @@ def prox(grad, x, beta, w, reg):
 def step(st, i, h):
     """x_i += h through the kernel, keeping r and lse_acc in sync."""
     _one_step(st, i, lambda g, x, t: np.array([h], dtype=np.float64))
+
+
+def steps_reference(st, wave, prox, bound=-math.inf):
+    """SmoothState.steps on the Wave of an exponential loss, one iteration
+    at a time: iteration t's gradients s / (denom * lse_acc), its steps
+    prox(g, x, cols), the exponentials of its rows as the earlier columns
+    moved them (a row several columns share replayed one pair at a time,
+    as the chain runs), then lse_acc += its dot / denom.  The wave ends
+    after an iteration that leaves lse_acc at most bound (then the second
+    value is True), or, unless it is the last, out of [LSE_ACC_LO,
+    LSE_ACC_HI] or staleness at n.  Then the steps taken land one column
+    at a time, each nonzero one in x and in r at its rows."""
+    span, first = wave.span, wave.first
+    ptr, tau, pairs, pair_ptr = span.ptr, span.ids.shape[1], span.pairs, span.pair_ptr
+    denom, p0, taken, due = st.loss.denom, ptr[first], [], False
+    for t in range(first, wave.end):
+        c, at = (t - first) * tau, slice(ptr[t] - p0, ptr[t + 1] - p0)
+        h = prox(wave.s[c:c + tau] / (denom * st.lse_acc), wave.x[c:c + tau],
+                 slice(t * tau, (t + 1) * tau))
+        taken.append(h)
+        st.staleness += int(np.count_nonzero(h))
+        hr = h.repeat(span.lens[t * tau:(t + 1) * tau])
+        e, old, d = wave.e[at].copy(), wave.r[at].copy(), wave.vals[at] * hr
+        shared = pairs[pair_ptr[t]:pair_ptr[t + 1]] - ptr[t]
+        for src, dst in shared.tolist():
+            old[dst] = old[src] + d[src]
+        e[shared[:, 1]] = np.exp((old[shared[:, 1]] - st.fmu) / st.mu)
+        st.lse_acc += float(e.dot(np.expm1(wave.am[at] * hr))) / denom
+        due = st.lse_acc <= bound
+        if due or t + 1 < wave.end and st.needs_recompute():
+            break
+    h = np.concatenate(taken)
+    for i, col, hi in zip(itertools.count(), wave.ids, h):
+        if hi != 0.0:
+            rows, vals = st.loss.pd.col(int(col))
+            st.x[col] = wave.x[i] + hi
+            st.r[rows] = st.r[rows] + vals * hi
+    return first + len(taken), due
 
 
 def replay(loss, reg, cfg, iterations):

@@ -9,8 +9,9 @@ SmoothState.wave and steps, prox_steps) must reproduce it bit for bit,
 sign of zero included: solver traces are pinned exactly.  The kernel
 steps through a block of rounds drawn and gathered at once, as run does
 an epoch: one wave of row-disjoint rounds at a time for the exponential
-losses, and for l1 level by level, each level's steps in one prox, the
-steps still compared with the loop's one iteration at a time;
+losses, swept in passes over all of its rounds, and for l1 level by
+level, each level's steps in one prox, the steps still compared with
+the loop's one iteration at a time;
 _ref_columns is the one-selection gather that block replaces.
 """
 
@@ -216,7 +217,7 @@ def _first_difference(a, b):
     return None
 
 
-def _waves(state, span, prox, check=None):
+def _waves(state, span, prox):
     """run's epoch over one span: its planned waves, each from a state
     refreshed first if it asks, cut where a step asks for a refresh;
     yields (a, b, whether the wave held several iterations) for each wave
@@ -226,7 +227,7 @@ def _waves(state, span, prox, check=None):
             if state.needs_recompute():
                 state.recompute()
             with np.errstate(**KERNEL_ERRSTATE):
-                t, _ = state.steps(state.wave(span, a, b), prox, check)
+                t, _ = state.steps(state.wave(span, a, b), prox)
             yield a, t, t - a > 1
             a = t
 
@@ -415,12 +416,12 @@ def test_prox_steps_keeps_the_scalar_zero_signs():
 
 def _selections(span):
     """The span's selections one at a time: ids, column lengths, rows,
-    vals, shared-row pairs and width."""
+    vals, shared-row pairs (positions in the selection) and width."""
     tau = span.ids.shape[1]
     for t, ids in enumerate(span.ids):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (ids, span.lens[t * tau:(t + 1) * tau], span.rows[at], span.vals[at],
-               span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]], span.width[t])
+               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T, span.width[t])
 
 
 @pytest.mark.parametrize("tau", [1, 4, N_ACTIVE + 1])
@@ -524,10 +525,12 @@ def _mutant(func, name, *edits):
 
 # the exponential variants' lse_acc without the replay of a row's
 # earlier terms, then with it but with the gathered exponential at the
-# replayed entries
-_no_fixup = _mutant(SmoothState.steps, "_no_fixup", ("old[dst] = old[src] + d[src]", "pass"))
+# replayed entries, then with a chain along a row replayed one link only
+_no_fixup = _mutant(SmoothState.steps, "_no_fixup",
+                    ("old = wave.r[at:][src] + dsrc", "old = wave.r[at:][dst]"))
 _old_exp_reused = _mutant(
-    SmoothState.steps, "_old_exp_reused", ("et[dst] = np.exp((old[dst] - fmu) / mu)", "pass"))
+    SmoothState.steps, "_old_exp_reused", ("et[dst] = np.exp(old, out=old)", "pass"))
+_one_link = _mutant(SmoothState.steps, "_one_link", ("run = run[1:] & run[:-1]", "run = run[:0]"))
 # r written by assignment when rows are shared: l1 replays no terms, so a
 # row keeps only its last column's term.  (linf and adaboost replay them
 # for lse_acc, so old + d at a row's last entry is what np.add.at gives,
@@ -535,13 +538,13 @@ _old_exp_reused = _mutant(
 # equivalent.)
 _r_assigned = _mutant(
     SmoothState.land, "_r_assigned",
-    ("np.add.at(self.r, wave.rows[at], d)", "self.r[wave.rows[at]] = wave.r[at] + d"))
+    ("np.add.at(self.r, wave.rows[:ec], d)", "self.r[wave.rows[:ec]] = wave.r[:ec] + d"))
 
 
 def _no_shared_rows(rows, ptr, m, lens=None):
     """The planner with its shared-row marks lost."""
     _, pair_ptr, waves = _plan(rows, ptr, m, lens)
-    return np.zeros((2, 0), dtype=np.int64), [0] * len(pair_ptr), waves
+    return np.zeros((0, 2), dtype=np.int64), [0] * len(pair_ptr), waves
 
 
 _plan = problem._plan
@@ -586,6 +589,8 @@ def test_comparison_catches_levels_that_ignore_conflicts(monkeypatch, tau):
     ("steps", _no_fixup, "linf", 0.25),
     ("steps", _old_exp_reused, "adaboost", 1.0),
     ("steps", _old_exp_reused, "linf", 0.25),
+    ("steps", _one_link, "adaboost", 1.0),
+    ("steps", _one_link, "linf", 0.25),
     ("land", _r_assigned, "l1", 0.3),
 ])
 def test_comparison_catches_mutants(monkeypatch, attr, mutant, app, mu):

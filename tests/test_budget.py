@@ -46,12 +46,12 @@ def _raw() -> ProblemData:
 
 def _selections(span):
     """The span's selections one at a time: rows, vals, column lengths,
-    shared-row pairs, width and row_data."""
+    shared-row pairs (positions in the selection), width and row_data."""
     tau = span.ids.shape[1]
     for t in range(len(span.ptr) - 1):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (span.rows[at], span.vals[at], span.lens[t * tau:(t + 1) * tau],
-               span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]], span.width[t],
+               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T, span.width[t],
                None if span.row_data is None else span.row_data[at])
 
 

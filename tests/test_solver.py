@@ -442,9 +442,11 @@ def test_a_refuted_running_value_costs_one_evaluation_per_epoch(monkeypatch):
     cfg = SolverConfig(tau=tau, seed=2, max_epochs=5)
     free = run(loss.pd, loss, reg, cfg)
     value = SmoothState.value
-    # the traced values are read right after a recompute, at staleness 0
+    # the traced values are read right after a recompute, at staleness 0;
+    # the bound open, so that the state is asked after every step
     monkeypatch.setattr(SmoothState, "value",
                         lambda self: value(self) if self.staleness == 0 else -math.inf)
+    monkeypatch.setattr(SmoothState, "acc_bound", lambda self, target: math.inf)
     evals = _count_evaluations(monkeypatch)
     target = min(v for _, v in free.objective_trace) - 1.0
     rep = run(loss.pd, loss, reg,

@@ -12,26 +12,29 @@ instance with ragged selections and rows shared inside them
 regularizers, and on runs where a staleness refresh, an accumulator-band
 refresh or a target stop falls inside a planned wave or cuts a level.
 It catches planners that ignore conflicts across iterations or merge the
-steps of one iteration that share a row one hop only.  The property
-tests check the planner's output on random layouts: waves row-disjoint
-and maximal, in-selection pairs those of the one-selection reference
-gather, and levels that order every row's steps and are the lowest that
-do.  Two counts of a small l1 solve are pinned: its level groups per
-epoch and its coordinate updates.
+steps of one iteration that share a row one hop only, and a wave sweep
+that stops after its first pass.  The property tests check the
+planner's output on random layouts: waves row-disjoint and maximal,
+in-selection pairs those of the one-selection reference gather, and
+levels that order every row's steps and are the lowest that do.  Counts
+of two small solves are pinned: an l1 solve's level groups per epoch,
+a linf solve's waves and sweep passes per epoch, and the coordinate
+updates of both.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spcdm import problem
+from spcdm import problem, solver
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.smoothing import SmoothState, make_loss, prepare_problem
-from spcdm.solver import Regularizer, SolverConfig, run
+from spcdm.solver import Regularizer, SolverConfig, prox_steps, run
 from helpers import assert_same_array
 from test_batched_step import _mutant, _ref_columns, _same_bits
 from test_budget import _raw
@@ -78,12 +81,13 @@ def _solve(app, tau, reg, config, seed=6, planner=None, between=None):
     states, events, log = [], [], []
     steps, groups, recompute = SmoothState.steps, problem.Levels.groups, SmoothState.recompute
 
-    def watched(self, wave, prox, check=None):
+    def watched(self, wave, prox, bound=-math.inf):
         states[:] = [self]
-        t, hit = steps(self, wave, prox, check)
-        if wave.first is not None and t < wave.end:
-            events.append("target" if hit else
-                          "staleness" if self.staleness >= working.n else "band")
+        t, hit = steps(self, wave, prox, bound)
+        if wave.first is not None:
+            if t < wave.end and not hit:
+                events.append("staleness" if self.staleness >= working.n else "band")
+            log.append(t not in wave.span.waves)  # whether it ended inside a planned wave
         return t, hit
 
     def watched_groups(self, c0, c1):
@@ -107,7 +111,7 @@ def _solve(app, tau, reg, config, seed=6, planner=None, between=None):
         report = run(working, loss, reg, cfg)
     if between is not None:
         assert report.target_reached
-        if log[-1] is True:  # the run stopped where a segment of levels was cut
+        if log[-1] is True:  # the run stopped inside a planned wave or a cut level
             events.append("target")
     return report, states[0].lse_acc, events
 
@@ -210,6 +214,50 @@ def test_l1_level_groups_per_epoch_and_updates_are_pinned(monkeypatch):
     assert report.coordinate_updates == 3584
 
 
+# the sweep with every guess of its first pass taken as exact
+_one_pass = _mutant(SmoothState.steps, "_one_pass",
+                    ("j = int(stop.argmax()) if stop.any() else j", "pass"))
+
+
+@pytest.mark.parametrize("app", ["adaboost", "linf"])
+def test_the_oracle_catches_a_sweep_of_one_pass(app):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SmoothState, "steps", _one_pass)
+        planned = _solve(app, 1, REGS["none"], FREE)
+        single = _solve(app, 1, REGS["none"], FREE, planner=_single_waves)
+    assert _differences(planned, single) != []
+
+
+def test_linf_sweep_passes_per_epoch_and_updates_are_pinned(monkeypatch):
+    # a 200 x 500 instance with 4 entries a row at tau = 1: each pass of
+    # a wave's sweep calls prox_steps once, and a wave of one iteration
+    # takes one pass
+    working = prepare_problem(problem.synth_problem(200, 500, 4, seed=3), "linf")
+    loss = make_loss(working, "linf", 0.1)
+    passes, waves = [], []
+    begin, steps = problem.ProblemData.columns, SmoothState.steps
+
+    def counted_prox(*args):
+        passes[-1] += 1
+        return prox_steps(*args)
+
+    def counted_steps(self, *args):
+        waves[-1] += 1
+        return steps(self, *args)
+
+    def epoch(self, ids, row_data=None, levels=False):
+        passes.append(0)
+        waves.append(0)
+        return begin(self, ids, row_data, levels)
+
+    monkeypatch.setattr(solver, "prox_steps", counted_prox)
+    monkeypatch.setattr(SmoothState, "steps", counted_steps)
+    monkeypatch.setattr(problem.ProblemData, "columns", epoch)
+    report = run(working, loss, Regularizer.none(), SolverConfig(tau=1, seed=1, max_epochs=3))
+    assert waves == [46, 38, 39] and passes == [193, 164, 174]
+    assert report.coordinate_updates == 1191
+
+
 @st.composite
 def layouts(draw_from):
     """A random sparse matrix, every column nonempty, and a block of draws."""
@@ -251,7 +299,7 @@ def test_planner_waves_are_disjoint_and_maximal_and_pairs_match_the_reference(ca
                 before = set().union(*rows[waves[waves.index(a) - 1]:a])
                 assert rows[a] & before
         for t in range(count):
-            pairs = span.pairs[:, span.pair_ptr[t]:span.pair_ptr[t + 1]]
+            pairs = (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T
             assert np.array_equal(pairs, _ref_columns(pd, block[done + t])[4])
         done += count
     assert done == len(block)
