@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .problem import ProblemData, _segments, _spans, row_sparsity
+from .problem import ProblemData, _spans, row_sparsity
 from .sampling import hypergeom_pmf
 from .smoothing import KINDS
 
@@ -62,19 +62,21 @@ def primal_weights(pd: ProblemData, dw: DualWeights) -> PrimalWeights:
     p=1: w_i = max_j v_j^-2 A_ji^2; p=2: w_i = sum_j v_j^-2 A_ji^2.
     With these weights each nonzero column has unit operator norm in
     the induced primal/dual pairing.  Empty columns get w_i = 0.  A is
-    read one span of whole columns (_spans) at a time.
+    read one span of whole columns (_spans) at a time, each nonempty
+    column's terms reduced by one np.maximum.reduceat or np.add.reduceat
+    (a sum is seg[0] + np.add.reduce(seg[1:])), as local_factors does.
     """
     if dw.p not in (1, 2):
         raise ValueError(f"p must be 1 or 2, got {dw.p}")
     w = np.zeros(pd.n)
     vinv2 = 1.0 / (dw.v * dw.v)
+    reduce = np.maximum if dw.p == 1 else np.add
     ptr = pd.col_ptr
     for a, b in _spans(ptr):
+        nonempty = pd._col_lens[a:b] > 0
         vals = pd.col_vals[ptr[a]:ptr[b]]
         contrib = vinv2[pd.col_rows[ptr[a]:ptr[b]]] * vals * vals
-        for ids, idx in _segments(ptr[a:b + 1] - ptr[a]):
-            block = contrib[idx]
-            w[a + ids] = block.max(axis=1) if dw.p == 1 else block.sum(axis=1)
+        w[a:b][nonempty] = reduce.reduceat(contrib, (ptr[a:b] - ptr[a])[nonempty])
     return PrimalWeights(w=w)
 
 

@@ -32,11 +32,6 @@ class ProblemData:
     def nnz(self) -> int:
         return int(self.col_vals.size)
 
-    def col(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Row indices and values of column i (views, ascending rows)."""
-        lo, hi = self.col_ptr[i], self.col_ptr[i + 1]
-        return self.col_rows[lo:hi], self.col_vals[lo:hi]
-
     def columns(
         self, ids: np.ndarray, row_data: np.ndarray | None = None, levels: bool = False
     ) -> "Iterator[ColumnSpan]":
@@ -59,16 +54,15 @@ class ProblemData:
         """The ColumnSpan of the (count, tau) block ids, whose columns have
         lengths lens and whose selections start at ptr, from one gather."""
         flat = lens.ravel()
-        width = (lens.max(axis=1, initial=0) * (lens == lens[:, :1]).all(axis=1)).tolist()
-        uniform = width[0] if width.count(width[0]) == len(width) else 0
         rows, vals = self._entries(ids.ravel(), flat)
         pairs, pair_ptr, plan = _plan(rows, ptr, self.m, flat if levels else None)
         if levels:  # the entries in the order the levels step them
-            plan, order = Levels.of(plan, flat, uniform)
+            plan, order = Levels.of(plan, flat)
             vals, rows = vals[order], rows.take(order, out=order, mode="clip")
-        return ColumnSpan(ids, flat, ptr.tolist(), rows, vals, width, pairs, pair_ptr,
-                          None if levels else plan, None if row_data is None else row_data[rows],
-                          plan if levels else None)
+        eptr = plan.eptr if levels else np.append(0, flat.cumsum())
+        return ColumnSpan(ids, flat, ptr.tolist(), rows, vals, eptr, not flat.all(), pairs,
+                          pair_ptr, None if levels else plan,
+                          None if row_data is None else row_data[rows], plan if levels else None)
 
     def _entries(self, ids, lens) -> tuple[np.ndarray, np.ndarray]:
         """Rows and values of the columns ids, of lengths lens,
@@ -113,12 +107,6 @@ class ProblemData:
 
     def col_nnz(self) -> np.ndarray:
         return np.diff(self.col_ptr)
-
-    def dense(self) -> np.ndarray:
-        """Dense copy of A; small instances only."""
-        a = np.zeros((self.m, self.n))
-        a[self.col_rows, np.arange(self.n).repeat(self._col_lens)] = self.col_vals
-        return a
 
     @classmethod
     def from_coo(
@@ -316,20 +304,6 @@ def row_sparsity(pd: ProblemData) -> int:
     return int(pd._row_lens.max(initial=0))
 
 
-def _segments(ptr: np.ndarray) -> list:
-    """Group the nonempty segments ptr[s]:ptr[s+1] by their length k.
-
-    Returns (ids, idx) per k: the ascending segment ids and the (ids.size, k)
-    index of their entries in storage order.  A gather through idx is
-    C-contiguous, so a reduction along axis 1 runs in each segment's order.
-    """
-    lens = ptr[1:] - ptr[:-1]
-    order = lens.argsort(kind="stable")
-    return [(ids, ptr[ids][:, None] + np.arange(lens[ids[0]]))
-            for ids in np.split(order, np.flatnonzero(np.diff(lens[order])) + 1)
-            if ids.size and lens[ids[0]]]
-
-
 def _plan(rows: np.ndarray, ptr: np.ndarray, m: int, lens: np.ndarray | None = None):
     """(pairs, pair_ptr, waves) of a span whose selections t hold the
     entries ptr[t]:ptr[t+1] of rows, row indices below m (ColumnSpan).
@@ -433,18 +407,17 @@ class Levels(NamedTuple):
     """A span's level schedule (_levels): key, each column step's level
     times the column count plus its column, ascending; eptr[p], where
     position p's entries start in the span, which takes them in key's
-    order (of's second value); width, every column's length, or 0."""
+    order (of's second value), then the entry count."""
 
     key: np.ndarray
     eptr: np.ndarray
-    width: int
 
     @classmethod
-    def of(cls, level: np.ndarray, lens: np.ndarray, width: int):
+    def of(cls, level: np.ndarray, lens: np.ndarray):
         order = _stable_order(level, int(level.max(initial=0)) + 1)
         eptr = np.append(0, lens[order].cumsum())
         eorder = _ranges((lens.cumsum() - lens)[order], lens[order])
-        return cls(level[order] * lens.size + order, eptr, width), eorder
+        return cls(level[order] * lens.size + order, eptr), eorder
 
     def groups(self, c0: int, c1: int):
         """(lo, hi): each level's steps of columns c0, ..., c1 - 1, if any."""
@@ -459,10 +432,12 @@ class ColumnSpan(NamedTuple):
     ids is the (count, tau) block of column ids, lens their lengths, flat,
     ptr (a list) the entries before each selection, and rows and vals the
     columns' entries in the order of ids (with levels, of levels.key), each
-    column's in storage order.  width[t] is k when every column of selection
-    t has k > 0 entries, else 0.  The rows pair_ptr[t]:pair_ptr[t + 1] of
-    pairs are the (earlier, next) positions in the span of selection t's
-    entries whose row several of its columns hold, by row, then column.
+    column's in storage order.  eptr[p] is where the column at position p
+    of that order starts in rows, then the entry count (levels.eptr with
+    levels): every column sum of the span reads its offsets from it.  empty
+    is whether some column has no entries.  The rows pair_ptr[t]:pair_ptr[t
+    + 1] of pairs are the (earlier, next) positions in the span of selection
+    t's entries whose row several of its columns hold, by row, then column.
     waves are the starts of the span's waves, then count, or levels its
     Levels (_plan).  row_data holds a per-row array gathered along with
     rows, if any.
@@ -473,7 +448,8 @@ class ColumnSpan(NamedTuple):
     ptr: list
     rows: np.ndarray
     vals: np.ndarray
-    width: list
+    eptr: np.ndarray
+    empty: bool
     pairs: np.ndarray | None
     pair_ptr: list | None
     waves: list | None

@@ -15,7 +15,9 @@ column).  It takes a group of steps none of which reads what another
 writes at once: a wave of iterations, or one of l1's levels (Wave).  In
 a wave only the accumulator chains the iterations, and SmoothState.steps
 solves for it in vectorised passes over the whole wave, exact bit for
-bit.
+bit.  Every sum over the entries of a column or of an iteration is a
+segment of one np.add.reduceat (_sums), which sums it the same whatever
+wave, pass or span holds it.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .problem import ColumnSpan, ProblemData, _segments, _spans, stack_linf
+from .problem import ColumnSpan, ProblemData, _spans, stack_linf
 
 KINDS = ("linf", "l1", "adaboost")
 
@@ -34,6 +36,21 @@ KINDS = ("linf", "l1", "adaboost")
 LSE_ACC_LO = 1e-6
 LSE_ACC_HI = 1e6
 _BELOW_LO = math.nextafter(LSE_ACC_LO, 0.0)
+_FIRST = np.zeros(1, dtype=np.intp)  # one segment's offset: the whole array
+
+
+def _sums(x: np.ndarray, at: np.ndarray, empty: bool) -> np.ndarray:
+    """Each segment x[at[i]:at[i + 1]] (the last to x's end) summed by one
+    np.add.reduceat, as seg[0] + np.add.reduce(seg[1:]), bit for bit,
+    whatever the segment's offset and neighbours.  With empty, where a
+    segment may hold no entries, such a segment sums to 0 (reduceat would
+    give the next one's first entry, or raise past x's end)."""
+    if not empty:
+        return np.add.reduceat(x, at)
+    keep = np.diff(at, append=x.size) > 0
+    s = np.zeros(at.size)
+    s[keep] = np.add.reduceat(x, at[keep])
+    return s
 
 
 @dataclass(frozen=True)
@@ -162,9 +179,9 @@ class Wave:
     """Column steps of a ColumnSpan none of which reads what another
     writes (iterations first, ..., end - 1, or with both None a level's),
     and what they read (SmoothState.wave): cols selects their columns, ids,
-    rows and vals are theirs, and counts their lengths (one k they all
-    share, or each its own); x, r, e = exp((r - fmu) / mu) and vals / mu
-    (None for l1), and each column's s = vals @ e (for l1 its gradient).
+    rows and vals are theirs, and counts their lengths; x, r, e =
+    exp((r - fmu) / mu) and vals / mu (None for l1), and each column's s,
+    the sum of vals * e over its entries (for l1 its gradient).
     steps fills h with the steps and d with the change each brings to r
     along its entries, which come first to last in the order of cols."""
 
@@ -175,7 +192,7 @@ class Wave:
     ids: np.ndarray
     rows: np.ndarray
     vals: np.ndarray
-    counts: int | np.ndarray
+    counts: np.ndarray
     x: np.ndarray
     r: np.ndarray
     e: np.ndarray | None
@@ -239,17 +256,19 @@ class SmoothState:
     def wave(self, span: ColumnSpan, a: int, b: int, leveled: bool = False) -> Wave:
         """The Wave of iterations a, ..., b - 1 of span, which must share no
         row, or with leveled, of the steps at positions a, ..., b - 1 of
-        span.levels, which must be one level's.  Each s is one dot,
-        batched as 1-by-k @ k-by-1 products over the columns of each
-        length k (_segments), at once where they share one.  An
+        span.levels, which must be one level's.  The column sums s are one
+        np.add.reduceat over the offsets span.eptr holds (_sums).  An
         exponential that overflows is inf, which trips needs_recompute."""
         if leveled:
-            lv, first, end, k = span.levels, None, None, span.levels.width
-            cols, ents = lv.key[a:b] % span.lens.size, slice(lv.eptr[a], lv.eptr[b])
+            first = end = None
+            cols = span.levels.key[a:b] % span.lens.size
         else:
             tau, first, end = span.ids.shape[1], a, b
-            cols, ents = slice(a * tau, b * tau), slice(span.ptr[a], span.ptr[b])
-            k = span.width[a] if span.width[a:b].count(span.width[a]) == b - a else 0
+            a, b = a * tau, b * tau
+            cols = slice(a, b)
+        eptr = span.eptr
+        e0 = eptr[a]
+        ents = slice(e0, eptr[b])
         rows, vals = span.rows[ents], span.vals[ents]
         r = self.r[rows]
         if self.loss.kind == "l1":
@@ -262,15 +281,10 @@ class SmoothState:
             np.exp(e, out=e)
             z = e
             am = vals / self.mu
-        counts = k or span.lens[cols]
-        if k:
-            s = (vals.reshape(-1, 1, k) @ z.reshape(-1, k, 1)).ravel()
-        else:
-            s = np.zeros(counts.size)
-            for sel, idx in _segments(np.append(0, counts.cumsum())):
-                s[sel] = (vals[idx][:, None, :] @ z[idx][:, :, None]).ravel()
+        s = _sums(vals * z, eptr[a:b] - e0, span.empty)
         ids = span.ids.reshape(-1)[cols]
-        return Wave(span, first, end, cols, ids, rows, vals, counts, self.x[ids], r, e, am, s)
+        return Wave(span, first, end, cols, ids, rows, vals, span.lens[cols], self.x[ids], r,
+                    e, am, s)
 
     def full_gradient(self) -> np.ndarray:
         """All partial derivatives: every column as one selection."""
@@ -295,9 +309,9 @@ class SmoothState:
 
         Only A chains the iterations, so the wave takes them in sweeps: a
         pass takes every iteration from c on at once from guesses of A_t
-        (lse_acc, then the last pass's), the dots as one stacked matmul
-        (what ndarray.dot gives, bit for bit) and the A_t as one cumsum
-        (np.add.accumulate), which adds in turn as += does.  A pass reads
+        (lse_acc, then the last pass's), the dots as one np.add.reduceat
+        (_sums, each iteration's sum what it gives alone) and the A_t as one
+        cumsum (np.add.accumulate), which adds in turn as += does.  A pass reads
         the exact A_c, so its iterations are exact up to the first whose
         guess it does not reproduce bit for bit, where the next pass
         starts: at most one pass an iteration, and one for a wave of one
@@ -316,7 +330,6 @@ class SmoothState:
         ptr, tau, pairs, pair_ptr = span.ptr, span.ids.shape[1], span.pairs, span.pair_ptr
         am, counts, fmu, mu, denom = wave.am, wave.counts, self.fmu, self.mu, self.denom
         n, p0, count = self.loss.pd.n, ptr[first], end - first
-        k = tau * counts if isinstance(counts, int) else 0  # each iteration's entries, if one count
         # the range: lo < A_t <= LSE_ACC_HI, in the band (LSE_ACC_LO <= a is
         # a > _BELOW_LO) and above bound.  The first pass reads lse_acc for
         # every A_t, which it checks against lse_acc if that is in range
@@ -330,7 +343,7 @@ class SmoothState:
             c0, pc = c * tau, ptr[first + c]
             at = pc - p0
             hc = prox(s[c0:] / norm, x[c0:], slice((first + c) * tau, end * tau))
-            hr = hc.repeat(counts if k else counts[c0:])
+            hr = hc.repeat(counts[c0:])
             dc = vals[at:] * hr
             if c:
                 h[c0:], d[at:] = hc, dc
@@ -356,17 +369,13 @@ class SmoothState:
                 old -= fmu
                 old /= mu
                 et[dst] = np.exp(old, out=old)
+            em *= et
             j = count - c - 1
-            if not j:  # one iteration: the same dot and add, as floats (waves of
+            if not j:  # one iteration: the same sum and add, as floats (waves of
                 # one iteration are most of adaboost's, where the batch's calls cost more)
-                acc[count] = v = ac + float(et.dot(em)) / self.loss.denom
+                acc[count] = v = ac + float(_sums(em, _FIRST, span.empty)[0]) / self.loss.denom
             else:
-                if k:
-                    q = (et.reshape(-1, 1, k) @ em.reshape(-1, k, 1)).ravel()
-                else:
-                    q = np.zeros(count - c)
-                    for sel, idx in _segments(np.array(ptr[first + c:end + 1]) - pc):
-                        q[sel] = (et[idx][:, None, :] @ em[idx][:, :, None]).ravel()
+                q = _sums(em, span.eptr[(first + c) * tau:end * tau:tau] - pc, span.empty)
                 tail = acc[c:]  # A_c, then A_c+1, ..., A_count
                 np.divide(q, denom, out=tail[1:])
                 np.add.accumulate(tail, out=tail)
@@ -405,8 +414,7 @@ class SmoothState:
             # a zero step adds -0.0 everywhere: v + -0.0 is v for every v
             nonzero = h != 0.0
             h = np.where(nonzero, h, -0.0)
-            counts = wave.counts
-            d = np.where(nonzero.repeat(counts if isinstance(counts, int) else counts[:c]), d, -0.0)
+            d = np.where(nonzero.repeat(wave.counts[:c]), d, -0.0)
         np.add.at(self.r, wave.rows[:ec], d)
         self.x[wave.ids[:c]] = wave.x[:c] + h
         self.staleness += kept

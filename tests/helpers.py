@@ -10,6 +10,9 @@ does: inside its errstate; replay drives it through run's epochs with
 no target check, for a given number of iterations, one iteration per
 wave.  steps_reference is SmoothState.steps for the exponential losses
 as a loop over the wave's iterations, the reference for its sweeps.
+seg_sum is the sum the kernel takes of a column or an iteration, by
+which every reference sums one segment at a time; col and dense read
+one column of A, and all of it.
 load_svmlight_reference is
 the svmlight loader as a loop over lines and tokens of decoded text,
 the reference for the array-at-once load_svmlight.  row_layout derives
@@ -32,6 +35,29 @@ from spcdm.solver import prox_steps
 
 # what run's epoch holds: overflow to inf and inf - inf signal a refresh
 KERNEL_ERRSTATE = dict(over="ignore", invalid="ignore")
+
+
+def col(pd, i):
+    """Row indices and values of column i of pd (views, ascending rows)."""
+    lo, hi = pd.col_ptr[i], pd.col_ptr[i + 1]
+    return pd.col_rows[lo:hi], pd.col_vals[lo:hi]
+
+
+def dense(pd):
+    """Dense copy of pd's A; small instances only."""
+    a = np.zeros((pd.m, pd.n))
+    a[pd.col_rows, np.arange(pd.n).repeat(pd.col_nnz())] = pd.col_vals
+    return a
+
+
+def seg_sum(x):
+    """The sum the kernel takes of one column or one iteration, x[0] +
+    np.add.reduce(x[1:]) (what np.add.reduceat gives a segment), 0.0
+    when x is empty: the references sum one segment at a time with it.
+    The reduce starts from -0.0, not its identity 0.0, as reduceat adds
+    to x[0]: a sum of zeros keeps x[0]'s sign."""
+    x = np.asarray(x, dtype=np.float64)
+    return float(x[0] + np.add.reduce(x[1:], initial=-0.0)) if x.size else 0.0
 
 
 def column(loss, i):
@@ -69,7 +95,7 @@ def steps_reference(st, wave, prox, bound=-math.inf):
     at a time: iteration t's gradients s / (denom * lse_acc), its steps
     prox(g, x, cols), the exponentials of its rows as the earlier columns
     moved them (a row several columns share replayed one pair at a time,
-    as the chain runs), then lse_acc += its dot / denom.  The wave ends
+    as the chain runs), then lse_acc += its sum / denom.  The wave ends
     after an iteration that leaves lse_acc at most bound (then the second
     value is True), or, unless it is the last, out of [LSE_ACC_LO,
     LSE_ACC_HI] or staleness at n.  Then the steps taken land one column
@@ -89,15 +115,15 @@ def steps_reference(st, wave, prox, bound=-math.inf):
         for src, dst in shared.tolist():
             old[dst] = old[src] + d[src]
         e[shared[:, 1]] = np.exp((old[shared[:, 1]] - st.fmu) / st.mu)
-        st.lse_acc += float(e.dot(np.expm1(wave.am[at] * hr))) / denom
+        st.lse_acc += seg_sum(e * np.expm1(wave.am[at] * hr)) / denom
         due = st.lse_acc <= bound
         if due or t + 1 < wave.end and st.needs_recompute():
             break
     h = np.concatenate(taken)
-    for i, col, hi in zip(itertools.count(), wave.ids, h):
+    for i, j, hi in zip(itertools.count(), wave.ids, h):
         if hi != 0.0:
-            rows, vals = st.loss.pd.col(int(col))
-            st.x[col] = wave.x[i] + hi
+            rows, vals = col(st.loss.pd, int(j))
+            st.x[j] = wave.x[i] + hi
             st.r[rows] = st.r[rows] + vals * hi
     return first + len(taken), due
 
@@ -336,7 +362,7 @@ def operator_norm_oracle(
     m = pd.m
     M = np.zeros((m, S.size))
     for k, i in enumerate(S):
-        rows, vals = pd.col(int(i))
+        rows, vals = col(pd, int(i))
         M[rows, k] = vals
     M /= v[:, None]
     M /= np.sqrt(w[S])[None, :]

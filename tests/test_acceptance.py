@@ -13,6 +13,7 @@ from scipy.optimize import linprog, minimize
 from scipy.special import logsumexp
 
 from helpers import (
+    dense,
     expected_intersection_sq,
     operator_norm_oracle,
     step,
@@ -144,7 +145,7 @@ def test_04_expected_separable_overapproximation():
             loss = make_loss(working, app, mu)
             dw = dual_weights(working, app)
             pw = primal_weights(working, dw)
-            A = working.dense()
+            A = dense(working)
             if app == "l1":
                 v = (A * A).sum(axis=1)
                 a = mu * v * v
@@ -281,7 +282,7 @@ def test_07_smoothing_sandwich_and_gap_bracket():
         mu = float(rng.uniform(0.1, 0.5))
         loss = make_loss(working, app, mu)
         _, D = loss_constants(app, working)
-        W, bw = working.dense(), working.b
+        W, bw = dense(working), working.b
         if app == "l1":
             # min sum of t with -t <= Wx - bw <= t
             c = np.concatenate([np.zeros(n), np.ones(working.m)])

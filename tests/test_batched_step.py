@@ -4,7 +4,8 @@ The functions prefixed _ref_ are that loop: one gradient per selected
 coordinate from the frozen state, one scalar prox each, then the steps
 applied one column at a time in ascending order, each column's terms of
 lse_acc taken at the residuals the earlier ones moved and added in one
-dot per iteration.  The batched kernel (SmoothedLoss.columns,
+sum per iteration, each sum over a column or an iteration a
+helpers.seg_sum of its own.  The batched kernel (SmoothedLoss.columns,
 SmoothState.wave and steps, prox_steps) must reproduce it bit for bit,
 sign of zero included: solver traces are pinned exactly.  The kernel
 steps through a block of rounds drawn and gathered at once, as run does
@@ -22,8 +23,8 @@ import textwrap
 import numpy as np
 import pytest
 
-from helpers import KERNEL_ERRSTATE, gradient, prox, row_lens, step
-from spcdm import problem, smoothing, solver
+from helpers import KERNEL_ERRSTATE, col, gradient, prox, row_lens, seg_sum, step
+from spcdm import problem, solver
 from spcdm.eso import dual_weights, primal_weights, select_eso
 from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
@@ -34,14 +35,14 @@ from spcdm.solver import Regularizer, SolverConfig, prox_steps, run
 
 
 def _ref_partial_gradient(st, i):
-    rows, vals = st.loss.pd.col(i)
+    rows, vals = col(st.loss.pd, i)
     if rows.size == 0:
         return 0.0
     loss = st.loss
     if loss.kind == "l1":
-        return float(np.dot(vals, np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0)))
-    # the dot of the exponentials, then the normaliser
-    s = float(np.dot(vals, np.exp((st.r[rows] - st.fmu) / loss.mu)))
+        return seg_sum(vals * np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0))
+    # the sum of the exponentials' terms, then the normaliser
+    s = seg_sum(vals * np.exp((st.r[rows] - st.fmu) / loss.mu))
     return s / (loss.denom * st.lse_acc)
 
 
@@ -65,7 +66,7 @@ def _ref_apply_update(st, i, h):
     moved them, and expm1(vals / mu * h), its terms of r over mu (zero
     for a zero step, which changes nothing else)."""
     loss = st.loss
-    rows, vals = loss.pd.col(i)
+    rows, vals = col(loss.pd, i)
     with np.errstate(over="ignore"):
         terms = (np.exp((st.r[rows] - st.fmu) / loss.mu), np.expm1(vals / loss.mu * h))
     if h != 0.0:
@@ -77,12 +78,12 @@ def _ref_apply_update(st, i, h):
 
 def _ref_steps(st, ids, hs):
     """The steps hs on the columns ids, one at a time, as one iteration:
-    lse_acc takes the columns' terms in one dot."""
+    lse_acc takes the columns' terms in one sum."""
     terms = [_ref_apply_update(st, int(i), h) for i, h in zip(ids, hs)]
     if st.loss.kind != "l1" and terms:
         e, em = (np.concatenate(t) for t in zip(*terms))
         with np.errstate(over="ignore", invalid="ignore"):
-            st.lse_acc += float(np.dot(e, em)) / st.loss.denom
+            st.lse_acc += seg_sum(e * em) / st.loss.denom
 
 
 def _ref_iteration(st, ids, beta, w, reg):
@@ -95,20 +96,17 @@ def _ref_iteration(st, ids, beta, w, reg):
 
 
 def _ref_columns(pd, ids):
-    """One selection's columns, length groups and shared-row pairs, each
-    from its own sorts: what ProblemData.columns computed per iteration
-    before it took a whole block of rounds."""
+    """One selection's columns, where each one's entries start among them,
+    and shared-row pairs, each from its own sorts: what
+    ProblemData.columns computed per iteration before it took a whole
+    block of rounds."""
     lens = pd.col_nnz()[ids]
-    rows = np.concatenate([pd.col(int(i))[0] for i in ids] + [np.zeros(0, dtype=np.int64)])
-    vals = np.concatenate([pd.col(int(i))[1] for i in ids] + [np.zeros(0)])
-    starts = np.cumsum(lens) - lens
-    groups = []
-    for k in sorted(set(lens.tolist()) - {0}):
-        sel = np.flatnonzero(lens == k)
-        groups.append((sel, starts[sel][:, None] + np.arange(k)))
+    rows = np.concatenate([col(pd, int(i))[0] for i in ids] + [np.zeros(0, dtype=np.int64)])
+    vals = np.concatenate([col(pd, int(i))[1] for i in ids] + [np.zeros(0)])
+    starts = [sum(lens[:c].tolist()) for c in range(lens.size)]
     order = rows.argsort(kind="stable")
     dup = np.flatnonzero(rows[order][1:] == rows[order][:-1])
-    return lens, rows, vals, groups, np.stack((order[dup], order[dup + 1]))
+    return lens, rows, vals, starts, np.stack((order[dup], order[dup + 1]))
 
 
 def _ref_run(loss, reg, cfg):
@@ -284,7 +282,7 @@ def _compare_states(loss, w, active, reg, tau, iters=60, beta=0.8):
                     return "h", zeros, clipped, shared, chained, long
                 zeros += int(np.count_nonzero(h == 0.0))
                 clipped += int(np.count_nonzero((ref.x[ids] == reg.lo) | (ref.x[ids] == reg.hi)))
-                rows = np.concatenate([loss.pd.col(int(i))[0] for i in ids])
+                rows = np.concatenate([col(loss.pd, int(i))[0] for i in ids])
                 shared += int(np.unique(rows).size < rows.size)
                 chained += int(np.bincount(rows).max(initial=0) >= 3)
             diff = _first_difference(ref, new)
@@ -310,17 +308,11 @@ def test_batched_step_matches_per_coordinate_loop(app, mu, reg_name, tau):
         assert long > 0  # waves of several rounds
 
 
-def _no_segments(*args):
-    raise AssertionError("_segments called for columns of one length")
-
-
 @pytest.mark.parametrize("tau", [1, 3, N_ACTIVE])
 @pytest.mark.parametrize("reg_name", sorted(REGS))
 @pytest.mark.parametrize("app,mu", APPS)
-def test_column_regular_steps_match_the_loop_without_length_groups(monkeypatch, app, mu,
-                                                                   reg_name, tau):
+def test_column_regular_steps_match_the_loop(app, mu, reg_name, tau):
     setup = _setup(app, mu, _regular_instance(5))
-    monkeypatch.setattr(smoothing, "_segments", _no_segments)
     diff, zeros, clipped, shared, chained, long = _compare_states(*setup, REGS[reg_name], tau)
     assert diff is None, f"{diff} differs"
     if tau == N_ACTIVE:
@@ -416,29 +408,30 @@ def test_prox_steps_keeps_the_scalar_zero_signs():
 
 def _selections(span):
     """The span's selections one at a time: ids, column lengths, rows,
-    vals, shared-row pairs (positions in the selection) and width."""
+    vals, shared-row pairs and where each column's entries start
+    (positions in the selection)."""
     tau = span.ids.shape[1]
     for t, ids in enumerate(span.ids):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (ids, span.lens[t * tau:(t + 1) * tau], span.rows[at], span.vals[at],
-               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T, span.width[t])
+               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T,
+               (span.eptr[t * tau:(t + 1) * tau] - span.ptr[t]).tolist())
 
 
 @pytest.mark.parametrize("tau", [1, 4, N_ACTIVE + 1])
 def test_block_gather_matches_one_gather_per_selection(tau):
-    pd = _instance(1)  # column 3 is empty: it has no length group
+    pd = _instance(1)  # column 3 is empty: it starts where the next one does
     block = draw(SamplingSpec(n=pd.n, tau=tau, seed=2), 0, 40)
     selections = [sel for span in pd.columns(block) for sel in _selections(span)]
     assert len(selections) == len(block)
     shared = 0
-    for want, (ids, lens, rows, vals, pairs, width) in zip(block, selections):
-        ref_lens, ref_rows, ref_vals, ref_groups, ref_pairs = _ref_columns(pd, want)
+    for want, (ids, lens, rows, vals, pairs, starts) in zip(block, selections):
+        ref_lens, ref_rows, ref_vals, ref_starts, ref_pairs = _ref_columns(pd, want)
         assert np.array_equal(ids, want) and np.array_equal(lens, ref_lens)
         assert np.array_equal(rows, ref_rows) and np.array_equal(vals, ref_vals)
         assert pairs.dtype == np.int64
         assert pairs.shape == ref_pairs.shape and np.array_equal(pairs, ref_pairs)
-        one_length = len(ref_groups) == 1 and ref_groups[0][0].size == want.size
-        assert width == (ref_groups[0][1].shape[1] if one_length else 0)
+        assert starts == ref_starts
         shared += pairs.size > 0
     assert (shared > 0) == (tau > 1)  # one column shares no row with itself
 
@@ -452,7 +445,7 @@ def test_rows_shared_by_three_columns_chain_their_pairs():
     first, second = _selections(span)
     # entries 0..7: column 0 at rows 0, 2; column 1 at 0, 1; column 2 at
     # 0, 2, 3; column 3 at 1.  Row 0's three entries chain: (0, 2), (2, 4)
-    assert first[4].tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]] and first[5] == 0
+    assert first[4].tolist() == [[0, 2, 3, 1], [2, 4, 7, 5]] and first[5] == [0, 2, 4, 7]
     # entries 0..6: column 1 at rows 0, 1; column 2 at 0, 2, 3; column 3 at 1; column 4 at 3
     assert second[4].tolist() == [[0, 1, 4], [2, 5, 6]]
     # the second selection shares rows with the first: two waves
@@ -485,27 +478,46 @@ def test_columns_gathers_in_column_order():
     pd = _instance(1)
     ids = np.array([0, 1, 2, 3, 5, 9])
     span = next(pd.columns(ids[None]))
-    assert np.array_equal(span.rows, np.concatenate([pd.col(int(i))[0] for i in ids]))
-    assert np.array_equal(span.vals, np.concatenate([pd.col(int(i))[1] for i in ids]))
-    assert np.array_equal(span.lens, pd.col_nnz()[ids]) and span.width == [0]
+    assert np.array_equal(span.rows, np.concatenate([col(pd, int(i))[0] for i in ids]))
+    assert np.array_equal(span.vals, np.concatenate([col(pd, int(i))[1] for i in ids]))
+    assert np.array_equal(span.lens, pd.col_nnz()[ids])
+    k5, k9 = pd.col_nnz()[[5, 9]].tolist()
+    assert span.eptr.tolist() == [0, 1, 3, 48, 48, 48 + k5, 48 + k5 + k9]
+    assert span.empty  # column 3 has no entries
     assert next(pd.columns(np.empty((1, 0), dtype=np.int64))).rows.size == 0
 
 
 _wave = SmoothState.wave
 
 
-def _bincount_wave(self, span, a, b, leveled=False):
-    """The wave with each column's s summed by np.bincount, in entry order."""
-    wave = _wave(self, span, a, b, leveled)
+def _wave_terms(state, span, a, b, leveled):
+    """SmoothState.wave, the z its column sums take vals * z of, and the
+    columns' lengths."""
+    wave = _wave(state, span, a, b, leveled)
     ptr = span.levels.eptr if leveled else span.ptr
     at = slice(ptr[a], ptr[b])
-    if self.loss.kind == "l1":
+    if state.loss.kind == "l1":
         z = np.clip(wave.r / span.row_data[at], -1.0, 1.0)
     else:
         z = wave.e
-    lens = span.lens[wave.cols]
+    return wave, z, span.lens[wave.cols]
+
+
+def _bincount_wave(self, span, a, b, leveled=False):
+    """The wave with each column's s summed by np.bincount, in entry order."""
+    wave, z, lens = _wave_terms(self, span, a, b, leveled)
     seg = np.repeat(np.arange(lens.size), lens)
     wave.s = np.bincount(seg, weights=wave.vals * z, minlength=lens.size)
+    return wave
+
+
+def _dot_wave(self, span, a, b, leveled=False):
+    """The wave with each column's s one ndarray.dot, the sum the kernel
+    took before np.add.reduceat: from two entries on, its last bit can
+    differ."""
+    wave, z, lens = _wave_terms(self, span, a, b, leveled)
+    at = np.append(0, lens.cumsum()).tolist()
+    wave.s = np.array([wave.vals[p:q].dot(z[p:q]) for p, q in zip(at, at[1:])])
     return wave
 
 
@@ -585,6 +597,9 @@ def test_comparison_catches_levels_that_ignore_conflicts(monkeypatch, tau):
 
 @pytest.mark.parametrize("attr,mutant,app,mu", [
     ("wave", _bincount_wave, "l1", 0.3),
+    ("wave", _dot_wave, "l1", 0.3),
+    ("wave", _dot_wave, "adaboost", 1.0),
+    ("wave", _dot_wave, "linf", 0.25),
     ("steps", _no_fixup, "adaboost", 1.0),
     ("steps", _no_fixup, "linf", 0.25),
     ("steps", _old_exp_reused, "adaboost", 1.0),

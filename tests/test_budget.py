@@ -46,12 +46,14 @@ def _raw() -> ProblemData:
 
 def _selections(span):
     """The span's selections one at a time: rows, vals, column lengths,
-    shared-row pairs (positions in the selection), width and row_data."""
+    shared-row pairs and where each column's entries start (positions in
+    the selection), and row_data."""
     tau = span.ids.shape[1]
     for t in range(len(span.ptr) - 1):
         at = slice(span.ptr[t], span.ptr[t + 1])
         yield (span.rows[at], span.vals[at], span.lens[t * tau:(t + 1) * tau],
-               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T, span.width[t],
+               (span.pairs[span.pair_ptr[t]:span.pair_ptr[t + 1]] - span.ptr[t]).T,
+               (span.eptr[t * tau:(t + 1) * tau] - span.ptr[t]).tolist(),
                None if span.row_data is None else span.row_data[at])
 
 
@@ -133,10 +135,10 @@ def test_every_pass_gives_the_same_bits_under_a_tiny_budget(reference, budget, a
 
 
 def test_the_instance_has_ragged_selections_and_shared_rows(reference):
-    # what the gather's split must keep: selections without a width and
-    # rows that several columns of a selection hold
+    # what the gather's split must keep: selections whose columns differ
+    # in length and rows that several columns of a selection hold
     batches = reference["adaboost", 8]["batches"]
-    assert any(width == 0 for *_, width, _ in batches)
+    assert any(np.unique(lens).size > 1 for _, _, lens, *_ in batches)
     assert any(shared.size for _, _, _, shared, *_ in batches)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import eso_ratio_max, operator_norm_oracle, subspace_lipschitz
+from helpers import dense, eso_ratio_max, operator_norm_oracle, subspace_lipschitz
 from spcdm.eso import (
     beta1,
     beta2,
@@ -250,14 +250,14 @@ def test_p1_eso_is_safe_by_brute_force(formula):
             pd = prepare_problem(raw, app)
             pw = primal_weights(pd, dual_weights(pd, app))
             assert pw.active.all()
-            dense = pd.dense()
+            full = dense(pd)
             for tau in range(1, n + 1):
                 if formula == "local":
                     d = local_factors(pd, tau, n) * pw.w
                 else:
                     d = select_eso(formula, pd, pw, p=1, tau=tau).beta_prime * pw.w
                 assert np.all(d > 0)
-                worst = max(worst, eso_ratio_max(dense, tau, d, rng))
+                worst = max(worst, eso_ratio_max(full, tau, d, rng))
                 checked += 1
     # at tau = 1 every h = e_i meets the bound: a search that finds less is broken
     assert 1.0 - 1e-12 <= worst <= 1.0 + 1e-12, (worst, checked)
@@ -282,7 +282,7 @@ def test_brute_force_oracle_catches_too_small_local_factors(variant):
                 factors = np.minimum(np.minimum(longest, tau), 1.0 + (tau - 1) / n * spread)
             else:
                 factors = np.minimum(np.minimum(longest, tau), (tau - 1) / (n - 1) * spread)
-            assert eso_ratio_max(pd.dense(), tau, factors * pw.w, rng) > 1.0 + 1e-6, (n, tau)
+            assert eso_ratio_max(dense(pd), tau, factors * pw.w, rng) > 1.0 + 1e-6, (n, tau)
 
 
 def test_subspace_lipschitz_examples():
@@ -309,7 +309,7 @@ def test_operator_norm_oracle_vs_svd():
         if S.size == 0:
             continue
         got = operator_norm_oracle(pd, S, pw.w, dw.v)
-        M = pd.dense()[:, S] / dw.v[:, None] / np.sqrt(pw.w[S])[None, :]
+        M = dense(pd)[:, S] / dw.v[:, None] / np.sqrt(pw.w[S])[None, :]
         ref = float(np.linalg.svd(M, compute_uv=False)[0] ** 2)
         assert got == pytest.approx(ref, rel=1e-7)
 
@@ -332,9 +332,9 @@ def test_max_form_singleton_normalization():
     pd = _pd_2x3()
     dw = dual_weights(pd, "linf")
     pw = primal_weights(pd, dw)
-    dense = pd.dense()
+    full = dense(pd)
     for i in range(pd.n):
-        assert np.max((dense[:, i] / dw.v) ** 2) / pw.w[i] == pytest.approx(1.0)
+        assert np.max((full[:, i] / dw.v) ** 2) / pw.w[i] == pytest.approx(1.0)
 
 
 def test_operator_norm_bounded_by_row_overlap():

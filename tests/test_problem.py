@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import row_lens, row_slices, triplets
+from helpers import col, dense, row_lens, row_slices, triplets
 from spcdm.problem import (
     ProblemData,
     load_svmlight,
@@ -19,7 +19,7 @@ def test_load_basic(tmp_path):
     assert (pd.m, pd.n, pd.nnz) == (2, 3, 3)
     assert np.array_equal(pd.b, [1.0, -1.0])
     assert row_sparsity(pd) == 2
-    rows, vals = pd.col(0)
+    rows, vals = col(pd, 0)
     assert np.array_equal(rows, [0]) and np.array_equal(vals, [2.0])
     cols, vals = row_slices(pd)[1]
     assert np.array_equal(cols, [1]) and np.array_equal(vals, [5.0])
@@ -85,10 +85,10 @@ def test_layouts_agree():
         from_rows[j, cols] = vals
     from_cols = np.zeros((pd.m, pd.n))
     for i in range(pd.n):
-        rows, vals = pd.col(i)
+        rows, vals = col(pd, i)
         from_cols[rows, i] = vals
     assert np.array_equal(from_rows, from_cols)
-    assert np.array_equal(pd.dense(), from_rows)
+    assert np.array_equal(dense(pd), from_rows)
 
 
 def test_from_coo_validation():
@@ -167,13 +167,13 @@ def test_stack_linf():
     st = stack_linf(pd)
     assert (st.m, st.n, st.nnz) == (2 * pd.m, pd.n, 2 * pd.nnz)
     assert np.array_equal(st.b, np.concatenate([pd.b, -pd.b]))
-    d = pd.dense()
-    assert np.array_equal(st.dense(), np.vstack([d, -d]))
+    d = dense(pd)
+    assert np.array_equal(dense(st), np.vstack([d, -d]))
     assert row_sparsity(st) == row_sparsity(pd)
 
 
 def test_empty_columns_allowed():
     pd = ProblemData.from_coo(2, 4, [0, 1], [1, 1], [1.0, -2.0], np.ones(2))
     assert np.array_equal(pd.col_nnz(), [0, 2, 0, 0])
-    rows, vals = pd.col(3)
+    rows, vals = col(pd, 3)
     assert rows.size == 0 and vals.size == 0

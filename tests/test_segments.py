@@ -1,19 +1,22 @@
-"""The length-grouped segment reductions against the per-row and per-column
-loops they replace.
+"""The segment reductions against the per-row and per-column loops they
+replace.
 
 The loops below are the reference implementations.  Every derived
 quantity must equal them bit for bit: the solver's traces are pinned
 exactly, so a last-bit change in v, w, the residual or the gradient is
-a behaviour change, not rounding noise.
+a behaviour change, not rounding noise.  A column's sum is what
+np.add.reduceat gives its segment, which the references take one
+column at a time as helpers.seg_sum.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies
 
-from helpers import row_lens, row_slices
+from helpers import col, row_lens, row_slices, seg_sum
 from spcdm import problem
 from spcdm.eso import DualWeights, dual_weights, primal_weights
-from spcdm.problem import ProblemData, _segments
+from spcdm.problem import ProblemData
 from spcdm.solver import Regularizer, SolverConfig, run
 from spcdm.smoothing import (
     _residual,
@@ -47,18 +50,18 @@ def _ref_primal_weights(pd, v, p):
     w = np.zeros(pd.n)
     vinv2 = 1.0 / (v * v)
     for i in range(pd.n):
-        rows, vals = pd.col(i)
+        rows, vals = col(pd, i)
         if rows.size == 0:
             continue
         contrib = vinv2[rows] * vals * vals
-        w[i] = contrib.max() if p == 1 else contrib.sum()
+        w[i] = contrib.max() if p == 1 else seg_sum(contrib)
     return w
 
 
 def _ref_residual(pd, x):
     r = -pd.b.copy()
     for i in np.flatnonzero(x):
-        rows, vals = pd.col(int(i))
+        rows, vals = col(pd, int(i))
         r[rows] += vals * x[i]
     return r
 
@@ -67,14 +70,14 @@ def _ref_full_gradient(st):
     loss = st.loss
     g = np.empty(loss.pd.n)
     for i in range(loss.pd.n):
-        rows, vals = loss.pd.col(i)
+        rows, vals = col(loss.pd, i)
         if not rows.size:
             g[i] = 0.0
         elif loss.kind == "l1":
-            g[i] = np.dot(vals, np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0))
+            g[i] = seg_sum(vals * np.clip(st.r[rows] / loss.huber_a[rows], -1.0, 1.0))
         else:
-            # the dot of the exponentials, then the normaliser
-            s = np.dot(vals, np.exp((st.r[rows] - st.fmu) / loss.mu))
+            # the sum of the exponentials' terms, then the normaliser
+            s = seg_sum(vals * np.exp((st.r[rows] - st.fmu) / loss.mu))
             g[i] = s / (loss.denom * st.lse_acc)
     return g
 
@@ -117,18 +120,22 @@ def _instance(seed, m=260, n=40):
     return pd, rng
 
 
-def test_segments_yield_each_nonempty_segment_once():
-    lens = np.array([0, 3, 1, 3, 0, 2, 1, 3])
-    ptr = np.concatenate([[0], np.cumsum(lens)])
-    seen = {}
-    for ids, idx in _segments(ptr):
-        assert idx.shape == (ids.size, lens[ids[0]])
-        assert np.all(np.diff(ids) > 0)
-        for s, row in zip(ids, idx):
-            seen[int(s)] = row.tolist()
-    assert seen == {s: list(range(ptr[s], ptr[s + 1])) for s in np.flatnonzero(lens)}
-    assert list(_segments(np.array([0]))) == []
-    assert list(_segments(np.zeros(4, dtype=np.int64))) == []
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(strategies.integers(1, 400), strategies.integers(0, 60), strategies.integers(0, 60),
+       strategies.integers(0, 2**32 - 1))
+def test_a_reduceat_segment_sums_as_it_does_alone(length, before, after, seed):
+    # the rule every reference above rests on: a segment's reduceat sum
+    # depends on neither its offset nor its neighbours, and is seg_sum's
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(before + length + after)
+    x *= 10.0 ** rng.uniform(-4, 4, x.size)
+    x[rng.random(x.size) < 0.1] = rng.choice([-0.0, 0.0])  # the sign of a zero sum
+    seg = x[before:before + length]
+    at = [0, before, before + length] if before else [0, length]
+    at = at if after else at[:-1]
+    got = np.add.reduceat(x, at)[1 if before else 0]
+    for alone in (np.add.reduceat(seg.copy(), [0])[0], seg_sum(seg)):
+        assert _same_bits(got, alone)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -199,6 +206,20 @@ def test_residual_and_gradient_match_loop_references(app, seed):
     g = st.full_gradient()
     assert _same_bits(g, _ref_full_gradient(st))
     assert g[EMPTY_COL] == 0.0
+
+
+@pytest.mark.parametrize("app", ["l1", "linf", "adaboost"])
+def test_full_gradient_leaves_empty_columns_at_zero(app):
+    # columns 1 and 4, the last, are empty: a column sum over them would
+    # read the next column's first term, or past the end of the terms
+    rows, cols = [0, 2, 1, 2, 0, 1, 3], [0, 0, 2, 2, 3, 3, 3]
+    vals = [0.5, -1.5, 2.0, 0.25, -0.75, 1.25, 3.0]
+    raw = ProblemData.from_coo(4, 5, rows, cols, vals, np.array([1.0, -1.0, 0.5, -0.0]))
+    loss = make_loss(prepare_problem(raw, app), app, 1.0 if app == "adaboost" else 0.3)
+    st = init_state(loss, np.array([0.1, 0.0, -0.2, 0.3, 0.0]))
+    g = st.full_gradient()
+    assert _same_bits(g, _ref_full_gradient(st))
+    assert g[1] == g[4] == 0.0 and np.all(g[[0, 2, 3]] != 0.0)
 
 
 def test_empty_row_error_names_the_row():

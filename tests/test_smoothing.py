@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from helpers import gradient, row_slices, step, triplets
+from helpers import dense, gradient, row_slices, step, triplets
 from spcdm.problem import ProblemData, synth_problem
 from spcdm.smoothing import (
     LSE_ACC_HI,
@@ -30,8 +30,7 @@ def _scalar_problem(b):
 
 def _reference_value(loss, x):
     """Dense restatement of each variant, scipy doing the log-sum-exp."""
-    dense = loss.pd.dense()
-    r = dense @ x - loss.pd.b
+    r = dense(loss.pd) @ x - loss.pd.b
     if loss.kind == "l1":
         a = loss.huber_a
         out = 0.0

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import assert_same_array, prox, replay, row_slices
+from helpers import assert_same_array, col, dense, prox, replay, row_slices, seg_sum
 from spcdm import solver
 from spcdm.eso import beta3, dual_weights, primal_weights
 from spcdm.problem import ProblemData, synth_problem
@@ -158,7 +158,7 @@ def test_serial_run_matches_straight_line_reference():
     def residual(x):
         r = -pd.b.copy()
         for i in np.flatnonzero(x):
-            rows, vals = pd.col(int(i))
+            rows, vals = col(pd, int(i))
             r[rows] += vals * x[i]
         return r
 
@@ -177,9 +177,9 @@ def test_serial_run_matches_straight_line_reference():
         for _ in range(n):
             i = int(draw(spec, rnd)[0])
             rnd += 1
-            rows, vals = pd.col(i)
+            rows, vals = col(pd, i)
             z = np.clip(r[rows] / a[rows], -1.0, 1.0)
-            g = float(np.dot(vals, z))
+            g = seg_sum(vals * z)
             h = -g / (beta * w[i])
             if h != 0.0:
                 x[i] += h
@@ -218,7 +218,7 @@ def test_parallel_converges_to_reference_minimum():
 
     from scipy.optimize import minimize
 
-    A = pd.dense()
+    A = dense(pd)
     v = (A * A).sum(axis=1)
     a = mu * v * v
 

@@ -6,9 +6,9 @@ iterations up to the first guess a pass did not reproduce bit for bit.
 helpers.steps_reference is the loop: one iteration at a time, lse_acc
 as it goes.  Here both take the same runs of iterations from copies of
 one state, and their cuts, their flags and the states after must agree
-bit for bit, on ragged selections and on column-regular ones (the
-stacked dot), at tau in {1, 3, 8}, where an iteration holds rows
-several of its columns share, and on runs cut by the accumulator
+bit for bit, on ragged selections and on column-regular ones, at tau
+in {1, 3, 8}, where an iteration holds rows several of its columns
+share, and on runs cut by the accumulator
 leaving its band, by staleness reaching n and by a bound on lse_acc (a
 target check).  The runs are seven iterations of distinct columns, as
 in any wave, whether or not they share rows: both sides read what the

@@ -35,7 +35,7 @@ from spcdm.problem import ProblemData
 from spcdm.sampling import SamplingSpec, draw
 from spcdm.smoothing import SmoothState, make_loss, prepare_problem
 from spcdm.solver import Regularizer, SolverConfig, prox_steps, run
-from helpers import assert_same_array
+from helpers import assert_same_array, col
 from test_batched_step import _mutant, _ref_columns, _same_bits
 from test_budget import _raw
 
@@ -341,7 +341,7 @@ def test_planner_levels_order_every_row_and_are_the_lowest(case, budget):
         steps_of = {}  # each row's steps, in column order
         for c in range(size):
             ents = slice(eptr[at[c]], eptr[at[c] + 1])  # the span holds them in level order
-            rows, vals = pd.col(span.ids.flat[c])
+            rows, vals = col(pd, span.ids.flat[c])
             assert_same_array(span.rows[ents], rows)
             assert_same_array(span.vals[ents], vals)
             for j in rows.tolist():
